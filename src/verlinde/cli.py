@@ -223,7 +223,7 @@ def _cmd_weights_list(cfg, args):
 
 def _cmd_weights_count(cfg, args):
     reps = graphs.enumerate_trivalent(cfg.genus)
-    counts = [len(weights.enumerate_weights(rep, cfg.level)) for rep in reps]
+    counts = [weights.count_weights(rep, cfg.level) for rep in reps]
     if cfg.fmt == "csv":
         print("graph,level,count")
         for i, n in enumerate(counts):
@@ -243,9 +243,23 @@ def _cmd_weights_u1(cfg, args):
 def _cmd_verlinde(cfg, args):
     if args.via == "all":
         routes = ("weights", "characters", "closed") if cfg.genus >= 2 else ("characters", "closed")
-        _jprint({via: fusion.verlinde(cfg.genus, cfg.level, via=via) for via in routes})
     else:
-        print(fusion.verlinde(cfg.genus, cfg.level, via=args.via))
+        routes = (args.via,)
+    values, unresolved = {}, {}
+    for via in routes:
+        try:
+            values[via] = fusion.verlinde(cfg.genus, cfg.level, via=via)
+        except fusion.UnresolvedRoute as exc:
+            values[via] = None if args.via == "all" else exc.witness.exact
+            unresolved[via] = str(exc)
+    if args.via != "all":
+        print(values[args.via])
+        for note in unresolved.values():
+            print(f"note: {note}", file=sys.stderr)
+        return 0
+    if unresolved:
+        values["unresolved"] = unresolved
+    _jprint(values)
     return 0
 
 
@@ -405,8 +419,8 @@ def _selftest_graph_independence(quick):
     theta, bell = graphs.theta_graph(), graphs.dumbbell_graph()
     top = 6 if quick else 12
     for k in range(1, top + 1):
-        a = len(weights.enumerate_weights(theta, k))
-        b = len(weights.enumerate_weights(bell, k))
+        a = weights.count_weights(theta, k)
+        b = weights.count_weights(bell, k)
         _check(a == b, f"theta {a} != dumbbell {b} at level {k}")
     return f"genus 2-3 up to level {kmax}; theta = dumbbell up to level {top}"
 
@@ -814,7 +828,8 @@ def run(argv):
         )
         return args.handler(cfg, args)
     except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
+        witness = "" if exc.witness is None else f"; witness {exc.witness!r}"
+        print(f"invariant violation: {exc}{witness}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,19 +3,26 @@
 Labels are twice-spin integers 0..k.  Fusion is the Clebsch-Gordan
 decomposition truncated by the level; equivalently the quotient of the
 representation ring by the ideal generated by the label k+1, which
-ideal_check verifies symbolically.  Verlinde numbers come out of three
-routes (character sums, the trigonometric closed form, and weight
-enumeration) and every call cross-asserts the exact fusion recursion.
+ideal_check verifies symbolically.  The exact rank of a block space is an
+integer product of fusion matrices with powers of the handle operator
+H = sum_a N_a^2.  Verlinde numbers come out of three routes (character
+sums, the trigonometric closed form, and weight counts) and every call
+checks its route against that exact rank: the weight count exactly, the
+float routes within a derived forward-error bound.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
+from collections import namedtuple
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
-from .weights import InvariantViolation
+from .graphs import multi_theta
+from .weights import InvariantViolation, count_weights
 
 
 def _check_level(k):
@@ -82,29 +89,54 @@ class FusionRing:
 
 
 @lru_cache(maxsize=None)
-def _rk_cached(g, labels, k):
-    if g == 0:
-        # fold the fusion product and read off the unit multiplicity
-        acc = {0: 1}
-        for n in labels:
-            nxt = {}
-            for m, mult in acc.items():
-                for c in fuse(k, m, n):
-                    nxt[c] = nxt.get(c, 0) + mult
-            acc = nxt
-        return acc.get(0, 0)
-    return sum(_rk_cached(g - 1, tuple(sorted(labels + (n, n))), k) for n in range(k + 1))
+def _fusion_matrices(k):
+    # N_a[b][c] = N^c_ab as int lists, and the handle operator H = sum_a N_a^2
+    n = k + 1
+    mats = []
+    for a in range(n):
+        m = [[0] * n for _ in range(n)]
+        for b in range(n):
+            for c in fuse(k, a, b):
+                m[b][c] = 1
+        mats.append(m)
+    handle = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for i in range(n):
+            for x in fuse(k, a, i):
+                for j in fuse(k, a, x):
+                    handle[i][j] += 1
+    return mats, handle
+
+
+def _row_times(row, m):
+    out = [0] * len(row)
+    for x, line in zip(row, m):
+        if x:
+            for j, y in enumerate(line):
+                out[j] += x * y
+    return out
 
 
 def rk(g, N, k):
-    """Rank of the conformal block space: genus g, boundary labels N."""
+    """Rank of the conformal block space: genus g, boundary labels N.
+
+    Equal to (H^g N_{n_1} ... N_{n_r})_{00} with H = sum_a N_a^2 the
+    handle operator: each handle glues a label and its dual, each
+    boundary label fuses in, and the unit channel is read off at the end.
+    """
     _check_level(k)
     if isinstance(g, bool) or not isinstance(g, int) or g < 0:
         raise ValueError("genus must be a nonnegative integer")
     labels = tuple(sorted(N))
     if any(not 0 <= n <= k for n in labels):
         raise ValueError(f"labels must lie in 0..{k}")
-    return _rk_cached(g, labels, k)
+    mats, handle = _fusion_matrices(k)
+    row = [1] + [0] * k
+    for _ in range(g):
+        row = _row_times(row, handle)
+    for n in labels:
+        row = _row_times(row, mats[n])
+    return row[0]
 
 
 # -- characters ---------------------------------------------------------------
@@ -132,37 +164,107 @@ def chi_c(k, n):
 # -- Verlinde numbers ---------------------------------------------------------
 
 
-def verlinde(g, k, via="characters"):
-    """Verlinde number rk_g(empty) computed along the requested route.
+RouteWitness = namedtuple("RouteWitness", "g k route value exact bound")
 
-    Every route is cross-asserted against the exact integer recursion;
-    g = 1 returns k+1 by the same recursion (the closed formulas start
-    at genus 2).
+# forward-error growth per factor of the power, in units of (k+2) eps; see
+# verlinde_route for the derivation
+_ERROR_SLOPE = {"characters": 8, "closed": 3}
+
+
+class UnresolvedRoute(Exception):
+    """A float route whose error bound is too wide to pin down the integer.
+
+    The route agrees with the exact rank within its bound, but the bound
+    is at least 1/2, so the route does not determine the Verlinde number.
+    `witness` is the RouteWitness; `witness.exact` is the exact value.
+    """
+
+    def __init__(self, message, witness):
+        super().__init__(message)
+        self.witness = witness
+
+
+def verlinde_route(g, k, via):
+    """Route value of the Verlinde number and its forward-error bound.
+
+    `weights` counts admissible weights on the genus-g multi-theta graph:
+    an exact integer, bound 0.  The float routes sum k+1 positive terms
+    T_n = S_n^(g-1), with S_n = sum_m chi_n(m)^2 (`characters`) or
+    S_n = chi_c(k, n) (`closed`); the bound is
+
+        eps * ((g-1) * c * (k+2) + 3/2) * sum_n |T_n|,
+
+    eps = 2u the machine epsilon, c = 8 for characters and 3 for closed.
+
+    Derivation, to first order in the unit roundoff u = eps/2 (the
+    neglected terms are smaller by a factor of about (g-1) c (k+2) eps).
+    Both routes evaluate theta = n*pi/(k+2) with relative error 3u (pi,
+    the product, the quotient).  At the nodes theta_n, |theta cot theta|
+    <= k+1, and in exact arithmetic d ln S/d theta = -2 cot theta for the
+    closed form and -3 cot theta for the character sum.
+
+    closed: theta moves S_n by 6(k+1)u; the sine's 1 ulp (2u) becomes 4u
+    in the square; squaring and dividing into k+2 add u each.  Relative
+    error of S_n: 6(k+2)u = 3(k+2) eps.
+
+    characters: theta moves S_n by 9(k+1)u.  The argument (m+1)*theta
+    adds u, so sin((m+1) theta) is off by (m+1) theta u absolutely, plus
+    its 1 ulp.  Divided by sin theta and weighted by 2|chi_n(m)| in the
+    sum of squares, Cauchy-Schwarz against sum_m (m+1)^2, with
+    sin^2 theta_n = (k+2) / (2 S_n), bounds the first part by
+    2 pi sqrt((k+1)(2k+3)/3) u S_n <= 5.2(k+1.25) u S_n.  The two sines'
+    ulps (4u each), the quotient (2u), the square and fsum (u each) add
+    12u S_n.  Total: (14.2k + 27.5)u <= 16(k+2)u = 8(k+2) eps.
+
+    Both: pow multiplies the relative error by g-1 and adds 1 ulp, and
+    fsum rounds the total once (u).  Against positive terms this sums to
+    the bound above.
     """
     _check_level(k)
     if isinstance(g, bool) or not isinstance(g, int) or g < 1:
         raise ValueError("genus must be an integer >= 1")
-    exact = rk(g, (), k)
-    if via == "characters":
-        val = math.fsum(
-            math.fsum(character(k, n, m) ** 2 for m in range(k + 1)) ** (g - 1)
-            for n in range(1, k + 2)
-        )
-    elif via == "closed":
-        val = math.fsum(chi_c(k, n) ** (g - 1) for n in range(1, k + 2))
-    elif via == "weights":
-        from .graphs import multi_theta
-        from .weights import enumerate_weights
-
+    if via == "weights":
         if g < 2:
             raise ValueError("the weights route needs genus >= 2")
-        val = float(len(enumerate_weights(multi_theta(g), k)))
+        return count_weights(multi_theta(g), k), 0.0
+    if via == "characters":
+        terms = [
+            math.fsum(character(k, n, m) ** 2 for m in range(k + 1)) ** (g - 1)
+            for n in range(1, k + 2)
+        ]
+    elif via == "closed":
+        terms = [chi_c(k, n) ** (g - 1) for n in range(1, k + 2)]
     else:
         raise ValueError("via must be one of characters, closed, weights")
-    if abs(val - round(val)) > 1e-6 or round(val) != exact:
+    # the terms are positive, so their sum is also sum_n |T_n|
+    value = math.fsum(terms)
+    scale = (g - 1) * _ERROR_SLOPE[via] * (k + 2) + 1.5
+    return value, sys.float_info.epsilon * scale * value
+
+
+def verlinde(g, k, via="characters"):
+    """Verlinde number rk_g(empty), checked along the requested route.
+
+    Returns the exact rank rk(g, (), k).  Raises InvariantViolation when
+    the route value differs from it by more than the route's error bound
+    (see verlinde_route), and UnresolvedRoute when it agrees but the bound
+    is 1/2 or more.  g = 1 gives k+1 (the closed formulas start at genus 2).
+    """
+    value, bound = verlinde_route(g, k, via)
+    exact = rk(g, (), k)
+    witness = RouteWitness(g, k, via, value, exact, bound)
+    err = abs(Fraction(value) - exact)
+    if err > bound:
         raise InvariantViolation(
-            f"verlinde({g},{k}) via {via}: {val} vs recursion {exact}",
-            witness=(g, k, via),
+            f"verlinde({g},{k}) via {via} is off the exact rank by {float(err):.3g},"
+            f" beyond its error bound {bound:.3g}",
+            witness=witness,
+        )
+    if bound >= 0.5:
+        raise UnresolvedRoute(
+            f"verlinde({g},{k}) via {via}: error bound {bound:.3g} >= 1/2,"
+            " so the route cannot resolve the integer at this magnitude",
+            witness,
         )
     return exact
 

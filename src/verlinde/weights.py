@@ -3,10 +3,10 @@
 A level-k weight assigns each edge a value in (1/2k)*{0..k}.  At every
 vertex the three incident values (a loop counts twice) must satisfy the
 parity, sum and quantum triangle conditions.  This module enumerates the
-admissible set, builds the continuous moment polytope it discretizes,
-counts U(1) and level-1 analogues, fits the leading growth of the count
-in k, and classifies the stabilizer data of the torus fibers sitting
-over a weight.
+admissible set, counts it by vertex elimination without listing it,
+builds the continuous moment polytope it discretizes, counts U(1) and
+level-1 analogues, fits the leading growth of the count in k, and
+classifies the stabilizer data of the torus fibers sitting over a weight.
 """
 
 from __future__ import annotations
@@ -162,26 +162,26 @@ def enumerate_weights(graph, k, boundary=None):
 def verlinde_count_check(g, k):
     """Count weights on every genus-g graph and demand full agreement.
 
-    The common count is also matched against the trigonometric closed
-    form; any mismatch raises InvariantViolation with a witness.
+    The common count is also matched against fusion.verlinde's closed
+    route; any mismatch raises InvariantViolation with a witness.
     """
+    from .fusion import verlinde
+
     if g not in (2, 3, 4):
         raise ValueError("cross-check supports genus 2..4")
     if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= 10:
         raise ValueError("cross-check supports level 1..10")
-    counts = [(graph, len(enumerate_weights(graph, k))) for graph in enumerate_trivalent(g)]
+    counts = [(graph, count_weights(graph, k)) for graph in enumerate_trivalent(g)]
     baseline = counts[0][1]
     for graph, n in counts:
         if n != baseline:
             raise InvariantViolation(
                 f"genus {g} level {k}: count {n} != {baseline}", witness=graph
             )
-    closed = ((k + 2) / 2) ** (g - 1) * sum(
-        math.sin(n * math.pi / (k + 2)) ** (2 - 2 * g) for n in range(1, k + 2)
-    )
-    if abs(closed - baseline) > 1e-6:
+    closed = verlinde(g, k, "closed")
+    if closed != baseline:
         raise InvariantViolation(
-            f"genus {g} level {k}: enumeration {baseline} vs closed form {closed}",
+            f"genus {g} level {k}: count {baseline} vs closed route {closed}",
             witness=counts[0][0],
         )
     return baseline
@@ -340,62 +340,74 @@ def polytope(graph):
     return MomentPolytope(graph, tuple(ineqs))
 
 
-def _bfs_vertices(graph):
-    order, seen = [], set()
-    for root in range(graph.n_vertices):
-        if root in seen:
-            continue
-        seen.add(root)
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for d in graph.star(v):
-                u = graph.vertex_of[graph.involution[d]]
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
+def _elimination_order(graph):
+    # greedy: each step takes the vertex that leaves the fewest edges open
+    ends = [
+        (graph.vertex_of[e], graph.vertex_of[graph.involution[e]])
+        for e in _weight_edge_ids(graph)
+    ]
+    order, done = [], set()
+
+    def open_after(v):
+        inside = done | {v}
+        return sum((a in inside) != (b in inside) for a, b in ends)
+
+    while len(order) < graph.n_vertices:
+        v = min((u for u in range(graph.n_vertices) if u not in done), key=open_after)
+        order.append(v)
+        done.add(v)
     return order
 
 
-def _dilation_count(graph, t):
-    # integer points of the dilated polytope in c = 2w coordinates:
-    # c_e in [0,t], and at each vertex sum <= 2t with 2*max <= sum
-    if t == 0:
-        return 1
-    order = _bfs_vertices(graph)
+def count_weights(graph, k, parity=True):
+    """Number of admissible level-k weights, by vertex elimination.
+
+    Counts integer tuples c_e in 0..k with 2*max <= sum <= 2k at every
+    vertex and, with `parity`, an even vertex sum: the numerators of the
+    weights enumerate_weights lists.  Without parity it counts the lattice
+    points of the moment polytope dilated by k/2 (k = 0 allowed).
+    Parabolic legs are free coordinates.  Vertices are eliminated one at
+    a time, greedily keeping few edges open; a state maps the values of
+    the edges still open to the number of partial assignments behind them.
+    """
+    if isinstance(k, bool) or not isinstance(k, int) or k < (1 if parity else 0):
+        raise ValueError(
+            "level must be a positive integer" if parity else "dilation must be a nonnegative integer"
+        )
     processed = set()
     open_edges = []
     states = {(): 1}
-    for v in order:
+    for v in _elimination_order(graph):
         flags = _vertex_flag_edges(graph, v)
         fresh = sorted({e for e in flags if e not in open_edges})
-        # where each flag value will come from
-        sources = []
-        for e in flags:
-            if e in fresh:
-                sources.append((1, fresh.index(e)))
-            else:
-                sources.append((0, open_edges.index(e)))
+        known = [e for e in flags if e not in fresh]
+        slot = {e: i for i, e in enumerate(known + fresh)}
         processed.add(v)
-        keep = []
-        for i, e in enumerate(open_edges):
-            u1, u2 = graph.vertex_of[e], graph.vertex_of[graph.involution[e]]
-            if not (u1 in processed and u2 in processed):
-                keep.append(i)
-        fresh_keep = []
-        for j, e in enumerate(fresh):
-            u1, u2 = graph.vertex_of[e], graph.vertex_of[graph.involution[e]]
-            if not (u1 in processed and u2 in processed):
-                fresh_keep.append(j)
+
+        def still_open(e):
+            ends = (graph.vertex_of[e], graph.vertex_of[graph.involution[e]])
+            return not all(u in processed for u in ends)
+
+        keep = [i for i, e in enumerate(open_edges) if still_open(e)]
+        fresh_keep = [j for j, e in enumerate(fresh) if still_open(e)]
+        # the fresh values allowed depend on a state only through its known
+        # flag values, so they are listed once per distinct known tuple
+        valid = {}
+        for known_vals in itertools.product(range(k + 1), repeat=len(known)):
+            combos = []
+            for combo in itertools.product(range(k + 1), repeat=len(fresh)):
+                vals = known_vals + combo
+                a, b, c = (vals[slot[e]] for e in flags)
+                total = a + b + c
+                if total <= 2 * k and 2 * max(a, b, c) <= total and not (parity and total % 2):
+                    combos.append(tuple(combo[j] for j in fresh_keep))
+            valid[known_vals] = combos
+        known_at = [open_edges.index(e) for e in known]
         new_states = {}
         for key, cnt in states.items():
-            for combo in itertools.product(range(t + 1), repeat=len(fresh)):
-                a, b, c = (key[i] if src == 0 else combo[i] for src, i in sources)
-                total = a + b + c
-                if total > 2 * t or 2 * max(a, b, c) > total:
-                    continue
-                nk = tuple(key[i] for i in keep) + tuple(combo[j] for j in fresh_keep)
+            head = tuple(key[i] for i in keep)
+            for tail in valid[tuple(key[i] for i in known_at)]:
+                nk = head + tail
                 new_states[nk] = new_states.get(nk, 0) + cnt
         open_edges = [open_edges[i] for i in keep] + [fresh[j] for j in fresh_keep]
         states = new_states
@@ -423,7 +435,7 @@ def polytope_volume(p, method="auto", seed=0, samples=200_000, confidence=0.999)
     if method not in ("auto", "exact", "monte-carlo"):
         raise ValueError("method must be auto, exact or monte-carlo")
     if method == "exact" or (method == "auto" and n_edges <= 6):
-        seq = [_dilation_count(graph, 2 * s) for s in range(n_edges + 2)]
+        seq = [count_weights(graph, 2 * s, parity=False) for s in range(n_edges + 2)]
         diffs = [seq]
         for _ in range(n_edges + 1):
             prev = diffs[-1]
@@ -498,7 +510,7 @@ def bs_asymptotics(g, k_range):
     if not ks or ks[0] < 1:
         raise ValueError("levels must be positive")
     graph = multi_theta(g)
-    counts = [len(enumerate_weights(graph, k)) for k in ks]
+    counts = [count_weights(graph, k) for k in ks]
     degree = 3 * g - 3
     vol = polytope_volume(polytope(graph))
     note = (

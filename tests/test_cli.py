@@ -117,6 +117,41 @@ def test_verlinde_single_route_prints_integer(capsys):
     assert out == "36\n"
 
 
+def test_verlinde_large_values_exit_zero(capsys):
+    code, out, _ = capture(capsys, ["verlinde", "--genus", "6", "--level", "10"])
+    assert code == 0
+    assert json.loads(out) == dict.fromkeys(("weights", "characters", "closed"), 11546375776)
+    code, out, _ = capture(capsys, ["verlinde", "--genus", "6", "--level", "10", "--via", "closed"])
+    assert code == 0
+    assert out == "11546375776\n"
+
+
+def test_verlinde_unresolved_route(capsys):
+    # the float bounds at (8, 10) exceed 1/2: reported, never exit 2
+    code, out, err = capture(capsys, ["verlinde", "--genus", "8", "--level", "10"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["weights"] == 92509204759936
+    assert data["characters"] is None and data["closed"] is None
+    assert set(data["unresolved"]) == {"characters", "closed"}
+    assert "cannot resolve" in data["unresolved"]["characters"]
+    assert err == ""
+    code, out, err = capture(capsys, ["verlinde", "--genus", "8", "--level", "10", "--via", "characters"])
+    assert code == 0
+    assert out == "92509204759936\n"
+    assert err.startswith("note: verlinde(8,10) via characters")
+
+
+def test_invariant_violation_prints_witness(capsys, monkeypatch):
+    monkeypatch.setattr(fusion, "rk", lambda *args: 21)
+    code, out, err = capture(capsys, ["verlinde", "--genus", "2", "--level", "3", "--via", "closed"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("invariant violation: verlinde(2,3) via closed")
+    assert "witness RouteWitness(g=2, k=3, route='closed', value=" in err
+    assert "exact=21, bound=" in err
+
+
 def test_verlinde_genus_one_drops_weights_route(capsys):
     code, out, _ = capture(capsys, ["verlinde", "--genus", "1", "--level", "3", "--via", "all"])
     assert code == 0

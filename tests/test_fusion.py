@@ -1,20 +1,27 @@
 """Tests for the level-k fusion ring and Verlinde numbers.
 
 The ideal reduction is double-checked with sympy polynomial arithmetic,
-independently of the module's own integer polynomial division.
+independently of the module's own integer polynomial division.  The
+handle-operator rank is checked against a memoised recursion over label
+multisets, kept here as the oracle.
 """
 
 import itertools
 import math
 import random
+import sys
 from collections import Counter
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from verlinde import fusion
 from verlinde.fusion import (
     FusionRing,
+    UnresolvedRoute,
     character,
     chi_c,
     clebsch_gordan,
@@ -22,6 +29,7 @@ from verlinde.fusion import (
     ideal_check,
     rk,
     verlinde,
+    verlinde_route,
 )
 from verlinde.weights import InvariantViolation
 
@@ -142,6 +150,30 @@ def test_rk_splitting_rule():
         assert whole == split
 
 
+@lru_cache(maxsize=None)
+def _rk_cached(g, labels, k):
+    # oracle: glue one handle at a time as a label pair (n, n), then fold
+    # the genus-0 fusion product and read off the unit multiplicity
+    if g == 0:
+        acc = {0: 1}
+        for n in labels:
+            nxt = {}
+            for m, mult in acc.items():
+                for c in fuse(k, m, n):
+                    nxt[c] = nxt.get(c, 0) + mult
+            acc = nxt
+        return acc.get(0, 0)
+    return sum(_rk_cached(g - 1, tuple(sorted(labels + (n, n))), k) for n in range(k + 1))
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_rk_matches_recursion_oracle(k):
+    for g in range(5):
+        for size in range(4):
+            for labels in itertools.combinations_with_replacement(range(k + 1), size):
+                assert rk(g, labels, k) == _rk_cached(g, labels, k)
+
+
 def test_rk_rejects_bad_labels():
     with pytest.raises(ValueError):
         rk(0, (5,), 2)
@@ -213,6 +245,65 @@ def test_verlinde_genus2_closed_polynomial(k):
 @pytest.mark.parametrize("g,k", [(2, 5), (3, 3)])
 def test_verlinde_routes_agree(g, k, via):
     assert verlinde(g, k, via=via) == rk(g, (), k)
+
+
+def test_route_bound_holds():
+    # the derived bound covers the float error over g <= 10, k <= 20; the
+    # largest error/bound ratio seen is 0.16 (closed route, g = 8, k = 12)
+    worst = 0.0
+    for via in ("characters", "closed"):
+        for g in range(1, 11):
+            for k in range(1, 21):
+                value, bound = verlinde_route(g, k, via)
+                err = abs(Fraction(value) - rk(g, (), k))
+                assert err <= bound
+                worst = max(worst, err / bound)
+    assert worst < 0.25
+
+
+def test_route_bound_at_tested_points():
+    # wherever a test compares a float route, its bound is within 1e-6
+    points = [(g, k) for g in (1, 2, 3) for k in range(1, 11)]
+    for via in ("characters", "closed"):
+        for g, k in points:
+            assert verlinde_route(g, k, via)[1] <= 1e-6
+    for k in range(1, 41):
+        assert verlinde_route(2, k, "closed")[1] <= 1e-6
+
+
+def test_route_bound_scales_with_value():
+    # eps times (g-1) c (k+2) + 3/2 times the sum of the positive terms
+    value, bound = verlinde_route(6, 10, "characters")
+    assert bound == sys.float_info.epsilon * (5 * 8 * 12 + 1.5) * value
+    value, bound = verlinde_route(6, 10, "closed")
+    assert bound == sys.float_info.epsilon * (5 * 3 * 12 + 1.5) * value
+    assert verlinde_route(3, 3, "weights") == (rk(3, (), 3), 0.0)
+
+
+@pytest.mark.parametrize("via", ["characters", "closed", "weights"])
+@pytest.mark.parametrize("g,k", [(2, 5), (3, 3), (6, 10), (6, 12)])
+def test_perturbed_exact_value_raises(monkeypatch, g, k, via):
+    exact = rk(g, (), k)
+    monkeypatch.setattr(fusion, "rk", lambda *args: exact + 1)
+    with pytest.raises(InvariantViolation) as info:
+        verlinde(g, k, via=via)
+    w = info.value.witness
+    assert (w.g, w.k, w.route, w.exact) == (g, k, via, exact + 1)
+    assert w == (g, k, via, w.value, exact + 1, w.bound)
+    assert abs(w.value - exact) <= w.bound < 0.5
+
+
+def test_large_values_resolve_or_report_unresolved():
+    assert verlinde(6, 10, via="characters") == 11546375776
+    assert verlinde(6, 10, via="closed") == 11546375776
+    assert verlinde(8, 10, via="weights") == 92509204759936
+    for via in ("characters", "closed"):
+        with pytest.raises(UnresolvedRoute) as info:
+            verlinde(8, 10, via=via)
+        w = info.value.witness
+        assert w.exact == 92509204759936 == rk(8, (), 10)
+        assert w.bound >= 0.5
+        assert abs(w.value - w.exact) <= w.bound
 
 
 def test_verlinde_genus1_convention():

@@ -22,6 +22,7 @@ from verlinde.weights import (
     InvariantViolation,
     WeightFunction,
     bs_asymptotics,
+    count_weights,
     enumerate_weights,
     fiber_stabilizers,
     is_admissible,
@@ -116,6 +117,43 @@ def test_genus2_graph_independence(k):
 def test_genus3_graph_independence(k):
     counts = {len(enumerate_weights(g, k)) for g in enumerate_trivalent(3)}
     assert counts == {closed_form_count(3, k)}
+
+
+def test_count_weights_matches_enumeration():
+    cases = [(g, 6) for g in enumerate_trivalent(2) + enumerate_trivalent(3)]
+    cases += [(g, 12) for g in (theta_graph(), dumbbell_graph())]
+    for graph, kmax in cases:
+        for k in range(1, kmax + 1):
+            assert count_weights(graph, k) == len(enumerate_weights(graph, k))
+
+
+def test_count_weights_without_parity_keeps_polytope_values():
+    # lattice counts of the dilated polytopes and the exact volumes they give
+    for graph in enumerate_trivalent(2):
+        assert [count_weights(graph, t, parity=False) for t in range(6)] == [1, 4, 11, 24, 45, 76]
+        assert polytope_volume(polytope(graph)) == Fraction(1, 24)
+    for graph in enumerate_trivalent(3):
+        assert [count_weights(graph, t, parity=False) for t in range(6)] == [
+            1, 8, 49, 224, 785, 2248,
+        ]
+        assert polytope_volume(polytope(graph)) == Fraction(1, 1440)
+    legged = {
+        (1, ((0, 0),), (0,)): [1, 2, 5, 8, 13, 18, 25, 32],
+        (2, ((0, 1), (0, 1)), (0, 1)): [1, 4, 17, 48, 113, 228, 417, 704],
+        (2, ((0, 1),), (0, 0, 1, 1)): [1, 8, 43, 160, 461, 1112, 2359, 4544],
+    }
+    for (n, edges, legs), seq in legged.items():
+        graph = TrivalentGraph.from_edges(n, list(edges), parabolic=list(legs))
+        assert [count_weights(graph, t, parity=False) for t in range(8)] == seq
+
+
+def test_count_weights_rejects_bad_level():
+    for bad in (0, -1, 1.5, True):
+        with pytest.raises(ValueError):
+            count_weights(theta_graph(), bad)
+    with pytest.raises(ValueError):
+        count_weights(theta_graph(), -1, parity=False)
+    assert count_weights(theta_graph(), 0, parity=False) == 1
 
 
 def test_verlinde_count_check_spots():
