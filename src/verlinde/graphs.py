@@ -9,6 +9,7 @@ its smallest dart.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -184,48 +185,11 @@ def genus(graph):
 # -- canonical forms and isomorphism -----------------------------------------
 
 
-def _assignments(graph, seed_perm):
-    """Yield complete dart relabelings of one component, BFS order.
-
-    The seed star is laid out per seed_perm; every newly reached vertex
-    contributes its entering dart first, then the remaining darts in every
-    order (backtracking branch).
-    """
-    order = list(seed_perm)
-    new_id = {d: i for i, d in enumerate(order)}
-
-    def rec(t):
-        if t == len(order):
-            yield dict(new_id)
-            return
-        p = graph.involution[order[t]]
-        if p in new_id:
-            yield from rec(t + 1)
-            return
-        rest = [x for x in graph.star(graph.vertex_of[p]) if x != p]
-        for tail in itertools.permutations(rest):
-            group = (p,) + tail
-            for x in group:
-                new_id[x] = len(order)
-                order.append(x)
-            yield from rec(t + 1)
-            for x in reversed(group):
-                del new_id[x]
-                order.pop()
-
-    yield from rec(0)
-
-
-def _encode(graph, new_id):
-    order = sorted(new_id, key=new_id.get)
+def _vertex_encoding(graph, order):
     vmap = {}
     for d in order:
-        v = graph.vertex_of[d]
-        if v not in vmap:
-            vmap[v] = len(vmap)
-    inv_t = tuple(new_id[graph.involution[d]] for d in order)
-    vert_t = tuple(vmap[graph.vertex_of[d]] for d in order)
-    return inv_t, vert_t
+        vmap.setdefault(graph.vertex_of[d], len(vmap))
+    return tuple(vmap[graph.vertex_of[d]] for d in order)
 
 
 def _vertex_profile(graph, v):
@@ -242,27 +206,79 @@ def _vertex_profile(graph, v):
 
 
 def _canonical_data(graph):
-    """Per-component (encoding, relabeling) pairs, sorted by encoding."""
+    """Per-component (encoding, relabeling) pairs, sorted by encoding.
+
+    Branch-and-bound over the BFS relabelings described in canonical_form.
+    """
     out = []
     for comp in _components(graph):
         profiles = {v: _vertex_profile(graph, v) for v in comp}
         seed_class = min(profiles.values())
-        seeds = [v for v in comp if profiles[v] == seed_class]
-        best = None
-        best_assign = None
-        for seed in seeds:
+        best = best_assign = None
+        order, new_id, inv_t = [], {}, []
+
+        def rec(t, tied):
+            nonlocal best, best_assign
+            # tied: inv_t[:t] equals the best's prefix.  Returns whether a
+            # new best was recorded below, which ties every open frame again.
+            if t == len(order):
+                vert_t = _vertex_encoding(graph, order)
+                if best is not None and tied and vert_t >= best[1]:
+                    return False
+                best, best_assign = (tuple(inv_t), vert_t), dict(new_id)
+                return True
+            p = graph.involution[order[t]]
+            x = new_id.get(p, len(order))
+            if tied and best is not None:
+                b = best[0][t]
+                if x > b:
+                    return False
+                tied = x == b
+            inv_t.append(x)
+            if p in new_id:
+                found = rec(t + 1, tied)
+            else:
+                found = False
+                rest = [y for y in graph.star(graph.vertex_of[p]) if y != p]
+                for tail in itertools.permutations(rest):
+                    group = (p,) + tail
+                    for y in group:
+                        new_id[y] = len(order)
+                        order.append(y)
+                    if rec(t + 1, tied):
+                        found = tied = True
+                    for y in reversed(group):
+                        del new_id[y]
+                        order.pop()
+            inv_t.pop()
+            return found
+
+        for seed in [v for v in comp if profiles[v] == seed_class]:
             for perm in itertools.permutations(graph.star(seed)):
-                for assign in _assignments(graph, perm):
-                    enc = _encode(graph, assign)
-                    if best is None or enc < best:
-                        best, best_assign = enc, assign
+                order[:] = perm
+                new_id.clear()
+                new_id.update((d, i) for i, d in enumerate(perm))
+                rec(0, True)
         out.append((best, best_assign))
     out.sort(key=lambda pair: pair[0])
     return out
 
 
 def canonical_form(graph):
-    """Relabeling-invariant encoding; equal iff graphs are isomorphic."""
+    """Relabeling-invariant encoding; equal iff graphs are isomorphic.
+
+    Each component is encoded by its least (inv_t, vert_t) over the BFS
+    relabelings: the seed is a vertex of least _vertex_profile with its
+    star in some order, and each newly reached vertex gets its entering
+    dart, then its other darts in some order.  inv_t[t] is the new label
+    of the partner of dart t and vert_t[t] the new label of its vertex.
+
+    inv_t[t] is fixed when BFS step t runs, so the search cuts a branch as
+    soon as its inv_t prefix exceeds the best found so far, and compares
+    vert_t only at complete relabelings.  Ties are never cut: the first
+    least relabeling in search order is kept, as in an exhaustive scan,
+    so _canonical_relabel's dart map is determined too.
+    """
     return tuple(enc for enc, _ in _canonical_data(graph))
 
 
@@ -293,12 +309,19 @@ def enumerate_trivalent(g):
 
     Exhausts perfect matchings on the 3(2g-2) darts of 2g-2 stars with a
     symmetry cut (untouched stars are interchangeable, as are the unpaired
-    darts within a star), then dedups by canonical form.
+    darts within a star), then dedups by canonical form.  The class list is
+    computed once per genus and cached for the life of the process; each
+    call returns a fresh list of the same (immutable) graphs.
     """
     if not isinstance(g, int) or isinstance(g, bool):
         raise ValueError("genus must be an integer")
     if not 2 <= g <= 5:
         raise ValueError("supported genus range is 2..5")
+    return list(_trivalent_classes(g))
+
+
+@functools.lru_cache(maxsize=None)
+def _trivalent_classes(g):
     n = 2 * g - 2
     n_darts = 3 * n
     inv = [-1] * n_darts
@@ -334,7 +357,7 @@ def enumerate_trivalent(g):
             inv[d] = inv[p] = -1
 
     rec(0)
-    return [found[k] for k in sorted(found)]
+    return tuple(found[k] for k in sorted(found))
 
 
 # -- moves --------------------------------------------------------------------

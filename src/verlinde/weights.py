@@ -427,34 +427,36 @@ class VolumeEstimate:
 def polytope_volume(p, method="auto", seed=0, samples=200_000, confidence=0.999):
     """Euclidean volume of the weight polytope.
 
-    Exact (Fraction) by lattice-point interpolation when the graph has at
-    most six edges; otherwise a VolumeEstimate from certified sampling.
+    The coordinates are the internal edges and the parabolic legs.  Exact
+    (Fraction) by lattice-point interpolation when there are at most six
+    coordinates; otherwise a VolumeEstimate from certified sampling.
     """
     graph = p.graph
-    n_edges = len(graph.edge_ids())
+    coords = _weight_edge_ids(graph)
+    dim = len(coords)
     if method not in ("auto", "exact", "monte-carlo"):
         raise ValueError("method must be auto, exact or monte-carlo")
-    if method == "exact" or (method == "auto" and n_edges <= 6):
-        seq = [count_weights(graph, 2 * s, parity=False) for s in range(n_edges + 2)]
+    if method == "exact" or (method == "auto" and dim <= 6):
+        seq = [count_weights(graph, 2 * s, parity=False) for s in range(dim + 2)]
         diffs = [seq]
-        for _ in range(n_edges + 1):
+        for _ in range(dim + 1):
             prev = diffs[-1]
             diffs.append([b - a for a, b in zip(prev, prev[1:])])
-        if diffs[n_edges + 1][0] != 0:
+        if diffs[dim + 1][0] != 0:
             raise InvariantViolation(
                 "dilation counts are not polynomial at even steps", witness=graph
             )
-        leading = Fraction(diffs[n_edges][0], math.factorial(n_edges))
-        return leading / Fraction(4) ** n_edges
+        leading = Fraction(diffs[dim][0], math.factorial(dim))
+        return leading / Fraction(4) ** dim
 
     import numpy as np
 
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(0.0, 0.5, size=(samples, n_edges))
-    cols = {e: i for i, e in enumerate(graph.edge_ids())}
+    pts = rng.uniform(0.0, 0.5, size=(samples, dim))
+    cols = {e: i for i, e in enumerate(coords)}
     rows, rhs = [], []
     for _, coeffs, bound in p.inequalities:
-        row = [0.0] * n_edges
+        row = [0.0] * dim
         for e, c in coeffs.items():
             row[cols[e]] = float(c)
         rows.append(row)
@@ -462,7 +464,7 @@ def polytope_volume(p, method="auto", seed=0, samples=200_000, confidence=0.999)
     inside = np.all(pts @ np.array(rows).T <= np.array(rhs) + 1e-12, axis=1)
     frac = float(inside.mean())
     hw = math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * samples))
-    box = 0.5**n_edges
+    box = 0.5**dim
     return VolumeEstimate(frac * box, hw * box, confidence, samples)
 
 

@@ -471,3 +471,19 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == '{"weights":4,"characters":4,"closed":4}\n'
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    # the reader goes away before any output, as with `| head -1`
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "verlinde", "graph", "enumerate", "--genus", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert "BrokenPipeError" not in err

@@ -6,6 +6,7 @@ degree-constrained multigraph search deduplicated with networkx isomorphism.
 
 import itertools
 import json
+import random
 
 import networkx as nx
 import pytest
@@ -15,6 +16,9 @@ from hypothesis import strategies as st
 from verlinde.graphs import (
     RibbonStructure,
     TrivalentGraph,
+    _canonical_data,
+    _components,
+    _vertex_profile,
     canonical_form,
     chain_graph,
     contract_edge,
@@ -188,6 +192,104 @@ def test_canonical_form_relabel_invariant(rng, gg):
     assert is_isomorphic(graph, other)
 
 
+# Exhaustive reference for _canonical_data: scores every BFS relabeling in
+# full, with no pruning.  The pruned search must return the same encodings
+# and the same relabelings (the first least one in search order).
+
+
+def _exhaustive_assignments(graph, seed_perm):
+    order = list(seed_perm)
+    new_id = {d: i for i, d in enumerate(order)}
+
+    def rec(t):
+        if t == len(order):
+            yield dict(new_id)
+            return
+        p = graph.involution[order[t]]
+        if p in new_id:
+            yield from rec(t + 1)
+            return
+        rest = [x for x in graph.star(graph.vertex_of[p]) if x != p]
+        for tail in itertools.permutations(rest):
+            group = (p,) + tail
+            for x in group:
+                new_id[x] = len(order)
+                order.append(x)
+            yield from rec(t + 1)
+            for x in reversed(group):
+                del new_id[x]
+                order.pop()
+
+    yield from rec(0)
+
+
+def _exhaustive_encode(graph, new_id):
+    order = sorted(new_id, key=new_id.get)
+    vmap = {}
+    for d in order:
+        v = graph.vertex_of[d]
+        if v not in vmap:
+            vmap[v] = len(vmap)
+    inv_t = tuple(new_id[graph.involution[d]] for d in order)
+    vert_t = tuple(vmap[graph.vertex_of[d]] for d in order)
+    return inv_t, vert_t
+
+
+def _exhaustive_canonical_data(graph):
+    out = []
+    for comp in _components(graph):
+        profiles = {v: _vertex_profile(graph, v) for v in comp}
+        seed_class = min(profiles.values())
+        seeds = [v for v in comp if profiles[v] == seed_class]
+        best = None
+        best_assign = None
+        for seed in seeds:
+            for perm in itertools.permutations(graph.star(seed)):
+                for assign in _exhaustive_assignments(graph, perm):
+                    enc = _exhaustive_encode(graph, assign)
+                    if best is None or enc < best:
+                        best, best_assign = enc, assign
+        out.append((best, best_assign))
+    out.sort(key=lambda pair: pair[0])
+    return out
+
+
+def _oracle_cases():
+    cases = {}
+    for gg in (2, 3, 4):
+        for i, graph in enumerate(enumerate_trivalent(gg)):
+            cases[f"class-{gg}-{i}"] = graph
+    for gg in range(2, 7):
+        cases[f"chain-{gg}"] = chain_graph(gg)
+        cases[f"multitheta-{gg}"] = multi_theta(gg)
+    rng = random.Random(20)
+    for name, graph in list(cases.items()):
+        vperm = list(range(graph.n_vertices))
+        rng.shuffle(vperm)
+        cases[f"{name}-relabeled"] = _relabel(graph, vperm, rng)
+    cases["two-legs"] = TrivalentGraph.from_edges(2, [(0, 1), (0, 1)], parabolic=(0, 1))
+    cases["loop-leg"] = TrivalentGraph.from_edges(1, [(0, 0)], parabolic=(0,))
+    cases["edge-four-legs"] = TrivalentGraph.from_edges(2, [(0, 1)], parabolic=(0, 0, 1, 1))
+    cases["contracted-4valent"] = contract_edge(multi_theta(3), 0)
+    cases["two-components"] = TrivalentGraph.from_edges(
+        4, [(2, 3), (2, 3), (2, 3), (0, 0), (1, 1), (0, 1)]
+    )
+    return cases
+
+
+_ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
+def test_canonical_data_matches_exhaustive_oracle(name):
+    graph = _ORACLE_CASES[name]
+    ours = _canonical_data(graph)
+    ref = _exhaustive_canonical_data(graph)
+    assert [enc for enc, _ in ours] == [enc for enc, _ in ref]
+    # the same dart maps, in the same insertion order
+    assert [list(a.items()) for _, a in ours] == [list(a.items()) for _, a in ref]
+
+
 def test_theta_not_dumbbell():
     assert not is_isomorphic(theta_graph(), dumbbell_graph())
 
@@ -218,6 +320,14 @@ def test_enumeration_bad_genus():
         enumerate_trivalent(1)
     with pytest.raises(ValueError):
         enumerate_trivalent(6)
+
+
+def test_enumeration_returns_fresh_lists():
+    first = enumerate_trivalent(3)
+    first.clear()
+    second = enumerate_trivalent(3)
+    assert len(second) == EXPECTED_CLASS_COUNTS[3]
+    assert second is not enumerate_trivalent(3)
 
 
 def test_enumeration_all_valid():
@@ -315,7 +425,7 @@ def test_elementary_edge_map_is_bijection():
         assert sorted(emap.values()) == sorted(out.edge_ids())
 
 
-@pytest.mark.parametrize("gg", [2, 3])
+@pytest.mark.parametrize("gg", [2, 3, 4])
 def test_moves_connect_move_graph(gg):
     # elementary transformations act transitively on genus-g classes
     comps = move_graph_components(gg)

@@ -283,6 +283,24 @@ def test_polytope_volume_genus2():
     assert polytope_volume(polytope(dumbbell_graph())) == Fraction(1, 24)
 
 
+@pytest.mark.parametrize(
+    "graph, volume",
+    [
+        (TrivalentGraph.from_edges(2, [(0, 1), (0, 1)], parabolic=(0, 1)), Fraction(1, 96)),
+        (TrivalentGraph.from_edges(1, [(0, 0)], parabolic=(0,)), Fraction(1, 8)),
+        (TrivalentGraph.from_edges(2, [(0, 1)], parabolic=(0, 0, 1, 1)), Fraction(1, 240)),
+        (theta_graph(), Fraction(1, 24)),
+    ],
+    ids=["two-legs", "loop-leg", "edge-four-legs", "theta"],
+)
+def test_polytope_volume_counts_parabolic_legs(graph, volume):
+    # legs are coordinates of the polytope, so both paths must include them
+    p = polytope(graph)
+    assert polytope_volume(p, method="exact") == volume
+    est = polytope_volume(p, method="monte-carlo")
+    assert abs(est.volume - float(volume)) <= est.half_width
+
+
 def test_lattice_census_matches_enumeration():
     g = theta_graph()
     p = polytope(g)
