@@ -27,13 +27,12 @@ COLUMNS = (
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--kmax", type=int, default=6)
-    ap.add_argument("--threads", type=int)
     args = ap.parse_args()
 
     header = " ".join(f"{c[:12]:>12}" for c in COLUMNS)
     print(f"{'k':>3} {header}")
     for k in range(1, args.kmax + 1):
-        rep = residual_report(k, threads=args.threads)
+        rep = residual_report(k)
         cells = " ".join(
             f"{'-':>12}" if rep[c] is None else f"{rep[c]:>12.2e}" for c in COLUMNS
         )

@@ -24,6 +24,8 @@ def main():
     ap.add_argument("--scales", type=float, nargs="+", default=[0.3, 0.6, 1.0, 2.0])
     ap.add_argument("--tols", type=float, nargs="+", default=[1e-6, 1e-9, 1e-12])
     args = ap.parse_args()
+    if args.level < 2:
+        ap.error("--level must be at least 2: the characteristic is (1, 0)")
 
     char = ThetaCharacteristic(args.level, (1, 0))
     z = np.array([0.15 + 0.1j, -0.2 + 0.05j])

@@ -12,17 +12,14 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import os
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from . import fusion, gauge, graphs, modular, newstead, thetacst, weights
-from .su2reps import admissible_triple
+from . import claims, fusion, gauge, graphs, modular, newstead, thetacst, weights
 from .weights import InvariantViolation
 
 
@@ -37,7 +34,6 @@ class RunConfig:
     tolerance: float = 1e-12
     seed: int = 0
     fmt: str = "json"
-    threads: int | None = None
 
     def __post_init__(self):
         if not self.tolerance > 0:
@@ -136,17 +132,6 @@ def _load_graph(source):
         make = graphs.chain_graph if name == "chain" else graphs.multi_theta
         return make(int(arg))
     raise ValueError(f"unknown graph source {source!r}")
-
-
-def _thread_count(args):
-    n = getattr(args, "threads", None)
-    if n is None:
-        env = os.environ.get("VERLINDE_THREADS", "").strip()
-        if env:
-            n = int(env)
-    if n is not None and (isinstance(n, bool) or n < 1):
-        raise ValueError("thread count must be a positive integer")
-    return n
 
 
 class _Parser(argparse.ArgumentParser):
@@ -329,6 +314,8 @@ def _cmd_cst_eval(cfg, args):
 
 
 def _cmd_cst_check(cfg, args):
+    if args.points < 1:
+        raise ValueError("--points must be a positive integer")
     om = _parse_omega(args.omega)
     g, k = om.genus, cfg.level
     rng = np.random.default_rng(cfg.seed)
@@ -348,24 +335,15 @@ def _cmd_cst_check(cfg, args):
     return 0
 
 
-def _admissible_colorings(graph, cap):
-    eids = graph.edge_ids()
-    stars = [
-        tuple(graph.edge_of(d) for d in graph.star(v)) for v in range(graph.n_vertices)
-    ]
-    out = []
-    for combo in itertools.product(range(cap + 1), repeat=len(eids)):
-        coloring = dict(zip(eids, combo))
-        if all(admissible_triple(*(coloring[e] for e in st)) for st in stars):
-            out.append(coloring)
-    return out
-
-
 def _cmd_gauge_check(cfg, args):
+    if args.cap < 0:
+        raise ValueError("--cap must be a nonnegative integer")
+    if args.samples < 1:
+        raise ValueError("--samples must be a positive integer")
     graph = _load_graph(cfg.graph)
     rng = np.random.default_rng(cfg.seed)
     conn = gauge.random_connection(graph, rng)
-    networks = [gauge.spin_network(graph, c) for c in _admissible_colorings(graph, args.cap)]
+    networks = [gauge.spin_network(graph, c) for c in gauge.admissible_colorings(graph, args.cap)]
     base = [gauge.spin_network_value(snf, conn) for snf in networks]
     worst = 0.0
     for _ in range(args.samples):
@@ -379,7 +357,7 @@ def _cmd_gauge_check(cfg, args):
 
 
 def _cmd_modular_check(cfg, args):
-    rep = modular.residual_report(cfg.level, threads=cfg.threads)
+    rep = modular.residual_report(cfg.level)
     _jprint({key: (None if v is None else _sci(v)) for key, v in rep.items()})
     return 0
 
@@ -397,272 +375,18 @@ def _cmd_invariant(cfg, args):
 # -- selftest battery ------------------------------------------------------------
 
 
-def _check(condition, message):
-    if not condition:
-        raise InvariantViolation(message)
-
-
-def _selftest_verlinde_routes(quick):
-    spots = {(2, 1): 4, (2, 2): 10, (3, 1): 8, (3, 2): 36}
-    for (g, k), expect in spots.items():
-        for via in ("weights", "characters", "closed"):
-            got = fusion.verlinde(g, k, via=via)
-            _check(got == expect, f"verlinde({g},{k}) via {via}: {got} != {expect}")
-    return f"{len(spots)} spot values, 3 routes each"
-
-
-def _selftest_graph_independence(quick):
-    kmax = 3 if quick else 8
-    for g in (2, 3):
-        for k in range(1, kmax + 1):
-            weights.verlinde_count_check(g, k)
-    theta, bell = graphs.theta_graph(), graphs.dumbbell_graph()
-    top = 6 if quick else 12
-    for k in range(1, top + 1):
-        a = weights.count_weights(theta, k)
-        b = weights.count_weights(bell, k)
-        _check(a == b, f"theta {a} != dumbbell {b} at level {k}")
-    return f"genus 2-3 up to level {kmax}; theta = dumbbell up to level {top}"
-
-
-def _selftest_g2_closed_form(quick):
-    kmax = 12 if quick else 40
-    for k in range(1, kmax + 1):
-        expect = (k + 2) * ((k + 2) ** 2 - 1) // 6
-        got = fusion.verlinde(2, k, via="closed")
-        _check(got == expect, f"level {k}: {got} != {expect}")
-    vol = weights.polytope_volume(weights.polytope(graphs.theta_graph()))
-    _check(4 * vol == Fraction(1, 6), f"lattice density times volume is {4 * vol}")
-    return f"cubic in k+2 up to level {kmax}; leading coefficient 4/24"
-
-
-def _selftest_u1_counts(quick):
-    kmax = 6 if quick else 12
-    cases = [graphs.TrivalentGraph.from_edges(1, [(0, 0)]), graphs.theta_graph(),
-             graphs.dumbbell_graph(), graphs.multi_theta(3)]
-    for graph in cases:
-        g = graphs.genus(graph)
-        for k in range(1, kmax + 1):
-            got = weights.u1_networks(graph, k).count
-            _check(got == k**g, f"genus {g} level {k}: {got} != {k**g}")
-    return f"{len(cases)} graphs up to level {kmax}"
-
-
-def _selftest_theta_value(quick):
-    oracle = math.fsum(math.exp(-math.pi * n * n) for n in range(-8, 9))
-    char = thetacst.ThetaCharacteristic(1, (0,))
-    got = thetacst.theta_char(char, [[1j]], [0.0])
-    _check(abs(got - 1.0864348112) < 1e-9, f"theta(0, i) = {got}")
-    _check(abs(got - oracle) < 1e-12, f"series oracle disagrees: {got} vs {oracle}")
-    return "theta(0, i) = 1.0864348112"
-
-
-def _random_period(rng, g):
-    re = rng.uniform(-0.5, 0.5, size=(g, g))
-    s = rng.uniform(-0.5, 0.5, size=(g, g))
-    im = s @ s.T + np.eye(g)
-    return thetacst.PeriodMatrix(0.5 * (re + re.T) + 1j * im)
-
-
-def _selftest_theta_quasiperiodicity(quick):
-    rng = np.random.default_rng(7)
-    draws = 4 if quick else 20
-    worst = 0.0
-    for _ in range(draws):
-        g = int(rng.integers(1, 3))
-        k = int(rng.integers(1, 4))
-        om = _random_period(rng, g)
-        char = thetacst.ThetaCharacteristic(k, tuple(int(c) for c in rng.integers(0, k, size=g)))
-        z = rng.uniform(-0.5, 0.5, size=g) + 1j * rng.uniform(-0.3, 0.3, size=g)
-        p = rng.integers(-1, 2, size=g)
-        q = rng.integers(-1, 2, size=g)
-        lhs = thetacst.theta_char(char, om, z + p + om.matrix @ q)
-        factor = np.exp(
-            2j * np.pi * np.dot(char.vector, p)
-            - 1j * np.pi * k * (q @ om.matrix @ q)
-            - 2j * np.pi * k * np.dot(q, z)
-        )
-        rhs = factor * thetacst.theta_char(char, om, z)
-        # the sides grow like the automorphy factor; gauge the gap against them
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    _check(worst < 1e-9, f"quasi-periodicity residual {worst}")
-    return f"{draws} random translations, relative residual < 1e-9"
-
-
-def _selftest_cst_pipeline(quick):
-    rng = np.random.default_rng(11)
-    points = 3 if quick else 10
-    worst = 0.0
-    for k in (1, 2):
-        for om in (thetacst.PeriodMatrix([[1j]]), thetacst.PeriodMatrix([[0.25 + 0.8j]])):
-            for ch in range(k):
-                series = thetacst.abelian_cst(
-                    thetacst.delta_distribution((ch,), k), om, 1.0 / k
-                )
-                char = thetacst.ThetaCharacteristic(k, (ch,))
-                for _ in range(points):
-                    z = [complex(rng.uniform(-1, 1), rng.uniform(-0.2, 0.2))]
-                    got = thetacst.evaluate_series(series, z)
-                    ref = thetacst.theta_char(char, om, z)
-                    worst = max(worst, abs(got - ref))
-    _check(worst < 1e-10, f"transform residual {worst}")
-    return "transform of the delta series matches the theta series"
-
-
-def _selftest_gauge_invariance(quick):
-    rng = np.random.default_rng(3)
-    cap = 2 if quick else 4
-    samples = 10 if quick else 100
-    cases = [graphs.theta_graph()] if quick else [graphs.theta_graph(), graphs.dumbbell_graph()]
-    worst = 0.0
-    for graph in cases:
-        conn = gauge.random_connection(graph, rng)
-        for coloring in _admissible_colorings(graph, cap):
-            snf = gauge.spin_network(graph, coloring)
-            ref = gauge.spin_network_value(snf, conn)
-            for _ in range(samples):
-                moved = gauge.gauge_act(conn, gauge.random_transform(graph, rng))
-                worst = max(worst, abs(gauge.spin_network_value(snf, moved) - ref))
-    _check(worst < 1e-10, f"gauge orbit spread {worst}")
-    return f"colorings up to twice-spin {cap}, {samples} transforms"
-
-
-def _selftest_modular_residuals(quick, threads=None):
-    kmax = 2 if quick else 6
-    for k in range(1, kmax + 1):
-        rep = modular.residual_report(k, threads=threads)
-        for name, val in rep.items():
-            if val is not None:
-                _check(val < 1e-9, f"level {k} {name} residual {val}")
-    return f"all relations below 1e-9 up to level {kmax}"
-
-
-def _selftest_heegaard_words(quick):
-    kmax = 4 if quick else 8
-    for k in range(1, kmax + 1):
-        one = modular.heegaard_invariant(modular.heegaard_word(""), k)
-        _check(one == 1.0, f"identity word at level {k}: {one}")
-        s = modular.heegaard_invariant(modular.heegaard_word("S"), k)
-        expect = math.sqrt(2.0 / (k + 2)) * math.sin(math.pi / (k + 2))
-        _check(abs(s - expect) < 1e-10, f"S word at level {k}: {s} vs {expect}")
-    return f"identity and S words up to level {kmax}"
-
-
-def _selftest_newstead_exact(quick):
-    _check(newstead.n0(3, 0) == -8, f"N0(alpha^3) = {newstead.n0(3, 0)}")
-    top = 20 if quick else 40
-    for m in range(2, top + 1):
-        total = sum(math.comb(m + 1, j) * newstead.bernoulli(j) for j in range(m + 1))
-        _check(total == 0, f"Bernoulli recurrence fails at index {m}")
-    deg_cap = 12 if quick else 30
-    pairs = 0
-    for a in range(deg_cap + 1):
-        for b in range(a + 1):
-            m = newstead.NewsteadMonomial(a, b, 0)
-            if m.degree > deg_cap:
-                continue
-            lifted = newstead.NewsteadMonomial(a, b, 1)
-            _check(
-                newstead.normalized_value(lifted) == newstead.normalized_value(m),
-                f"gamma reduction fails on alpha^{a} beta^{b}",
-            )
-            if m.degree % 3 == 0:
-                # the gamma lift has degree 3g-3 exactly when m has 3(g-1)-3
-                g = m.degree // 3 + 2
-                _check(
-                    newstead.unnormalize(g, lifted)
-                    == g * newstead.unnormalize(g - 1, m),
-                    f"genus recurrence fails on alpha^{a} beta^{b}",
-                )
-                pairs += 1
-    return f"recurrences exact through degree {deg_cap} ({pairs} genus steps)"
-
-
-def _selftest_fusion_associativity(quick):
-    kmax = 3 if quick else 8
-    for k in range(1, kmax + 1):
-        ring = fusion.FusionRing(k)
-        for a, b, c, d in itertools.product(ring.labels, repeat=4):
-            left = sum(ring.N(a, b, e) * ring.N(e, c, d) for e in ring.labels)
-            right = sum(ring.N(b, c, f) * ring.N(a, f, d) for f in ring.labels)
-            _check(left == right, f"associativity fails at level {k} on {(a, b, c, d)}")
-    return f"exhaustive through level {kmax}"
-
-
-def _selftest_fusion_diagonalization(quick):
-    worst = 0.0
-    for k in range(1, 7):
-        ring = fusion.FusionRing(k)
-        for n in range(1, k + 2):
-            chi = [fusion.character(k, n, m) for m in ring.labels]
-            for a, b in itertools.product(ring.labels, repeat=2):
-                total = sum(ring.N(a, b, c) * chi[c] for c in ring.labels)
-                worst = max(worst, abs(total - chi[a] * chi[b]))
-    _check(worst < 1e-10, f"diagonalization residual {worst}")
-    return "characters diagonalize the structure constants up to level 6"
-
-
-def _selftest_graph_moves(quick):
-    top = 2 if quick else 3
-    for g in range(2, top + 1):
-        comps = graphs.move_graph_components(g)
-        _check(len(comps) == 1, f"genus {g} move graph has {len(comps)} components")
-    return f"elementary moves connect all classes through genus {top}"
-
-
-def _selftest_ribbon_faces(quick):
-    for name, make, ribbon in (
-        ("theta", graphs.theta_graph, graphs.planar_theta_ribbon),
-        ("dumbbell", graphs.dumbbell_graph, graphs.planar_dumbbell_ribbon),
-    ):
-        faces, h = graphs.trace_faces(make(), ribbon())
-        _check(h == 0, f"planar {name} ribbon traces to genus {h}")
-        _check(len(faces) == 3, f"planar {name} ribbon has {len(faces)} faces")
-    return "planar ribbons close up at genus 0"
-
-
-def _selftest_eulerian_parity(quick):
-    top = 3 if quick else 4
-    for g in range(2, top + 1):
-        for rep in graphs.enumerate_trivalent(g):
-            e = graphs.eulerian_invariant(rep)
-            _check(e % 2 == (g - 1) % 2, f"genus {g} graph with eulerian invariant {e}")
-    return f"invariant parity matches genus through {top}"
-
-
-def _selftest_checks(quick, threads):
-    return [
-        ("verlinde-routes", lambda: _selftest_verlinde_routes(quick)),
-        ("graph-independence", lambda: _selftest_graph_independence(quick)),
-        ("g2-closed-form", lambda: _selftest_g2_closed_form(quick)),
-        ("u1-counts", lambda: _selftest_u1_counts(quick)),
-        ("theta-value", lambda: _selftest_theta_value(quick)),
-        ("theta-quasiperiodicity", lambda: _selftest_theta_quasiperiodicity(quick)),
-        ("cst-pipeline", lambda: _selftest_cst_pipeline(quick)),
-        ("gauge-invariance", lambda: _selftest_gauge_invariance(quick)),
-        ("modular-residuals", lambda: _selftest_modular_residuals(quick, threads)),
-        ("heegaard-words", lambda: _selftest_heegaard_words(quick)),
-        ("newstead-exact", lambda: _selftest_newstead_exact(quick)),
-        ("fusion-associativity", lambda: _selftest_fusion_associativity(quick)),
-        ("fusion-diagonalization", lambda: _selftest_fusion_diagonalization(quick)),
-        ("graph-moves", lambda: _selftest_graph_moves(quick)),
-        ("ribbon-faces", lambda: _selftest_ribbon_faces(quick)),
-        ("eulerian-parity", lambda: _selftest_eulerian_parity(quick)),
-    ]
-
-
 def _cmd_selftest(cfg, args):
-    checks = _selftest_checks(args.quick, cfg.threads)
     failures = 0
-    for name, fn in checks:
+    for name, check in claims.CLAIMS:
         try:
-            detail = fn()
+            detail = check(args.quick)
         except (AssertionError, InvariantViolation) as exc:
             failures += 1
             print(f"FAIL {name}: {exc}")
             continue
         print(f"ok   {name}: {detail}")
-    print(f"selftest: {len(checks) - failures}/{len(checks)} checks passed")
+    total = len(claims.CLAIMS)
+    print(f"selftest: {total - failures}/{total} checks passed")
     if failures:
         raise InvariantViolation(f"{failures} selftest checks failed")
     return 0
@@ -791,7 +515,6 @@ def _build_parser():
     msub = p.add_subparsers(dest="action", required=True, metavar="action")
     q = msub.add_parser("check", help="residuals of every implemented relation")
     _add_level(q)
-    q.add_argument("--threads", type=int)
     q.set_defaults(handler=_cmd_modular_check)
 
     p = sub.add_parser("invariant", help="genus-1 Heegaard word invariants")
@@ -801,7 +524,6 @@ def _build_parser():
 
     p = sub.add_parser("selftest", help="run the built-in cross-check battery")
     p.add_argument("--quick", action="store_true", help="small levels and few samples")
-    p.add_argument("--threads", type=int)
     p.set_defaults(handler=_cmd_selftest)
 
     return parser
@@ -824,7 +546,6 @@ def run(argv):
             tolerance=1e-12 if tol is None else tol,
             seed=getattr(args, "seed", 0),
             fmt=getattr(args, "fmt", "json"),
-            threads=_thread_count(args),
         )
         return args.handler(cfg, args)
     except InvariantViolation as exc:

@@ -22,12 +22,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .graphs import multi_theta
+from .su2reps import check_level
 from .weights import InvariantViolation, count_weights
-
-
-def _check_level(k):
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValueError("level must be a positive integer")
 
 
 def clebsch_gordan(n1, n2):
@@ -39,7 +35,7 @@ def clebsch_gordan(n1, n2):
 
 def fuse(k, n1, n2):
     """Level-k fusion product, descending label list."""
-    _check_level(k)
+    check_level(k)
     if not (0 <= n1 <= k and 0 <= n2 <= k):
         raise ValueError(f"labels must lie in 0..{k}")
     top = n1 + n2 if n1 + n2 <= k else 2 * k - n1 - n2
@@ -63,7 +59,7 @@ class FusionRing:
     level: int
 
     def __post_init__(self):
-        _check_level(self.level)
+        check_level(self.level)
 
     @property
     def labels(self):
@@ -124,7 +120,7 @@ def rk(g, N, k):
     handle operator: each handle glues a label and its dual, each
     boundary label fuses in, and the unit channel is read off at the end.
     """
-    _check_level(k)
+    check_level(k)
     if isinstance(g, bool) or not isinstance(g, int) or g < 0:
         raise ValueError("genus must be a nonnegative integer")
     labels = tuple(sorted(N))
@@ -144,7 +140,7 @@ def rk(g, N, k):
 
 def character(k, n, m):
     """chi_n(m) = sin((m+1) n pi/(k+2)) / sin(n pi/(k+2))."""
-    _check_level(k)
+    check_level(k)
     if not 1 <= n <= k + 1:
         raise ValueError(f"character index must lie in 1..{k + 1}")
     if not 0 <= m <= k:
@@ -155,7 +151,7 @@ def character(k, n, m):
 
 def chi_c(k, n):
     """Casimir character value (k+2) / (2 sin^2(n pi/(k+2)))."""
-    _check_level(k)
+    check_level(k)
     if not 1 <= n <= k + 1:
         raise ValueError(f"character index must lie in 1..{k + 1}")
     return (k + 2) / (2.0 * math.sin(n * math.pi / (k + 2)) ** 2)
@@ -220,7 +216,7 @@ def verlinde_route(g, k, via):
     fsum rounds the total once (u).  Against positive terms this sums to
     the bound above.
     """
-    _check_level(k)
+    check_level(k)
     if isinstance(g, bool) or not isinstance(g, int) or g < 1:
         raise ValueError("genus must be an integer >= 1")
     if via == "weights":
@@ -349,7 +345,7 @@ def ideal_check(k):
     division with the monic generator p_{k+1}, and re-expanded in the
     basis p_0..p_k; the multiset of basis labels must equal fuse(a, b).
     """
-    _check_level(k)
+    check_level(k)
     if k > 12:
         raise ValueError("symbolic reduction supported for levels up to 12")
     polys = _char_polys(2 * k + 2)

@@ -13,6 +13,7 @@ reduce in chunk order, so results do not depend on the thread count.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -22,7 +23,7 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .su2reps import AdmissibilityError, omega, wigner_3j
+from .su2reps import AdmissibilityError, admissible_triple, omega, wigner_3j
 
 _CHUNK = 16384
 
@@ -220,6 +221,20 @@ def spin_network(graph, coloring):
                 f"vertex {v} carries no invariant for labels {labels}"
             ) from None
     return SpinNetworkFunction(graph, dict(coloring), tuple(tensors))
+
+
+def admissible_colorings(graph, cap):
+    """Every edge coloring by twice-spins 0..cap admissible at each vertex."""
+    eids = graph.edge_ids()
+    stars = [
+        tuple(graph.edge_of(d) for d in graph.star(v)) for v in range(graph.n_vertices)
+    ]
+    out = []
+    for combo in itertools.product(range(cap + 1), repeat=len(eids)):
+        coloring = dict(zip(eids, combo))
+        if all(admissible_triple(*(coloring[e] for e in st)) for st in stars):
+            out.append(coloring)
+    return out
 
 
 def _rep_batch(n, mats):

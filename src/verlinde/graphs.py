@@ -912,15 +912,23 @@ def graph_to_json(graph, ribbon=None, canonical=False):
 
 def graph_from_json(blob, with_ribbon=False):
     data = json.loads(blob)
-    graph = TrivalentGraph.from_edges(
-        data["vertices"],
-        [tuple(e) for e in data["edges"]],
-        data.get("parabolic", ()),
-    )
+    if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
+        raise ValueError("graph JSON needs 'vertices' and 'edges'")
+    edges, legs = data["edges"], data.get("parabolic", [])
+    if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
+        raise ValueError("graph JSON 'edges' must be a list of vertex pairs")
+    if not isinstance(legs, list) or not all(type(u) is int for u in itertools.chain(legs, *edges)):
+        raise ValueError("graph JSON vertex labels must be integers")
+    graph = TrivalentGraph.from_edges(data["vertices"], [tuple(e) for e in edges], legs)
     if not with_ribbon:
         return graph
+    ribbon = data.get("ribbon")
+    if not isinstance(ribbon, dict) or not all(
+        isinstance(o, list) and all(type(i) is int for i in o) for o in ribbon.values()
+    ):
+        raise ValueError("graph JSON 'ribbon' must map each vertex to a list of edge ids")
     rib = {}
-    for vs, order in data["ribbon"].items():
+    for vs, order in ribbon.items():
         v = int(vs)
         used = set()
         darts = []
@@ -928,8 +936,10 @@ def graph_from_json(blob, with_ribbon=False):
             cand = [
                 d
                 for d in (2 * i, 2 * i + 1)
-                if graph.vertex_of[d] == v and d not in used
+                if 0 <= d < len(graph.vertex_of) and graph.vertex_of[d] == v and d not in used
             ]
+            if not cand:
+                raise ValueError(f"ribbon at vertex {v} lists edge {i}, which has no free end there")
             darts.append(cand[0])
             used.add(cand[0])
         rib[v] = tuple(darts)

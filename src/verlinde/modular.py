@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,13 +24,8 @@ import numpy as np
 
 from .fusion import fuse
 from .graphs import chain_graph, elementary_transformations
-from .su2reps import admissible_triple, casimir
+from .su2reps import admissible_triple, casimir, check_level
 from .weights import InvariantViolation, enumerate_weights
-
-
-def _check_level(k):
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValueError("level must be a positive integer")
 
 
 def _check_labels(k, labels):
@@ -124,7 +118,7 @@ def q6j(k, j1, j2, j3, j4, i, j):
     (j2 j3) and (j4 j1); inadmissible channels give 0 by contract, while
     out-of-range outer labels are errors.
     """
-    _check_level(k)
+    check_level(k)
     _check_labels(k, (j1, j2, j3, j4))
     for n in (i, j):
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
@@ -134,7 +128,7 @@ def q6j(k, j1, j2, j3, j4, i, j):
 
 def fusion_matrix(k, j1, j2, j3, j4):
     """Square fusing block: rows over i-channels, columns over j-channels."""
-    _check_level(k)
+    check_level(k)
     _check_labels(k, (j1, j2, j3, j4))
     rows = _source_channels(k, j1, j2, j3, j4)
     cols = _target_channels(k, j1, j2, j3, j4)
@@ -160,7 +154,7 @@ class SixJTable:
 
 def six_j_table(k):
     """Tabulate every fusing coefficient with both channels admissible."""
-    _check_level(k)
+    check_level(k)
     entries = {}
     for j1, j2, j3, j4 in product(range(k + 1), repeat=4):
         for i in _source_channels(k, j1, j2, j3, j4):
@@ -192,14 +186,10 @@ def _pentagon_tuple(k, a, b, c, d):
     return worst
 
 
-def pentagon_check(k, threads=None):
+def pentagon_check(k):
     """Max deviation between the two recoupling routes of five labels."""
-    _check_level(k)
-    outer = list(product(range(k + 1), repeat=4))
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return max(pool.map(lambda abcd: _pentagon_tuple(k, *abcd), outer))
-    return max(_pentagon_tuple(k, *abcd) for abcd in outer)
+    check_level(k)
+    return max(_pentagon_tuple(k, *abcd) for abcd in product(range(k + 1), repeat=4))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +199,7 @@ def pentagon_check(k, threads=None):
 
 def braid_phase(k, j2, j3, i, inverse=False):
     """Crossing eigenvalue on channel i of j2 (x) j3."""
-    _check_level(k)
+    check_level(k)
     _check_labels(k, (j2, j3))
     value = (-1.0) ** ((j2 + j3 - i) // 2) * cmath.exp(
         1j
@@ -222,7 +212,7 @@ def braid_phase(k, j2, j3, i, inverse=False):
 
 def braiding(k, j1, j2, j3, j4, inverse=False):
     """Braid matrix B± = F^-1 D± F on the channels of (j1 j2)/(j3 j4)."""
-    _check_level(k)
+    check_level(k)
     _check_labels(k, (j1, j2, j3, j4))
     rows, cols, f = fusion_matrix(k, j1, j2, j3, j4)
     if not rows:
@@ -239,7 +229,7 @@ def braiding_relation_residual(k):
     the channels admissible for both sides.  The identification of the two
     channel sets is faithful only for k <= 3, so larger levels are rejected.
     """
-    _check_level(k)
+    check_level(k)
     if k > 3:
         raise ValueError("entrywise braid/fusing comparison needs k <= 3")
     worst = 0.0
@@ -271,7 +261,7 @@ def braiding_relation_residual(k):
 
 def t_phase(k, n):
     """Twist e^{2*pi*i*(h_n - c/24)} of the label n at level k."""
-    _check_level(k)
+    check_level(k)
     _check_labels(k, (n,))
     exponent = casimir(n) / (k + 2) - Fraction(k, 8 * (k + 2))
     return cmath.exp(2j * math.pi * float(exponent))
@@ -279,7 +269,7 @@ def t_phase(k, n):
 
 def s_torus(k):
     """Real symmetric S matrix of the level-k torus block, S^2 = id."""
-    _check_level(k)
+    check_level(k)
     scale = math.sqrt(2.0 / (k + 2))
     return np.array(
         [
@@ -291,7 +281,7 @@ def s_torus(k):
 
 def phase_unit(k):
     """Generator of the anomaly phase ambiguity at level k."""
-    _check_level(k)
+    check_level(k)
     return cmath.exp(1j * math.pi * k / (4 * (k + 2)))
 
 
@@ -303,7 +293,7 @@ def _phase_lattice_angle(k):
 
 def phase_class(z, k):
     """(magnitude, argument reduced modulo the anomaly lattice)."""
-    _check_level(k)
+    check_level(k)
     z = complex(z)
     if z == 0:
         return 0.0, 0.0
@@ -312,7 +302,7 @@ def phase_class(z, k):
 
 def same_phase_class(a, b, k, tol=1e-9):
     """Whether two values agree up to a power of the anomaly phase."""
-    _check_level(k)
+    check_level(k)
     a, b = complex(a), complex(b)
     if abs(abs(a) - abs(b)) > tol:
         return False
@@ -464,7 +454,7 @@ def heegaard_invariant(word, k):
     Well defined on closed 3-manifolds only up to the anomaly phase class;
     compare values through same_phase_class.
     """
-    _check_level(k)
+    check_level(k)
     if isinstance(word, str):
         word = heegaard_word(word)
     s = s_torus(k).astype(complex)
@@ -566,7 +556,7 @@ def switching_operator(k, j):
     j = 0 is the closed-torus S matrix; positive (even) hole labels are
     obtained by solving the slide relation, implemented for k <= 3.
     """
-    _check_level(k)
+    check_level(k)
     if isinstance(j, bool) or not isinstance(j, int) or j % 2 or not 0 <= j <= k:
         raise ValueError("hole label must be an even integer in 0..k")
     if j > 0 and k > 3:
@@ -585,7 +575,7 @@ def _slide_residual(k, n1, n2):
 
 def switching_residuals(k):
     """Residuals of the defining relations of every switching block."""
-    _check_level(k)
+    check_level(k)
     if k > 3:
         raise ValueError("holed switching blocks are solved only for k <= 3")
     report = {}
@@ -661,7 +651,7 @@ def genus_chain_operator(space, ops):
 
 def genus_chain_invariant(k, g, ops):
     """Vacuum expectation of a generator word on the genus-g chain block."""
-    _check_level(k)
+    check_level(k)
     space = block_space(chain_graph(g), k)
     rho = genus_chain_operator(space, ops)
     vacuum = space.index_of((0,) * len(space.basis[0].numerators()))
@@ -716,19 +706,19 @@ def _braid_inverse_residual(k):
     return worst
 
 
-def residual_report(k, threads=None):
+def residual_report(k):
     """Residuals of every implemented consistency relation at level k.
 
     Checks outside their solved range (the entrywise braid relation and the
     holed switching blocks above k = 3) report None instead of a number.
     """
-    _check_level(k)
+    check_level(k)
     s = s_torus(k)
     t = np.diag([t_phase(k, n) for n in range(k + 1)])
     report = {
         "orthogonality": _orthogonality_residual(k),
         "symmetry": _symmetry_residual(k),
-        "pentagon": pentagon_check(k, threads=threads),
+        "pentagon": pentagon_check(k),
         "yang_baxter": _yang_baxter_residual(k),
         "braid_inverse": _braid_inverse_residual(k),
         "braid_phase_relation": braiding_relation_residual(k) if k <= 3 else None,

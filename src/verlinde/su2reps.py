@@ -28,6 +28,12 @@ def _check_label(n):
         raise ValueError("labels are nonnegative twice-spin integers")
 
 
+def check_level(k):
+    """The level k of SU(2)_k: a positive int, and not a bool."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise ValueError("level must be a positive integer")
+
+
 def _entries(g):
     if isinstance(g, np.ndarray):
         if g.shape != (2, 2):

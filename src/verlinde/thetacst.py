@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .gauge import spin_network
-from .su2reps import AdmissibilityError, casimir, omega, rep_matrix, wigner_3j
+from .su2reps import AdmissibilityError, casimir, check_level, omega, rep_matrix, wigner_3j
 
 _MAX_RADIUS = 60
 _GROWTH_CLASSES = ("finite", "polynomial", "exponential")
@@ -65,8 +65,7 @@ class ThetaCharacteristic:
     vector: tuple
 
     def __post_init__(self):
-        if not isinstance(self.level, int) or self.level < 1:
-            raise ValueError("level must be a positive integer")
+        check_level(self.level)
         vec = tuple(int(v) for v in self.vector)
         if not vec:
             raise ValueError("characteristic needs at least one entry")
@@ -500,7 +499,7 @@ def spin_network_blocks(graph, coloring):
     return labels, tensor.reshape(dim, dim)
 
 
-def _check_level(graph, coloring, k):
+def _check_vertex_sums(graph, coloring, k):
     for v in range(graph.n_vertices):
         colors = [coloring[graph.edge_of(d)] for d in graph.star(v)]
         if sum(colors) > 2 * k:
@@ -532,10 +531,9 @@ def nonabelian_theta(graph, coloring, k, om, point, cutoff=8,
     if genus != pm.genus:
         raise ValueError("graph genus and period matrix genus differ")
     mats = _point_matrices(point, genus)
-    if not isinstance(k, int) or k < 1:
-        raise ValueError("level must be a positive integer")
+    check_level(k)
     labels, block = spin_network_blocks(graph, coloring)
-    _check_level(graph, coloring, k)
+    _check_vertex_sums(graph, coloring, k)
     diagonal = np.abs(pm.matrix - np.diag(np.diag(pm.matrix))).max() <= 1e-14
 
     def flow_trace(plabels, b):

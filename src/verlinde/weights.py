@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import TrivalentGraph, enumerate_trivalent, multi_theta
+from .su2reps import check_level
 
 
 class InvariantViolation(Exception):
@@ -41,8 +42,7 @@ class WeightFunction:
 
     def __post_init__(self):
         k = self.level
-        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-            raise ValueError("level must be a positive integer")
+        check_level(k)
         ids = _weight_edge_ids(self.graph)
         if set(self.values) != set(ids):
             raise ValueError("weights must cover every edge exactly once")
@@ -100,8 +100,7 @@ def enumerate_weights(graph, k, boundary=None):
     Parabolic legs must be pinned through `boundary`, a mapping from leg
     dart (or its edge id) to the prescribed value.
     """
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValueError("level must be a positive integer")
+    check_level(k)
     edges = _weight_edge_ids(graph)
     legs = {graph.edge_of(d) for d in graph.parabolic_darts()}
     preset = {}
@@ -238,8 +237,7 @@ def u1_networks(graph, k):
     Chord values on the complement of a spanning tree parametrize the
     family, so the count is k**genus.
     """
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValueError("level must be a positive integer")
+    check_level(k)
     if graph.parabolic_darts():
         raise ValueError("flows are defined for graphs without legs")
     records, tree_edges = _spanning_tree(graph)

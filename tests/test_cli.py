@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from verlinde import fusion, graphs, modular
+from verlinde import claims, fusion, graphs, modular
 from verlinde.cli import run
 from verlinde.weights import InvariantViolation
 
@@ -33,12 +33,46 @@ def test_theta_eval_example(capsys):
     assert out == "[1.0864348112, 0.0]\n"
 
 
+SELFTEST_QUICK = """\
+ok   verlinde-routes: 4 spot values, 3 routes each
+ok   graph-independence: genus 2-3 up to level 3; theta = dumbbell up to level 6
+ok   g2-closed-form: cubic in k+2 up to level 12; leading coefficient 4/24
+ok   u1-counts: 4 graphs up to level 6
+ok   theta-value: theta(0, i) = 1.0864348112
+ok   theta-quasiperiodicity: 4 random translations, relative residual < 1e-9
+ok   cst-pipeline: transform of the delta series matches the theta series
+ok   gauge-invariance: colorings up to twice-spin 2, 10 transforms
+ok   modular-residuals: all relations below 1e-9 up to level 2
+ok   heegaard-words: identity and S words up to level 4
+ok   newstead-exact: recurrences exact through degree 12 (15 genus steps)
+ok   fusion-associativity: exhaustive through level 3
+ok   fusion-diagonalization: characters diagonalize the structure constants up to level 6
+ok   graph-moves: elementary moves connect all classes through genus 2
+ok   ribbon-faces: planar ribbons close up at genus 0
+ok   eulerian-parity: invariant parity matches genus through 3
+selftest: 16/16 checks passed
+"""
+
+
 def test_selftest_quick(capsys):
     code, out, _ = capture(capsys, ["selftest", "--quick"])
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[-1] == "selftest: 16/16 checks passed"
-    assert all(line.startswith("ok   ") for line in lines[:-1])
+    assert out == SELFTEST_QUICK
+
+
+def test_selftest_reports_failed_claim(capsys, monkeypatch):
+    def broken(quick):
+        raise InvariantViolation("routes disagree")
+
+    battery = list(claims.CLAIMS)
+    battery[4] = ("theta-value", broken)
+    monkeypatch.setattr(claims, "CLAIMS", battery)
+    code, out, err = capture(capsys, ["selftest", "--quick"])
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[4] == "FAIL theta-value: routes disagree"
+    assert lines[-1] == "selftest: 15/16 checks passed"
+    assert err.startswith("invariant violation: 1 selftest checks failed")
 
 
 # -- exit codes ------------------------------------------------------------------
@@ -101,11 +135,11 @@ def test_negative_seed_is_usage_error(capsys):
     assert "seed" in err
 
 
-def test_bad_threads_env_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("VERLINDE_THREADS", "0")
-    code, _, err = capture(capsys, ["modular", "check", "--level", "1"])
+def test_threads_flag_is_usage_error(capsys):
+    code, _, err = capture(capsys, ["modular", "check", "--level", "3", "--threads", "2"])
     assert code == 1
-    assert "thread" in err
+    assert "unrecognized arguments: --threads 2" in err
+    assert capture(capsys, ["selftest", "--quick", "--threads", "2"])[0] == 1
 
 
 # -- verlinde and fusion -----------------------------------------------------------
@@ -282,6 +316,41 @@ def test_graph_unknown_source(capsys):
     assert "heptagon" in err
 
 
+@pytest.mark.parametrize(
+    "blob",
+    [
+        '{}',
+        '{"vertices": 2}',
+        '{"vertices": 2, "edges": 3}',
+        '{"vertices": 2, "edges": [3]}',
+        '{"vertices": 2, "edges": [[0, "a"]]}',
+        '{"vertices": 2, "edges": [[0, 1]], "parabolic": 5}',
+    ],
+)
+def test_graph_malformed_json_is_usage_error(capsys, blob):
+    code, out, err = capture(capsys, ["graph", "info", "--graph", blob])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: graph JSON")
+
+
+@pytest.mark.parametrize(
+    "ribbon",
+    [
+        "",
+        ', "ribbon": []',
+        ', "ribbon": {"0": [0, 1, 2], "1": [0, 1, "a"]}',
+        ', "ribbon": {"0": [0, 1, 2], "1": [0, 1, 7]}',
+    ],
+)
+def test_graph_faces_malformed_ribbon_is_usage_error(capsys, ribbon):
+    blob = '{"vertices": 2, "edges": [[0, 1], [0, 1], [0, 1]]' + ribbon + "}"
+    code, out, err = capture(capsys, ["graph", "faces", "--graph", blob])
+    assert code == 1
+    assert out == ""
+    assert "ribbon" in err
+
+
 def test_weights_list(capsys):
     code, out, _ = capture(capsys, ["weights", "list", "--graph", "theta", "--level", "1"])
     assert code == 0
@@ -370,6 +439,15 @@ def test_cst_check(capsys):
     assert data["residual"] < 1e-10
 
 
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_cst_check_needs_points(capsys, points):
+    argv = ["cst", "check", "--level", "2", "--omega", "0.3+0.9i", "--points", points]
+    code, out, err = capture(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert "--points" in err
+
+
 # -- gauge ---------------------------------------------------------------------------
 
 
@@ -380,6 +458,14 @@ def test_gauge_check_deterministic(capsys):
     assert first == second
     assert first[0] == 0
     assert json.loads(first[1])["residual"] < 1e-10
+
+
+@pytest.mark.parametrize(("flag", "value"), [("--samples", "0"), ("--samples", "-2"), ("--cap", "-1")])
+def test_gauge_check_rejects_vacuous_counts(capsys, flag, value):
+    code, out, err = capture(capsys, ["gauge", "check", "--graph", "theta", flag, value])
+    assert code == 1
+    assert out == ""
+    assert flag in err
 
 
 def test_gauge_check_seed_changes_connection_not_verdict(capsys):
@@ -418,15 +504,6 @@ def test_modular_check_skips_unsolved_ranges(capsys):
     assert data["braid_phase_relation"] is None
     assert data["switching"] is None
     assert data["pentagon"] < 1e-9
-
-
-def test_modular_check_thread_count_does_not_change_output(capsys, monkeypatch):
-    plain = capture(capsys, ["modular", "check", "--level", "3"])
-    flagged = capture(capsys, ["modular", "check", "--level", "3", "--threads", "2"])
-    monkeypatch.setenv("VERLINDE_THREADS", "2")
-    env = capture(capsys, ["modular", "check", "--level", "3"])
-    assert plain == flagged == env
-    assert plain[0] == 0
 
 
 def test_invariant_word(capsys):

@@ -197,13 +197,9 @@ def test_pentagon_level3():
     assert pentagon_check(3) < 1e-9
 
 
-def test_pentagon_threaded_agrees():
-    assert pentagon_check(2, threads=3) == pytest.approx(pentagon_check(2), abs=1e-15)
-
-
 @pytest.mark.slow
 def test_pentagon_desk_scale():
-    assert pentagon_check(6, threads=4) < 1e-9
+    assert pentagon_check(6) < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,45 @@
+"""Smoke runs of the experiment scripts with small arguments."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    ("name", "args"),
+    [
+        ("count_growth.py", ["--genus", "2", "--kmax", "3"]),
+        ("residual_sweep.py", ["--kmax", "2"]),
+        ("heegaard_table.py", ["--kmax", "2", "--nmax", "2"]),
+        ("theta_truncation.py", ["--scales", "1.0", "--tols", "1e-6"]),
+    ],
+)
+def test_script_runs(name, args):
+    proc = run_script(name, *args)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    assert proc.stderr == ""
+
+
+def test_theta_truncation_rejects_level_one():
+    proc = run_script("theta_truncation.py", "--level", "1")
+    assert proc.returncode == 2
+    assert "--level must be at least 2" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -72,6 +72,21 @@ def test_theta_characteristic_validation():
         ThetaCharacteristic(0, (0,))
 
 
+def test_bool_level_is_rejected():
+    # True == 1 as an int, but a level must not be a flag
+    with pytest.raises(ValueError, match="level must be a positive integer"):
+        ThetaCharacteristic(True, (0,))
+    graph = theta_graph()
+    with pytest.raises(ValueError, match="level must be a positive integer"):
+        nonabelian_theta(
+            graph,
+            {e: 0 for e in graph.edge_ids()},
+            True,
+            PeriodMatrix(np.diag([1j, 1j])),
+            SchottkyPoint((np.eye(2), np.eye(2))),
+        )
+
+
 # -- theta series -------------------------------------------------------------
 
 
