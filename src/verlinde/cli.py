@@ -15,31 +15,11 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import claims, fusion, gauge, graphs, modular, newstead, thetacst, weights
 from .weights import InvariantViolation
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Shared run settings collected from the parsed command line."""
-
-    subcommand: str
-    graph: str | None = None
-    level: int | None = None
-    genus: int | None = None
-    tolerance: float = 1e-12
-    seed: int = 0
-    fmt: str = "json"
-
-    def __post_init__(self):
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
 
 
 # -- output formatting ---------------------------------------------------------
@@ -146,14 +126,14 @@ class _Parser(argparse.ArgumentParser):
 # -- subcommand handlers ---------------------------------------------------------
 
 
-def _cmd_graph_show(cfg, args):
-    g = _load_graph(cfg.graph)
+def _cmd_graph_show(args):
+    g = _load_graph(args.graph)
     print(graphs.graph_to_json(g, canonical=args.canonical))
     return 0
 
 
-def _cmd_graph_info(cfg, args):
-    g = _load_graph(cfg.graph)
+def _cmd_graph_info(args):
+    g = _load_graph(args.graph)
     info = {
         "vertices": g.n_vertices,
         "edges": len(g.edges()),
@@ -168,8 +148,8 @@ def _cmd_graph_info(cfg, args):
     return 0
 
 
-def _cmd_graph_enumerate(cfg, args):
-    reps = graphs.enumerate_trivalent(cfg.genus)
+def _cmd_graph_enumerate(args):
+    reps = graphs.enumerate_trivalent(args.genus)
     for rep in reps:
         print(graphs.graph_to_json(rep, canonical=True))
     _jprint({"count": len(reps)})
@@ -182,12 +162,12 @@ _PLANAR_RIBBONS = {
 }
 
 
-def _cmd_graph_faces(cfg, args):
-    if cfg.graph in _PLANAR_RIBBONS:
-        g = _GENERATORS[cfg.graph]()
-        ribbon = _PLANAR_RIBBONS[cfg.graph]()
+def _cmd_graph_faces(args):
+    if args.graph in _PLANAR_RIBBONS:
+        g = _GENERATORS[args.graph]()
+        ribbon = _PLANAR_RIBBONS[args.graph]()
     else:
-        s = cfg.graph.strip()
+        s = args.graph.strip()
         if os.path.isfile(s):
             with open(s) as fh:
                 s = fh.read()
@@ -199,41 +179,41 @@ def _cmd_graph_faces(cfg, args):
     return 0
 
 
-def _cmd_weights_list(cfg, args):
-    g = _load_graph(cfg.graph)
-    ws = weights.enumerate_weights(g, cfg.level)
+def _cmd_weights_list(args):
+    g = _load_graph(args.graph)
+    ws = weights.enumerate_weights(g, args.level)
     print(weights.weights_to_json(ws))
     return 0
 
 
-def _cmd_weights_count(cfg, args):
-    reps = graphs.enumerate_trivalent(cfg.genus)
-    counts = [weights.count_weights(rep, cfg.level) for rep in reps]
-    if cfg.fmt == "csv":
+def _cmd_weights_count(args):
+    reps = graphs.enumerate_trivalent(args.genus)
+    counts = [weights.count_weights(rep, args.level) for rep in reps]
+    if args.fmt == "csv":
         print("graph,level,count")
         for i, n in enumerate(counts):
-            print(f"{i},{cfg.level},{n}")
+            print(f"{i},{args.level},{n}")
     else:
-        _jprint({"genus": cfg.genus, "level": cfg.level, "counts": counts})
+        _jprint({"genus": args.genus, "level": args.level, "counts": counts})
     return 0
 
 
-def _cmd_weights_u1(cfg, args):
-    g = _load_graph(cfg.graph)
-    fam = weights.u1_networks(g, cfg.level)
-    _jprint({"genus": graphs.genus(g), "level": cfg.level, "count": fam.count})
+def _cmd_weights_u1(args):
+    g = _load_graph(args.graph)
+    fam = weights.u1_networks(g, args.level)
+    _jprint({"genus": graphs.genus(g), "level": args.level, "count": fam.count})
     return 0
 
 
-def _cmd_verlinde(cfg, args):
+def _cmd_verlinde(args):
     if args.via == "all":
-        routes = ("weights", "characters", "closed") if cfg.genus >= 2 else ("characters", "closed")
+        routes = ("weights", "characters", "closed") if args.genus >= 2 else ("characters", "closed")
     else:
         routes = (args.via,)
     values, unresolved = {}, {}
     for via in routes:
         try:
-            values[via] = fusion.verlinde(cfg.genus, cfg.level, via=via)
+            values[via] = fusion.verlinde(args.genus, args.level, via=via)
         except fusion.UnresolvedRoute as exc:
             values[via] = None if args.via == "all" else exc.witness.exact
             unresolved[via] = str(exc)
@@ -248,12 +228,12 @@ def _cmd_verlinde(cfg, args):
     return 0
 
 
-def _cmd_fusion_table(cfg, args):
-    ring = fusion.FusionRing(cfg.level)
+def _cmd_fusion_table(args):
+    ring = fusion.FusionRing(args.level)
     rows = ring.multiplication_rows()
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         body = [[a, b, [int(c) for c in cs.split()]] for a, b, cs in rows]
-        _jprint({"level": cfg.level, "rows": body})
+        _jprint({"level": args.level, "rows": body})
     else:
         print("a,b,channels")
         for a, b, cs in rows:
@@ -261,18 +241,20 @@ def _cmd_fusion_table(cfg, args):
     return 0
 
 
-def _cmd_fusion_check(cfg, args):
-    rep = fusion.ideal_check(cfg.level)
+def _cmd_fusion_check(args):
+    rep = fusion.ideal_check(args.level)
     _jprint({"level": rep.level, "pairs": rep.pairs, "all_match": rep.all_match})
     if not rep.all_match:
         raise InvariantViolation(f"ideal reduction mismatches: {rep.mismatches}")
     return 0
 
 
-def _cmd_newstead(cfg, args):
+def _cmd_newstead(args):
     if args.table is not None:
         if args.alpha is not None or args.omega is not None:
             raise ValueError("--table excludes --alpha/--omega")
+        if args.table < 1:
+            raise ValueError("--table must be a genus of at least 1")
         deg = 3 * args.table - 3
         print("alpha,beta,gamma,normalized,unnormalized")
         for c in range(deg // 3 + 1):
@@ -291,34 +273,34 @@ def _cmd_newstead(cfg, args):
     return 0
 
 
-def _cmd_theta_eval(cfg, args):
+def _cmd_theta_eval(args):
     ch = tuple(int(p) for p in _split(args.char))
     if args.g is not None and args.g != len(ch):
         raise ValueError("--g disagrees with the characteristic length")
-    char = thetacst.ThetaCharacteristic(cfg.level, ch)
+    char = thetacst.ThetaCharacteristic(args.level, ch)
     om = _parse_omega(args.omega)
     z = [_parse_complex(p) for p in _split(args.z)]
-    val = thetacst.theta_char(char, om, z, tol=cfg.tolerance)
+    val = thetacst.theta_char(char, om, z, tol=args.tol)
     print(json.dumps(_cx(val)))
     return 0
 
 
-def _cmd_cst_eval(cfg, args):
+def _cmd_cst_eval(args):
     ch = tuple(int(p) for p in _split(args.char))
     om = _parse_omega(args.omega)
     z = [_parse_complex(p) for p in _split(args.z)]
-    t = args.time if args.time is not None else 1.0 / cfg.level
-    series = thetacst.abelian_cst(thetacst.delta_distribution(ch, cfg.level), om, t)
+    t = args.time if args.time is not None else 1.0 / args.level
+    series = thetacst.abelian_cst(thetacst.delta_distribution(ch, args.level), om, t)
     print(json.dumps(_cx(thetacst.evaluate_series(series, z))))
     return 0
 
 
-def _cmd_cst_check(cfg, args):
+def _cmd_cst_check(args):
     if args.points < 1:
         raise ValueError("--points must be a positive integer")
     om = _parse_omega(args.omega)
-    g, k = om.genus, cfg.level
-    rng = np.random.default_rng(cfg.seed)
+    g, k = om.genus, args.level
+    rng = np.random.default_rng(args.seed)
     transformed = {
         ch: thetacst.abelian_cst(thetacst.delta_distribution(ch, k), om, 1.0 / k)
         for ch in itertools.product(range(k), repeat=g)
@@ -330,18 +312,18 @@ def _cmd_cst_check(cfg, args):
             ref = thetacst.theta_char(thetacst.ThetaCharacteristic(k, ch), om, z)
             worst = max(worst, abs(thetacst.evaluate_series(series, z) - ref))
     _jprint({"points": args.points, "characteristics": k**g, "residual": _sci(worst)})
-    if worst > cfg.tolerance:
+    if worst > args.tol:
         raise InvariantViolation(f"transform disagrees with the theta series by {worst}")
     return 0
 
 
-def _cmd_gauge_check(cfg, args):
+def _cmd_gauge_check(args):
     if args.cap < 0:
         raise ValueError("--cap must be a nonnegative integer")
     if args.samples < 1:
         raise ValueError("--samples must be a positive integer")
-    graph = _load_graph(cfg.graph)
-    rng = np.random.default_rng(cfg.seed)
+    graph = _load_graph(args.graph)
+    rng = np.random.default_rng(args.seed)
     conn = gauge.random_connection(graph, rng)
     networks = [gauge.spin_network(graph, c) for c in gauge.admissible_colorings(graph, args.cap)]
     base = [gauge.spin_network_value(snf, conn) for snf in networks]
@@ -351,20 +333,20 @@ def _cmd_gauge_check(cfg, args):
         for snf, ref in zip(networks, base):
             worst = max(worst, abs(gauge.spin_network_value(snf, moved) - ref))
     _jprint({"colorings": len(networks), "samples": args.samples, "residual": _sci(worst)})
-    if worst > cfg.tolerance:
+    if worst > args.tol:
         raise InvariantViolation(f"gauge orbit spread {worst} exceeds tolerance")
     return 0
 
 
-def _cmd_modular_check(cfg, args):
-    rep = modular.residual_report(cfg.level)
+def _cmd_modular_check(args):
+    rep = modular.residual_report(args.level)
     _jprint({key: (None if v is None else _sci(v)) for key, v in rep.items()})
     return 0
 
 
-def _cmd_invariant(cfg, args):
-    val = modular.heegaard_invariant(modular.heegaard_word(args.word), cfg.level)
-    mag, arg = modular.phase_class(val, cfg.level)
+def _cmd_invariant(args):
+    val = modular.heegaard_invariant(modular.heegaard_word(args.word), args.level)
+    mag, arg = modular.phase_class(val, args.level)
     if mag < 1e-12:
         # the argument of a vanishing invariant is numerical noise
         mag, arg = 0.0, 0.0
@@ -375,7 +357,7 @@ def _cmd_invariant(cfg, args):
 # -- selftest battery ------------------------------------------------------------
 
 
-def _cmd_selftest(cfg, args):
+def _cmd_selftest(args):
     failures = 0
     for name, check in claims.CLAIMS:
         try:
@@ -536,18 +518,13 @@ def run(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    tol = getattr(args, "tol", None)
     try:
-        cfg = RunConfig(
-            subcommand=args.subcommand,
-            graph=getattr(args, "graph", None),
-            level=getattr(args, "level", None),
-            genus=getattr(args, "genus", None),
-            tolerance=1e-12 if tol is None else tol,
-            seed=getattr(args, "seed", 0),
-            fmt=getattr(args, "fmt", "json"),
-        )
-        return args.handler(cfg, args)
+        tol = getattr(args, "tol", None)
+        if tol is not None and not tol > 0:
+            raise ValueError("tolerance must be positive")
+        if getattr(args, "seed", 0) < 0:
+            raise ValueError("seed must be a nonnegative integer")
+        return args.handler(args)
     except InvariantViolation as exc:
         witness = "" if exc.witness is None else f"; witness {exc.witness!r}"
         print(f"invariant violation: {exc}{witness}", file=sys.stderr)

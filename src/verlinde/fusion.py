@@ -42,16 +42,6 @@ def fuse(k, n1, n2):
     return list(range(top, abs(n1 - n2) - 1, -2))
 
 
-@lru_cache(maxsize=None)
-def _structure_table(k):
-    table = {}
-    for a, b in itertools.combinations_with_replacement(range(k + 1), 2):
-        for c in fuse(k, a, b):
-            table[a, b, c] = 1
-            table[b, a, c] = 1
-    return table
-
-
 @dataclass(frozen=True)
 class FusionRing:
     """Structure constants N^c_ab of the level-k fusion ring."""
@@ -68,7 +58,7 @@ class FusionRing:
     def N(self, a, b, c):
         if not all(0 <= x <= self.level for x in (a, b, c)):
             raise ValueError(f"labels must lie in 0..{self.level}")
-        return _structure_table(self.level).get((a, b, c), 0)
+        return _fusion_matrices(self.level)[0][a][b][c]
 
     def fuse(self, a, b):
         return fuse(self.level, a, b)

@@ -19,11 +19,10 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import comb, sqrt
 
 import numpy as np
 
-from .su2reps import AdmissibilityError, admissible_triple, omega, wigner_3j
+from .su2reps import AdmissibilityError, admissible_triple, omega, rep_matrix, wigner_3j
 
 _CHUNK = 16384
 
@@ -237,23 +236,6 @@ def admissible_colorings(graph, cap):
     return out
 
 
-def _rep_batch(n, mats):
-    """Orthonormal-basis irrep matrices for a (N, 2, 2) batch."""
-    a, b = mats[:, 0, 0], mats[:, 0, 1]
-    c, d = mats[:, 1, 0], mats[:, 1, 1]
-    out = np.zeros((len(mats), n + 1, n + 1), dtype=complex)
-    for j in range(n + 1):
-        left = [comb(n - j, s) * a ** (n - j - s) * c**s for s in range(n - j + 1)]
-        right = [comb(j, t) * b ** (j - t) * d**t for t in range(j + 1)]
-        for s, ls in enumerate(left):
-            for t, rt in enumerate(right):
-                out[:, s + t, j] += ls * rt
-    for i in range(n + 1):
-        for j in range(n + 1):
-            out[:, i, j] *= sqrt(comb(n, j) / comb(n, i))
-    return out
-
-
 def _values_batch(snf, batch):
     """Evaluate the network on a (N, E, 2, 2) batch of connections."""
     graph = snf.graph
@@ -263,7 +245,7 @@ def _values_batch(snf, batch):
         operands += [snf.vertex_tensors[v], list(graph.star(v))]
     for k, (d, p) in enumerate(graph.edges()):
         n = snf.coloring[d]
-        rep = _rep_batch(n, batch[:, k])
+        rep = rep_matrix(n, batch[:, k])
         kernel = np.einsum("ij,bjk->bik", omega(n).astype(complex), rep)
         operands += [kernel, [bax, d, p]]
     return np.einsum(*operands, [bax], optimize=True)

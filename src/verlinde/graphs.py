@@ -182,6 +182,34 @@ def genus(graph):
     return len(graph.edges()) - graph.n_vertices + len(_components(graph))
 
 
+def spanning_tree(graph):
+    """Breadth-first spanning tree from vertex 0 as (child, parent, edge)
+    records, in the order the children are reached."""
+    parent = {0: None}
+    records = []
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for d in graph.star(v):
+                p = graph.involution[d]
+                u = graph.vertex_of[p]
+                if p != d and u not in parent:
+                    parent[u] = v
+                    records.append((u, v, graph.edge_of(d)))
+                    nxt.append(u)
+        frontier = nxt
+    if len(parent) != graph.n_vertices:
+        raise ValueError("graph must be connected")
+    return records
+
+
+def chord_edges(graph):
+    """Edges outside the breadth-first spanning tree, in edge id order."""
+    tree = {e for _, _, e in spanning_tree(graph)}
+    return tuple(e for e in graph.edge_ids() if e not in tree)
+
+
 # -- canonical forms and isomorphism -----------------------------------------
 
 
@@ -480,18 +508,22 @@ def move_graph_components(g):
 # -- Eulerian systems ----------------------------------------------------------
 
 
-def _count_cycles(perm):
+def _orbits(perm):
+    """Cycles of a permutation given as a dict, each listed from its first
+    key in the dict's order."""
     seen = set()
-    n = 0
+    orbits = []
     for start in perm:
         if start in seen:
             continue
+        orbit = []
         d = start
         while d not in seen:
             seen.add(d)
+            orbit.append(d)
             d = perm[d]
-        n += 1
-    return n
+        orbits.append(orbit)
+    return orbits
 
 
 def eulerian_invariant(graph):
@@ -519,7 +551,7 @@ def eulerian_invariant(graph):
         for d in range(graph.n_darts):
             f = graph.involution[d]
             succ[d] = choice[graph.vertex_of[f]][f]
-        n_cycles = _count_cycles(succ)
+        n_cycles = len(_orbits(succ))
         if best is None or n_cycles < best:
             best = n_cycles
     return best
@@ -634,24 +666,11 @@ def trace_faces(graph, ribbon):
         if tuple(sorted(ribbon.cyclic_order[v])) != graph.star(v):
             raise ValueError("ribbon order must permute each star")
 
-    def nxt(d):
+    nxt = {}
+    for d in range(graph.n_darts):
         f = graph.involution[d]
-        return ribbon.next_dart(graph.vertex_of[f], f)
-
-    faces = []
-    seen = set()
-    for d0 in range(graph.n_darts):
-        if d0 in seen:
-            continue
-        face = []
-        d = d0
-        while True:
-            face.append(d)
-            seen.add(d)
-            d = nxt(d)
-            if d == d0:
-                break
-        faces.append(tuple(face))
+        nxt[d] = ribbon.next_dart(graph.vertex_of[f], f)
+    faces = [tuple(face) for face in _orbits(nxt)]
     chi = graph.n_vertices - len(graph.edges()) + len(faces)
     if chi % 2:
         raise ValueError("face tracing produced odd Euler characteristic")
@@ -738,18 +757,8 @@ def holonomy_permutation(graph, connection, darts):
         pos = graph.vertex_of[graph.involution[d]]
     if pos != v0:
         raise ValueError("path is not closed")
-    lengths = []
-    seen = set()
-    for f0 in cur:
-        if f0 in seen:
-            continue
-        f, n = f0, 0
-        while f not in seen:
-            seen.add(f)
-            f = cur[f]
-            n += 1
-        lengths.append(n)
-    return Holonomy(tuple(sorted(cur.items())), tuple(sorted(lengths)))
+    lengths = sorted(len(orbit) for orbit in _orbits(cur))
+    return Holonomy(tuple(sorted(cur.items())), tuple(lengths))
 
 
 @dataclass(frozen=True)
@@ -785,23 +794,9 @@ def geodesics(graph, connection):
         (x, y): (graph.involution[y], connection.transport[y][x])
         for (x, y) in states
     }
-    orbits = []
-    seen = set()
-    for s0 in states:
-        if s0 in seen:
-            continue
-        orb = []
-        s = s0
-        while True:
-            orb.append(s)
-            seen.add(s)
-            s = succ[s]
-            if s == s0:
-                break
-        orbits.append(orb)
     out = []
     taken = set()
-    for orb in orbits:
+    for orb in _orbits(succ):
         if frozenset((y, x) for (x, y) in orb) in taken:
             continue
         taken.add(frozenset(orb))

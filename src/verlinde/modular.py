@@ -25,7 +25,7 @@ import numpy as np
 from .fusion import fuse
 from .graphs import chain_graph, elementary_transformations
 from .su2reps import admissible_triple, casimir, check_level
-from .weights import InvariantViolation, enumerate_weights
+from .weights import InvariantViolation, _weight_edge_ids, enumerate_weights
 
 
 def _check_labels(k, labels):
@@ -350,8 +350,7 @@ def block_space(graph, k, boundary=None):
 
 
 def _edge_positions(graph):
-    ids = sorted(graph.edge_ids() + graph.parabolic_darts())
-    return {e: i for i, e in enumerate(ids)}
+    return {e: i for i, e in enumerate(_weight_edge_ids(graph))}
 
 
 def t_operator(space, e):

@@ -4,9 +4,11 @@ Irreps are modeled on degree-n homogeneous polynomials in two variables
 (monomial basis x^(n-m) y^m), so matrix entries are exact polynomials in
 the group element and continue to SL(2,C) without branch choices.  The
 orthonormalized basis u_m = sqrt(C(n,m)) x^(n-m) y^m makes the action
-unitary on SU(2); rep_matrix returns that version, rep_matrix_exact the
-plain monomial one.  Invariant 3j tensors are cut out exactly as the
-kernel of the raising operator on the zero-weight subspace.
+unitary on SU(2); rep_matrix returns that version, for one group element
+or an (N, 2, 2) batch of them, and rep_matrix_exact the plain monomial
+one.  Both expand the same symmetric-power core.  Invariant 3j tensors are
+cut out exactly as the kernel of the raising operator on the zero-weight
+subspace.
 """
 
 from __future__ import annotations
@@ -57,15 +59,9 @@ def _binomial_power(u, v, p):
     return [comb(p, s) * u ** (p - s) * v**s for s in range(p + 1)]
 
 
-def rep_matrix_exact(n, g):
-    """Symmetric-power matrix in the monomial basis; exact in g's entries.
-
-    Column j holds the expansion of (a x + c y)^(n-j) (b x + d y)^j, the
-    image of x^(n-j) y^j under substitution by rows of g.
-    """
-    _check_label(n)
-    a, b, c, d = _entries(g)
-    _check_det(a, b, c, d)
+def _sym_power(n, a, b, c, d):
+    # rep_matrix_exact's matrix; a, b, c, d may be ints, Fractions, complex
+    # scalars or numpy arrays
     cols = []
     for j in range(n + 1):
         left = _binomial_power(a, c, n - j)
@@ -78,22 +74,42 @@ def rep_matrix_exact(n, g):
     return [[cols[j][i] for j in range(n + 1)] for i in range(n + 1)]
 
 
+def rep_matrix_exact(n, g):
+    """Symmetric-power matrix in the monomial basis; exact in g's entries.
+
+    Column j holds the expansion of (a x + c y)^(n-j) (b x + d y)^j, the
+    image of x^(n-j) y^j under substitution by rows of g.
+    """
+    _check_label(n)
+    a, b, c, d = _entries(g)
+    _check_det(a, b, c, d)
+    return _sym_power(n, a, b, c, d)
+
+
 def rep_matrix(n, g):
-    """Irrep matrix in the orthonormal basis; unitary on SU(2)."""
-    a, b, c, d = _entries(np.asarray(g, dtype=complex))
-    raw = rep_matrix_exact(n, [[a, b], [c, d]])
-    out = np.empty((n + 1, n + 1), dtype=complex)
+    """Irrep matrix in the orthonormal basis; unitary on SU(2).
+
+    g is one 2x2 matrix, or an (N, 2, 2) batch whose determinants the
+    caller has already checked; a batch gives an (N, n+1, n+1) array.
+    """
+    _check_label(n)
+    g = np.asarray(g, dtype=complex)
+    if g.ndim == 3 and g.shape[1:] == (2, 2):
+        a, b, c, d = g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1]
+    else:
+        a, b, c, d = _entries(g)
+        _check_det(a, b, c, d)
+    raw = _sym_power(n, a, b, c, d)
+    out = np.empty(g.shape[:-2] + (n + 1, n + 1), dtype=complex)
     for i in range(n + 1):
         for j in range(n + 1):
-            out[i, j] = raw[i][j] * sqrt(comb(n, j) / comb(n, i))
+            out[..., i, j] = raw[i][j] * sqrt(comb(n, j) / comb(n, i))
     return out
 
 
 def character(n, g):
     """Trace of the irrep matrix (basis independent)."""
-    _check_label(n)
-    a, b, c, d = _entries(np.asarray(g, dtype=complex))
-    raw = rep_matrix_exact(n, [[a, b], [c, d]])
+    raw = rep_matrix_exact(n, np.asarray(g, dtype=complex))
     return complex(sum(raw[i][i] for i in range(n + 1)))
 
 

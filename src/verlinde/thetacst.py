@@ -21,6 +21,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .gauge import spin_network
+from .graphs import chord_edges
 from .su2reps import AdmissibilityError, casimir, check_level, omega, rep_matrix, wigner_3j
 
 _MAX_RADIUS = 60
@@ -445,35 +446,6 @@ def nonabelian_cst(series, om, t):
 # -- graph functions as single blocks ------------------------------------------------
 
 
-def _spanning_tree(graph):
-    """Breadth-first tree from vertex 0; returns (tree edges, chord edges)."""
-    seen = {0}
-    tree = set()
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for d in graph.star(v):
-                p = graph.involution[d]
-                if p == d:
-                    continue
-                u = graph.vertex_of[p]
-                if u not in seen:
-                    seen.add(u)
-                    tree.add(graph.edge_of(d))
-                    nxt.append(u)
-        frontier = nxt
-    if len(seen) != graph.n_vertices:
-        raise ValueError("graph must be connected")
-    chords = tuple(e for e in graph.edge_ids() if e not in tree)
-    return tree, chords
-
-
-def chord_edges(graph):
-    """Edges outside a breadth-first spanning tree, in edge id order."""
-    return _spanning_tree(graph)[1]
-
-
 def spin_network_blocks(graph, coloring):
     """Reduce a colored graph function to one product-irrep block.
 
@@ -482,7 +454,7 @@ def spin_network_blocks(graph, coloring):
     labels the chord colors.  Returns (labels, block).
     """
     snf = spin_network(graph, coloring)
-    _, chords = _spanning_tree(graph)
+    chords = chord_edges(graph)
     labels = tuple(int(coloring[e]) for e in chords)
     aux = {e: graph.n_darts + i for i, e in enumerate(chords)}
     operands = []
@@ -514,15 +486,14 @@ def _clebsch_embedding(n, m, p):
     return math.sqrt(p + 1) * np.einsum("abc,cd->abd", t, omega(p))
 
 
-def nonabelian_theta(graph, coloring, k, om, point, cutoff=8,
-                     variant="pairing", weighting="peterweyl", tol=1e-9):
+def nonabelian_theta(graph, coloring, k, om, point, cutoff=8, variant="pairing", tol=1e-9):
     """Level-k theta value of a colored graph at a conjugation orbit.
 
     The graph function reduces to a single block via `spin_network_blocks`.
     The default "pairing" variant flows that block for time 1/k and traces it
     against the point.  The "product" variant instead multiplies the graph
     function by the level delta series (blocks up to `cutoff` per handle,
-    weighted by dimension for "peterweyl" or by one for "plain"), flows the
+    each weighted by its dimension, the Peter-Weyl weight), flows the
     expansion, and sums the traces; the tail past `cutoff` must stay below
     tol or the sum aborts.
     """
@@ -547,8 +518,6 @@ def nonabelian_theta(graph, coloring, k, om, point, cutoff=8,
         return flow_trace(labels, block)
     if variant != "product":
         raise ValueError("variant must be 'pairing' or 'product'")
-    if weighting not in ("peterweyl", "plain"):
-        raise ValueError("weighting must be 'peterweyl' or 'plain'")
 
     dims = [n + 1 for n in labels]
     btensor = block.reshape(dims + dims)
@@ -557,7 +526,7 @@ def nonabelian_theta(graph, coloring, k, om, point, cutoff=8,
     for s in range(cutoff + 1):
         shell_mag = 0.0
         for mvec in _label_shell(genus, s):
-            weight = np.prod([v + 1 for v in mvec]) if weighting == "peterweyl" else 1.0
+            weight = np.prod([v + 1 for v in mvec])
             embeddings = [
                 [_clebsch_embedding(n, m, p) for p in range(abs(n - m), n + m + 1, 2)]
                 for n, m in zip(labels, mvec)

@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import TrivalentGraph, enumerate_trivalent, multi_theta
-from .su2reps import check_level
+from .graphs import TrivalentGraph, chord_edges, enumerate_trivalent, multi_theta, spanning_tree
+from .su2reps import _null_space, check_level
 
 
 class InvariantViolation(Exception):
@@ -189,29 +189,6 @@ def verlinde_count_check(g, k):
 # -- U(1) and level-1 analogues ----------------------------------------------
 
 
-def _spanning_tree(graph):
-    # BFS tree as (child, parent, edge) records rooted at vertex 0
-    parent = {0: None}
-    records = []
-    frontier = [0]
-    tree_edges = set()
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for d in graph.star(v):
-                e = graph.edge_of(d)
-                u = graph.vertex_of[graph.involution[d]]
-                if u not in parent and graph.involution[d] != d:
-                    parent[u] = v
-                    tree_edges.add(e)
-                    records.append((u, v, e))
-                    nxt.append(u)
-        frontier = nxt
-    if len(parent) != graph.n_vertices:
-        raise ValueError("graph must be connected")
-    return records, tree_edges
-
-
 @dataclass(frozen=True, eq=False)
 class U1NetworkFamily:
     """All mod-k flows on a graph, coordinatized by a chord basis."""
@@ -240,8 +217,8 @@ def u1_networks(graph, k):
     check_level(k)
     if graph.parabolic_darts():
         raise ValueError("flows are defined for graphs without legs")
-    records, tree_edges = _spanning_tree(graph)
-    chords = [e for e in graph.edge_ids() if e not in tree_edges]
+    records = spanning_tree(graph)
+    chords = chord_edges(graph)
     flows = []
     for combo in itertools.product(range(k), repeat=len(chords)):
         flow = dict(zip(chords, combo))
@@ -256,16 +233,14 @@ def u1_networks(graph, k):
             sign = 1 if graph.vertex_of[e] == child else -1
             flow[e] = (-sign * total) % k
         flows.append(flow)
-    return U1NetworkFamily(graph, k, tuple(flows), tuple(chords))
+    return U1NetworkFamily(graph, k, tuple(flows), chords)
 
 
 def level1_networks(graph):
     """Even subgraphs: the 2**genus supports of level-1 weights."""
     if graph.parabolic_darts():
         raise ValueError("even subgraphs are defined for graphs without legs")
-    records, tree_edges = _spanning_tree(graph)
-    parent_edge = {child: (parent_v, e) for child, parent_v, e in records}
-    chords = [e for e in graph.edge_ids() if e not in tree_edges]
+    parent_edge = {child: (parent_v, e) for child, parent_v, e in spanning_tree(graph)}
 
     def fundamental_cycle(e):
         if graph.is_loop(e):
@@ -288,7 +263,7 @@ def level1_networks(graph):
             u = pu
         return frozenset(cyc)
 
-    basis = [fundamental_cycle(e) for e in chords]
+    basis = [fundamental_cycle(e) for e in chord_edges(graph)]
     nets = set()
     for picks in itertools.product((0, 1), repeat=len(basis)):
         acc = frozenset()
@@ -586,27 +561,6 @@ def _vertex_group(trip):
     return "Z2"
 
 
-def _rank(rows):
-    rows = [list(r) for r in rows if any(r)]
-    rank, col, width = 0, 0, (len(rows[0]) if rows else 0)
-    while rows and col < width:
-        pivot = next((i for i, r in enumerate(rows) if r[col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[0], rows[pivot] = rows[pivot], rows[0]
-        top = rows[0]
-        for r in rows[1:]:
-            if r[col]:
-                f = Fraction(r[col], top[col])
-                for j in range(col, width):
-                    r[j] -= f * top[j]
-        rows = rows[1:]
-        rank += 1
-        col += 1
-    return rank
-
-
 def fiber_stabilizers(w):
     """Stabilizer data of the fiber over an admissible weight.
 
@@ -659,7 +613,8 @@ def fiber_stabilizers(w):
                 e = graph.edge_of(d)
                 row[cols[e]] += 1 if d == e else -1
             rows.append(row)
-        t = len(edges) - (_rank(rows) if rows else 0)
+        # t = width - rank, the nullity of the vertex-circle action
+        t = len(_null_space(rows, len(edges)))
         return report(tps=(t, 0, 0), gw="finite translations, absorbed", h1=(t, 0))
 
     # gauge-fix edges whose stabilizer equals the larger endpoint group

@@ -256,6 +256,20 @@ def test_newstead_flag_combinations(capsys):
     assert capture(capsys, ["newstead", "--alpha", "2", "--omega", "0"])[0] == 1
 
 
+@pytest.mark.parametrize("genus", ["0", "-5"])
+def test_newstead_table_needs_positive_genus(capsys, genus):
+    code, out, err = capture(capsys, ["newstead", "--table", genus])
+    assert code == 1
+    assert out == ""
+    assert "--table" in err
+
+
+def test_newstead_table_genus_one(capsys):
+    code, out, _ = capture(capsys, ["newstead", "--table", "1"])
+    assert code == 0
+    assert out.splitlines() == ["alpha,beta,gamma,normalized,unnormalized", "0,0,0,-1,-1"]
+
+
 # -- graph and weights --------------------------------------------------------------
 
 

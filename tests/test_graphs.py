@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verlinde.graphs import (
+    GraphConnection,
     RibbonStructure,
     TrivalentGraph,
     _canonical_data,
@@ -21,6 +22,7 @@ from verlinde.graphs import (
     _vertex_profile,
     canonical_form,
     chain_graph,
+    chord_edges,
     contract_edge,
     dumbbell_graph,
     edge_chromatic,
@@ -41,6 +43,7 @@ from verlinde.graphs import (
     planar_dumbbell_ribbon,
     planar_theta_ribbon,
     ribbon_connection,
+    spanning_tree,
     theta_graph,
     trace_faces,
 )
@@ -644,6 +647,64 @@ def test_monodromy_conjugation_under_gauge():
             c0 = holonomy_permutation(g, conn, l.darts).cycle_type
             c1 = holonomy_permutation(g, moved, l.darts).cycle_type
             assert c0 == c1
+
+
+# Literals copied from the implementation before face tracing, geodesics,
+# holonomy cycle types and Eulerian counts shared one orbit routine; no
+# other test pins the order in which faces and geodesics come out.
+
+
+def test_trace_faces_frozen_order():
+    assert trace_faces(theta_graph(), planar_theta_ribbon()) == (
+        [(0, 5), (1, 2), (3, 4)],
+        0,
+    )
+    assert trace_faces(dumbbell_graph(), planar_dumbbell_ribbon()) == (
+        [(0, 4, 2, 5), (1,), (3,)],
+        0,
+    )
+    rib = RibbonStructure(cyclic_order={0: (0, 2, 4), 1: (1, 3, 5)})
+    assert trace_faces(theta_graph(), rib) == ([(0, 3, 4, 1, 2, 5)], 1)
+
+
+def test_geodesics_frozen_order():
+    g = theta_graph()
+    geos = geodesics(g, ribbon_connection(g, planar_theta_ribbon()))
+    assert [l.darts for l in geos] == [(2, 1), (4, 1), (4, 3)]
+    assert [l.monodromy_class for l in geos] == [(1, 1, 1)] * 3
+    g = dumbbell_graph()
+    geos = geodesics(g, ribbon_connection(g, planar_dumbbell_ribbon()))
+    assert [l.darts for l in geos] == [(1,), (4, 3, 5, 1), (3,)]
+    assert [l.monodromy_class for l in geos] == [(1, 2), (1, 1, 1), (1, 2)]
+    assert [l.flat for l in geos] == [False, True, False]
+
+
+def test_holonomy_cycle_types_frozen():
+    g = dumbbell_graph()
+    conn = ribbon_connection(g, planar_dumbbell_ribbon())
+    expected = {(0,): (1, 2), (4, 2, 5): (1, 2), (4, 3, 5): (1, 2), (4, 2, 5, 0): (1, 1, 1)}
+    for path, cycle_type in expected.items():
+        assert holonomy_permutation(g, conn, path).cycle_type == cycle_type
+    assert holonomy_permutation(g, conn, (0,)).mapping == ((0, 1), (1, 0), (4, 4))
+    # a transport that rotates the theta star gives a 3-cycle along 0 then 3
+    g = theta_graph()
+    fwd = {0: {0: 1, 2: 3, 4: 5}, 2: {0: 3, 2: 5, 4: 1}, 4: {0: 5, 2: 1, 4: 3}}
+    transport = dict(fwd)
+    for d, t in fwd.items():
+        transport[g.involution[d]] = {img: f for f, img in t.items()}
+    hol = holonomy_permutation(g, GraphConnection(transport, False), (0, 3))
+    assert hol.cycle_type == (3,)
+    assert hol.mapping == ((0, 4), (2, 0), (4, 2))
+
+
+def test_spanning_tree_records():
+    assert spanning_tree(theta_graph()) == [(1, 0, 0)]
+    assert spanning_tree(dumbbell_graph()) == [(1, 0, 4)]
+    assert spanning_tree(multi_theta(3)) == [(1, 0, 0), (3, 0, 10), (2, 1, 4)]
+    assert spanning_tree(chain_graph(3)) == [(1, 0, 8), (2, 1, 4), (3, 2, 10)]
+    assert chord_edges(chain_graph(3)) == (0, 2, 6)
+    with pytest.raises(ValueError):
+        spanning_tree(TrivalentGraph.from_edges(2, [(0, 0), (1, 1)]))
 
 
 def test_gauge_identity_fixes_connection():

@@ -127,6 +127,85 @@ def test_rep_rejects_non_unimodular():
         rep_matrix_exact(2, [[2, 0], [0, 1]])
 
 
+# Frozen copies of the two irrep routes that rep_matrix replaced: the
+# batched evaluator of the spin-network code and the scalar version that
+# expanded the symmetric power entry by entry.  rep_matrix must reproduce
+# both bit for bit, so spin-network values and theta traces keep their
+# last digits.
+
+
+def _oracle_rep_batch(n, mats):
+    a, b = mats[:, 0, 0], mats[:, 0, 1]
+    c, d = mats[:, 1, 0], mats[:, 1, 1]
+    out = np.zeros((len(mats), n + 1, n + 1), dtype=complex)
+    for j in range(n + 1):
+        left = [math.comb(n - j, s) * a ** (n - j - s) * c**s for s in range(n - j + 1)]
+        right = [math.comb(j, t) * b ** (j - t) * d**t for t in range(j + 1)]
+        for s, ls in enumerate(left):
+            for t, rt in enumerate(right):
+                out[:, s + t, j] += ls * rt
+    for i in range(n + 1):
+        for j in range(n + 1):
+            out[:, i, j] *= math.sqrt(math.comb(n, j) / math.comb(n, i))
+    return out
+
+
+def _oracle_rep_scalar(n, g):
+    g = np.asarray(g, dtype=complex)
+    a, b, c, d = g[0, 0], g[0, 1], g[1, 0], g[1, 1]
+    cols = []
+    for j in range(n + 1):
+        left = [math.comb(n - j, s) * a ** (n - j - s) * c**s for s in range(n - j + 1)]
+        right = [math.comb(j, t) * b ** (j - t) * d**t for t in range(j + 1)]
+        col = [0] * (n + 1)
+        for s, ls in enumerate(left):
+            for t, rt in enumerate(right):
+                col[s + t] += ls * rt
+        cols.append(col)
+    out = np.empty((n + 1, n + 1), dtype=complex)
+    for i in range(n + 1):
+        for j in range(n + 1):
+            out[i, j] = cols[j][i] * math.sqrt(math.comb(n, j) / math.comb(n, i))
+    return out
+
+
+def _oracle_samples():
+    rng = random.Random(11)
+    return np.stack([random_su2(rng) for _ in range(48)] + [random_sl2c(rng) for _ in range(16)])
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_rep_matrix_batch_matches_batched_oracle_bitwise(n):
+    mats = _oracle_samples()
+    got = rep_matrix(n, mats)
+    assert got.shape == (len(mats), n + 1, n + 1)
+    assert got.tobytes() == _oracle_rep_batch(n, mats).tobytes()
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_rep_matrix_single_matches_scalar_oracle_bitwise(n):
+    for g in _oracle_samples():
+        got = rep_matrix(n, g)
+        assert got.shape == (n + 1, n + 1)
+        assert got.tobytes() == _oracle_rep_scalar(n, g).tobytes()
+
+
+def test_rep_matrix_batch_rows_match_single_matrices():
+    # numpy's vectorised complex products round differently from its scalar
+    # ones, so the two routes agree to rounding, not bitwise
+    mats = _oracle_samples()[:8]
+    batch = rep_matrix(4, mats)
+    for g, rho in zip(mats, batch):
+        assert np.abs(rho - rep_matrix(4, g)).max() < 1e-12
+
+
+def test_rep_matrix_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        rep_matrix(2, np.eye(3))
+    with pytest.raises(ValueError):
+        rep_matrix(2, np.zeros((4, 3, 3)))
+
+
 # ---------------------------------------------------------------------------
 # characters and Casimir
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ directly with math.sin (independent of the fusion module).
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from verlinde.graphs import (
     enumerate_trivalent,
     theta_graph,
 )
+from verlinde.su2reps import _null_space
 from verlinde.weights import (
     InvariantViolation,
     WeightFunction,
@@ -406,6 +408,62 @@ def test_fiber_report_coherent(k):
             if rep.tps is not None:
                 t, p, s = rep.tps
                 assert rep.h1 == (t, p)
+
+
+def _oracle_rank(rows):
+    # frozen copy of the fraction-free row reduction that fiber_stabilizers
+    # used before it took the nullity from su2reps._null_space
+    rows = [list(r) for r in rows if any(r)]
+    rank, col, width = 0, 0, (len(rows[0]) if rows else 0)
+    while rows and col < width:
+        pivot = next((i for i, r in enumerate(rows) if r[col]), None)
+        if pivot is None:
+            col += 1
+            continue
+        rows[0], rows[pivot] = rows[pivot], rows[0]
+        top = rows[0]
+        for r in rows[1:]:
+            if r[col]:
+                f = Fraction(r[col], top[col])
+                for j in range(col, width):
+                    r[j] -= f * top[j]
+        rows = rows[1:]
+        rank += 1
+        col += 1
+    return rank
+
+
+def test_fiber_torus_rank_matches_elimination_oracle():
+    # on the torus stratum t = |E| - rank of the vertex-circle action; the
+    # genus-2 classes first reach that stratum at level 3
+    torus = 0
+    for graph, k in itertools.product(enumerate_trivalent(2), range(1, 5)):
+        edges = graph.edge_ids()
+        for wf in enumerate_weights(graph, k):
+            rep = fiber_stabilizers(wf)
+            if "SU2" in rep.vertex_stabilizers.values() or "SU2" in rep.edge_stabilizers.values():
+                continue
+            rows = []
+            for v, s in rep.vertex_stabilizers.items():
+                if s == "U1":
+                    row = [0] * len(edges)
+                    for d in graph.star(v):
+                        e = graph.edge_of(d)
+                        row[edges.index(e)] += 1 if d == e else -1
+                    rows.append(row)
+            t = len(edges) - (_oracle_rank(rows) if rows else 0)
+            assert rep.tps == (t, 0, 0)
+            assert rep.h1 == (t, 0)
+            torus += 1
+    assert torus > 0
+
+
+def test_null_space_nullity_matches_rank_oracle():
+    rng = random.Random(5)
+    for _ in range(200):
+        height, width = rng.randint(0, 5), rng.randint(1, 6)
+        rows = [[rng.randint(-2, 2) for _ in range(width)] for _ in range(height)]
+        assert width - len(_null_space(rows, width)) == _oracle_rank(rows)
 
 
 def test_invariant_violation_carries_witness():
