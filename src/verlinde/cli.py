@@ -15,6 +15,7 @@ import json
 import os
 import re
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -393,7 +394,9 @@ def _add_format(p, choices, default):
     p.add_argument("--format", choices=choices, default=default, dest="fmt")
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
+    # built on first use and reused: parse_args leaves the parser unchanged
     parser = _Parser(
         prog="verlinde",
         description="Trivalent-graph spin networks, Verlinde numbers, theta "

@@ -19,6 +19,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -248,7 +249,22 @@ def _values_batch(snf, batch):
         rep = rep_matrix(n, batch[:, k])
         kernel = np.einsum("ij,bjk->bik", omega(n).astype(complex), rep)
         operands += [kernel, [bax, d, p]]
-    return np.einsum(*operands, [bax], optimize=True)
+    subscripts = tuple(tuple(sub) for sub in operands[1::2]) + ((bax,),)
+    path = _contraction_path(subscripts, tuple(t.shape for t in operands[::2]))
+    return np.einsum(*operands, [bax], optimize=path)
+
+
+@lru_cache(maxsize=None)
+def _contraction_path(subscripts, shapes):
+    """Greedy einsum path, the one optimize=True finds, for interleaved operands.
+
+    subscripts holds each operand's index list and, last, the output's.  The
+    search reads only the shapes, so zero-stride stand-in operands do.
+    """
+    args = []
+    for sub, shape in zip(subscripts, shapes):
+        args += [np.broadcast_to(0.0, shape), list(sub)]
+    return np.einsum_path(*args, list(subscripts[-1]), optimize="greedy")[0]
 
 
 def spin_network_value(snf, conn):

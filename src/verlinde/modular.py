@@ -7,6 +7,18 @@ operators on block spaces of labeled graphs, the torus S matrix, the
 switching operators of the holed torus, and genus-1 Heegaard invariants
 with their anomaly phase classes.
 
+There is one Racah implementation, the scalar kernel behind q6j.  Its
+values reach callers in two ways.  Single entries and single blocks --
+q6j, fusion_matrix, braiding, fusion_basis_transport and the switching
+data -- call the kernel entry by entry and cache each entry.  Level-wide
+computations -- six_j_table, pentagon_check and the orthogonality,
+symmetry, pentagon, Yang-Baxter and braid-inverse relations of
+residual_report -- read a per-level table instead: every admissible
+(j1, j2, j3, j4, i, j) as a small-int array, with the kernel's value for
+each, built once per level.  They evaluate their relations as array
+operations on it that keep the scalar loops' order of rounding, so both
+ways give the same bits.
+
 All labels are twice-spin integers in 0..k.
 """
 
@@ -155,12 +167,103 @@ class SixJTable:
 def six_j_table(k):
     """Tabulate every fusing coefficient with both channels admissible."""
     check_level(k)
-    entries = {}
-    for j1, j2, j3, j4 in product(range(k + 1), repeat=4):
-        for i in _source_channels(k, j1, j2, j3, j4):
-            for j in _target_channels(k, j1, j2, j3, j4):
-                entries[(j1, j2, j3, j4, i, j)] = _q6j(k, j1, j2, j3, j4, i, j)
-    return SixJTable(k, entries)
+    keys, values = _level_table(k)
+    return SixJTable(k, dict(zip(map(tuple, keys.tolist()), values.tolist())))
+
+
+def _admissibility_cube(k):
+    """Boolean cube whose [a, b, c] entry is _triple_ok(k, a, b, c)."""
+    flags = [_triple_ok(k, *abc) for abc in product(range(k + 1), repeat=3)]
+    return np.array(flags).reshape((k + 1,) * 3)
+
+
+@lru_cache(maxsize=None)
+def _level_table(k):
+    """Every admissible fusing coefficient of one level, packed in two arrays.
+
+    keys holds the (j1, j2, j3, j4, i, j) labels in six_j_table order, which
+    lays out each outer-label quad's block row by row; values holds what the
+    scalar kernel gives for each key, so every entry keeps its bits.  Only
+    level-wide computations read it: single entries stay on the scalar
+    kernel, so one coefficient at a high level never builds a whole level.
+    """
+    cube = _admissibility_cube(k)
+    parts = []
+    for j1, j2 in product(range(k + 1), repeat=2):
+        # src[j3, j4, i]: i couples (j1 j2) and (j3 j4); tgt[j3, j4, j]: j
+        # couples (j2 j3) and (j4 j1)
+        src = cube[j1, j2][None, None, :] & cube
+        tgt = cube[j2][:, None, :] & cube[:, j1][None, :, :]
+        tail = np.argwhere(src[:, :, :, None] & tgt[:, :, None, :])
+        parts.append(np.column_stack([np.full((len(tail), 2), (j1, j2)), tail]))
+    keys = np.concatenate(parts).astype(np.min_scalar_type(k))
+    # the uncached kernel, so the table does not also fill _q6j's cache
+    values = np.array([_q6j.__wrapped__(k, *key) for key in keys.tolist()], dtype=float)
+    keys.setflags(write=False)
+    values.setflags(write=False)
+    return keys, values
+
+
+def _flat(size, *labels):
+    """Row-major position of label tuples in an array with `size` slots per axis."""
+    index = np.zeros(np.shape(labels[0]), dtype=np.intp)
+    for n in labels:
+        index = index * size + n
+    return index
+
+
+@dataclass(frozen=True, eq=False)
+class _Lookup:
+    """Indexes over one level's table, built for one level-wide computation.
+
+    dense holds every coefficient at the row-major position of its six
+    labels, zero where inadmissible; starts and dims give, per outer-label
+    quad, the offset of its square block in the table and its size; phases
+    holds braid_phase(k, a, b, c) at [a, b, c].
+    """
+
+    size: int
+    keys: np.ndarray
+    values: np.ndarray
+    dense: np.ndarray
+    starts: np.ndarray
+    dims: np.ndarray
+    phases: np.ndarray
+
+    def blocks(self, quads, n):
+        """Stacked (m, n, n) blocks of m quads, with their row and column channels."""
+        first = self.starts[quads][:, None]
+        f = self.values[first + np.arange(n * n)].reshape(-1, n, n)
+        return f, self.keys[first + n * np.arange(n), 4], self.keys[first + np.arange(n), 5]
+
+    def by_size(self, quads):
+        """Groups of the quads with a nonempty block, one group per block size."""
+        for n in range(1, int(self.dims[quads].max()) + 1):
+            group = quads[self.dims[quads] == n]
+            if group.size:
+                yield n, group
+
+    def outer(self, quads):
+        return np.unravel_index(quads, (self.size,) * 4)
+
+
+def _lookup(k):
+    keys, values = _level_table(k)
+    size = k + 1
+    keys = keys.astype(np.intp)
+    dense = np.zeros(size**6)
+    dense[_flat(size, *keys.T)] = values
+    counts = np.bincount(_flat(size, *keys.T[:4]), minlength=size**4)
+    phases = [braid_phase(k, a, b, c) for a, b, c in product(range(size), repeat=3)]
+    return _Lookup(
+        size=size,
+        keys=keys,
+        values=values,
+        dense=dense,
+        starts=np.cumsum(counts) - counts,
+        dims=np.sqrt(counts).astype(np.intp),
+        phases=np.array(phases).reshape(size, size, size),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -168,28 +271,41 @@ def six_j_table(k):
 # ---------------------------------------------------------------------------
 
 
-def _pentagon_tuple(k, a, b, c, d):
+def _pentagon_residual(k, dense):
+    size = k + 1
+    cube = _admissibility_cube(k)
     worst = 0.0
-    for f in _channels(k, a, b):
-        for g in _channels(k, f, c):
-            for e in _channels(k, g, d):
-                for l in _channels(k, c, d):
-                    for m in _channels(k, b, l):
-                        lhs = _q6j(k, f, c, d, e, g, l) * _q6j(k, a, b, l, e, f, m)
-                        rhs = sum(
-                            _q6j(k, a, b, c, g, f, h)
-                            * _q6j(k, a, h, d, e, g, m)
-                            * _q6j(k, b, c, d, m, h, l)
-                            for h in _channels(k, b, c)
-                        )
-                        worst = max(worst, abs(lhs - rhs))
+    for a, b in product(range(size), repeat=2):
+        # join the loop labels one at a time: f in (a b), g in (f c), e in
+        # (g d), l in (c d), m in (b l); row r of every array is one tuple
+        f = np.flatnonzero(cube[a, b])
+        r, c, g = np.nonzero(cube[f])
+        f = f[r]
+        r, d, e = np.nonzero(cube[g])
+        f, c, g = f[r], c[r], g[r]
+        r, l = np.nonzero(cube[c, d])
+        f, c, g, d, e = f[r], c[r], g[r], d[r], e[r]
+        r, m = np.nonzero(cube[b, l])
+        f, c, g, d, e, l = f[r], c[r], g[r], d[r], e[r], l[r]
+        lhs = dense[_flat(size, f, c, d, e, g, l)] * dense[_flat(size, a, b, l, e, f, m)]
+        # nonzero lists h ascending within each row and bincount adds in
+        # array order, so each sum over h runs in the order sum() would
+        r, h = np.nonzero(cube[b, c])
+        c, d, e, f, g, l, m = c[r], d[r], e[r], f[r], g[r], l[r], m[r]
+        terms = (
+            dense[_flat(size, a, b, c, g, f, h)]
+            * dense[_flat(size, a, h, d, e, g, m)]
+            * dense[_flat(size, b, c, d, m, h, l)]
+        )
+        rhs = np.bincount(r, weights=terms, minlength=len(lhs))
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 
 
 def pentagon_check(k):
     """Max deviation between the two recoupling routes of five labels."""
     check_level(k)
-    return max(_pentagon_tuple(k, *abcd) for abcd in product(range(k + 1), repeat=4))
+    return _pentagon_residual(k, _lookup(k).dense)
 
 
 # ---------------------------------------------------------------------------
@@ -662,46 +778,49 @@ def genus_chain_invariant(k, g, ops):
 # ---------------------------------------------------------------------------
 
 
-def _orthogonality_residual(k):
+def _orthogonality_residual(look):
     worst = 0.0
-    for j1, j2, j3, j4 in product(range(k + 1), repeat=4):
-        rows, cols, f1 = fusion_matrix(k, j1, j2, j3, j4)
-        if not rows:
-            continue
-        _, _, f2 = fusion_matrix(k, j2, j3, j4, j1)
-        worst = max(worst, np.abs(f1 @ f2 - np.eye(len(rows))).max())
+    for n, quads in look.by_size(np.arange(look.size**4)):
+        j1, j2, j3, j4 = look.outer(quads)
+        f1, _, _ = look.blocks(quads, n)
+        f2, _, _ = look.blocks(_flat(look.size, j2, j3, j4, j1), n)
+        worst = max(worst, float(np.abs(f1 @ f2 - np.eye(n)).max()))
     return worst
 
 
-def _symmetry_residual(k):
+def _symmetry_residual(look):
+    # the admissible set is closed under (j1 j2) <-> (j3 j4)
+    j1, j2, j3, j4, i, j = look.keys.T
+    swapped = look.dense[_flat(look.size, j3, j4, j1, j2, i, j)]
+    return float(np.abs(look.values - swapped).max())
+
+
+def _braid_stack(f, phases):
+    """B = F^-1 D F for stacked blocks F and their column phases D."""
+    return np.linalg.inv(f) @ (phases[:, :, None] * f)
+
+
+def _yang_baxter_residual(look):
     worst = 0.0
-    for j1, j2, j3, j4, i, j in product(range(k + 1), repeat=6):
-        worst = max(
-            worst, abs(_q6j(k, j1, j2, j3, j4, i, j) - _q6j(k, j3, j4, j1, j2, i, j))
-        )
+    j, j4 = np.divmod(np.arange(look.size**2), look.size)
+    for n, quads in look.by_size(_flat(look.size, j, j, j, j4)):
+        f, rows, cols = look.blocks(quads, n)
+        leg = look.outer(quads)[0][:, None]
+        b23 = _braid_stack(f, look.phases[leg, leg, cols])
+        b12 = np.zeros_like(b23)
+        b12[:, np.arange(n), np.arange(n)] = look.phases[leg, leg, rows]
+        worst = max(worst, float(np.abs(b12 @ b23 @ b12 - b23 @ b12 @ b23).max()))
     return worst
 
 
-def _yang_baxter_residual(k):
+def _braid_inverse_residual(look):
     worst = 0.0
-    for j in range(k + 1):
-        for j4 in range(k + 1):
-            channels, b23 = braiding(k, j, j, j, j4)
-            if not channels:
-                continue
-            b12 = np.diag([braid_phase(k, j, j, i) for i in channels])
-            worst = max(worst, np.abs(b12 @ b23 @ b12 - b23 @ b12 @ b23).max())
-    return worst
-
-
-def _braid_inverse_residual(k):
-    worst = 0.0
-    for j1, j2, j3, j4 in product(range(k + 1), repeat=4):
-        channels, b = braiding(k, j1, j2, j3, j4)
-        if not channels:
-            continue
-        _, binv = braiding(k, j1, j2, j3, j4, inverse=True)
-        worst = max(worst, np.abs(b @ binv - np.eye(len(channels))).max())
+    for n, quads in look.by_size(np.arange(look.size**4)):
+        f, _, cols = look.blocks(quads, n)
+        _, j2, j3, _ = look.outer(quads)
+        d = look.phases[j2[:, None], j3[:, None], cols]
+        b = _braid_stack(f, d)
+        worst = max(worst, float(np.abs(b @ _braid_stack(f, d.conj()) - np.eye(n)).max()))
     return worst
 
 
@@ -714,12 +833,13 @@ def residual_report(k):
     check_level(k)
     s = s_torus(k)
     t = np.diag([t_phase(k, n) for n in range(k + 1)])
+    look = _lookup(k)
     report = {
-        "orthogonality": _orthogonality_residual(k),
-        "symmetry": _symmetry_residual(k),
-        "pentagon": pentagon_check(k),
-        "yang_baxter": _yang_baxter_residual(k),
-        "braid_inverse": _braid_inverse_residual(k),
+        "orthogonality": _orthogonality_residual(look),
+        "symmetry": _symmetry_residual(look),
+        "pentagon": _pentagon_residual(k, look.dense),
+        "yang_baxter": _yang_baxter_residual(look),
+        "braid_inverse": _braid_inverse_residual(look),
         "braid_phase_relation": braiding_relation_residual(k) if k <= 3 else None,
         "s_unitarity": float(np.abs(s @ s - np.eye(k + 1)).max()),
         "modular_relation": float(

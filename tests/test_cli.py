@@ -564,6 +564,20 @@ def test_module_entry_point_subprocess():
     assert proc.stdout == '{"weights":4,"characters":4,"closed":4}\n'
 
 
+def test_reused_parser_matches_fresh_processes(capsys):
+    # one interpreter runs a usage error and two commands on the one parser
+    argvs = (
+        ["modular", "check"],
+        ["modular", "check", "--level", "2"],
+        ["graph", "info", "--graph", "theta"],
+    )
+    for argv in argvs:
+        code, out, _ = capture(capsys, argv)
+        proc = subprocess.run([sys.executable, "-m", "verlinde", *argv], capture_output=True, text=True)
+        assert (code, out) == (proc.returncode, proc.stdout)
+    assert [run(argv) for argv in argvs] == [1, 0, 0]
+
+
 def test_closed_stdout_exits_one_without_traceback():
     # the reader goes away before any output, as with `| head -1`
     proc = subprocess.Popen(

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from verlinde import gauge
 from verlinde.gauge import (
     Connection,
     GaugeTransform,
     abelian_embed,
+    admissible_colorings,
     conj_coordinates,
     connection_from_json,
     connection_to_json,
@@ -327,6 +329,20 @@ GAUGE_CASES = [
     (dumbbell_graph(), {0: 4, 2: 4, 4: 0}),
     (multi_theta(3), None),
 ]
+
+
+@pytest.mark.parametrize("graph", [theta_graph(), dumbbell_graph()])
+def test_cached_contraction_path_keeps_bits(graph, monkeypatch):
+    rng = np.random.default_rng(16)
+    conns = [random_connection(graph, rng) for _ in range(3)]
+    networks = [spin_network(graph, c) for c in admissible_colorings(graph, 4)]
+    cached = [spin_network_value(snf, conn) for snf in networks for conn in conns]
+    monkeypatch.setattr(gauge, "_contraction_path", lambda *args: True)
+    searched = [spin_network_value(snf, conn) for snf in networks for conn in conns]
+    assert len(cached) > 20
+    assert [(z.real.hex(), z.imag.hex()) for z in cached] == [
+        (z.real.hex(), z.imag.hex()) for z in searched
+    ]
 
 
 @pytest.mark.parametrize("graph,coloring", GAUGE_CASES)

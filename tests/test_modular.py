@@ -139,7 +139,7 @@ def test_symmetry(k):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("k", [5, 6])
+@pytest.mark.parametrize("k", [5, 6, 7, 8])
 def test_orthogonality_and_symmetry_desk_scale(k):
     assert orthogonality_deviation(k) < 1e-9
     rng = random.Random(k)
@@ -177,6 +177,21 @@ def test_six_j_table_matches_pointwise():
         assert j in target_channels(2, j1, j2, j3, j4)
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_six_j_table_bits_match_scalar(k):
+    table = six_j_table(k)
+    admissible = [
+        (j1, j2, j3, j4, i, j)
+        for j1, j2, j3, j4 in itertools.product(range(k + 1), repeat=4)
+        for i in source_channels(k, j1, j2, j3, j4)
+        for j in target_channels(k, j1, j2, j3, j4)
+    ]
+    assert list(table.entries) == admissible
+    for key, val in table.entries.items():
+        assert type(val) is float
+        assert val.hex() == q6j(k, *key).hex()
+
+
 def test_six_j_table_is_immutable():
     table = six_j_table(1)
     with pytest.raises(TypeError):
@@ -186,6 +201,25 @@ def test_six_j_table_is_immutable():
 # ---------------------------------------------------------------------------
 # pentagon
 # ---------------------------------------------------------------------------
+
+
+def pentagon_deviation(k):
+    # the entry-by-entry loop, with each sum over h taken in ascending order
+    def ch(a, b):
+        return sorted(fuse(k, a, b))
+
+    worst = 0.0
+    for a, b, c, d in itertools.product(range(k + 1), repeat=4):
+        for f, l in itertools.product(ch(a, b), ch(c, d)):
+            for g in ch(f, c):
+                for e, m in itertools.product(ch(g, d), ch(b, l)):
+                    lhs = q6j(k, f, c, d, e, g, l) * q6j(k, a, b, l, e, f, m)
+                    rhs = sum(
+                        q6j(k, a, b, c, g, f, h) * q6j(k, a, h, d, e, g, m) * q6j(k, b, c, d, m, h, l)
+                        for h in ch(b, c)
+                    )
+                    worst = max(worst, abs(lhs - rhs))
+    return worst
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -199,7 +233,8 @@ def test_pentagon_level3():
 
 @pytest.mark.slow
 def test_pentagon_desk_scale():
-    assert pentagon_check(6) < 1e-9
+    for k in (6, 7, 8):
+        assert pentagon_check(k) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +655,137 @@ def test_residual_report_contents():
     ):
         assert key in report
         assert report[key] < 1e-9
+
+
+REPORT_KEYS = (
+    "orthogonality",
+    "symmetry",
+    "pentagon",
+    "yang_baxter",
+    "braid_inverse",
+    "braid_phase_relation",
+    "s_unitarity",
+    "modular_relation",
+    "t_unimodularity",
+    "switching",
+)
+
+# float.hex of every residual, in REPORT_KEYS order, as the entry-by-entry
+# loops printed them with numpy's bundled OpenBLAS on x86-64; the batched
+# relations must keep every bit
+PINNED_REPORTS = {
+    1: (
+        "0x1.0000000000000p-51",
+        "0x0.0p+0",
+        "0x1.0000000000000p-52",
+        "0x0.0p+0",
+        "0x0.0p+0",
+        "0x1.245ac8b84abd6p-52",
+        "0x1.0000000000000p-53",
+        "0x1.385443fc9034cp-52",
+        "0x1.0000000000000p-53",
+        "0x1.385443fc9034cp-52",
+    ),
+    2: (
+        "0x1.0000000000000p-50",
+        "0x0.0p+0",
+        "0x1.8000000000000p-51",
+        "0x1.1e3779b97f4a8p-53",
+        "0x1.0000000000000p-52",
+        "0x1.752e50db3a3a2p-51",
+        "0x1.0000000000000p-52",
+        "0x1.f6fe551566938p-52",
+        "0x0.0p+0",
+        "0x1.f6fe551566938p-52",
+    ),
+    3: (
+        "0x1.8000000000000p-51",
+        "0x1.0000000000000p-52",
+        "0x1.8000000000000p-51",
+        "0x1.1e3779b97f4a8p-53",
+        "0x1.05abaff80d98bp-52",
+        "0x1.eeed642ed96f9p-52",
+        "0x1.0000000000000p-52",
+        "0x1.1d967672cdaa8p-51",
+        "0x0.0p+0",
+        "0x1.40049718ba130p-51",
+    ),
+    4: (
+        "0x1.0000000000000p-50",
+        "0x1.0000000000000p-52",
+        "0x1.0000000000000p-50",
+        "0x1.c48c6001f0ac0p-52",
+        "0x1.8036a92e18b9cp-52",
+        None,
+        "0x1.0000000000000p-51",
+        "0x1.184f34e8b2066p-50",
+        "0x1.0000000000000p-53",
+        None,
+    ),
+    5: (
+        "0x1.4000000000000p-50",
+        "0x1.0000000000000p-52",
+        "0x1.8000000000000p-50",
+        "0x1.4e16fdacff937p-51",
+        "0x1.4000174e7f6abp-51",
+        None,
+        "0x1.8000000000000p-51",
+        "0x1.76b7a32252258p-50",
+        "0x1.0000000000000p-53",
+        None,
+    ),
+    6: (
+        "0x1.2000000000000p-49",
+        "0x1.8000000000000p-52",
+        "0x1.4000000000000p-49",
+        "0x1.f9f6e4990f227p-51",
+        "0x1.0000005543b48p-51",
+        None,
+        "0x1.3dcde01aa15e2p-51",
+        "0x1.19637927fe1dbp-50",
+        "0x0.0p+0",
+        None,
+    ),
+    7: (
+        "0x1.2000000000000p-49",
+        "0x1.0000000000000p-51",
+        "0x1.2400000000000p-49",
+        "0x1.9f136df6e620ap-50",
+        "0x1.80ab5e59e98f8p-51",
+        None,
+        "0x1.e696287bad140p-51",
+        "0x1.4000000000000p-49",
+        "0x0.0p+0",
+        None,
+    ),
+    8: (
+        "0x1.a000000000000p-50",
+        "0x1.8000000000000p-52",
+        "0x1.3c00000000000p-49",
+        "0x1.ad9266b897a3ep-49",
+        "0x1.404f9e2e1ed54p-51",
+        None,
+        "0x1.7d03472d306f6p-51",
+        "0x1.94c084650a365p-50",
+        "0x1.0000000000000p-52",
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_residual_report_bits(k):
+    report = residual_report(k)
+    assert tuple(report) == REPORT_KEYS
+    assert tuple(None if v is None else float(v).hex() for v in report.values()) == PINNED_REPORTS[k]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_residual_report_equals_scalar_loops(k):
+    report = residual_report(k)
+    assert report["orthogonality"] == orthogonality_deviation(k)
+    assert report["symmetry"] == symmetry_deviation(k)
+    assert report["pentagon"] == pentagon_deviation(k)
 
 
 def test_residual_report_skips_out_of_range_checks():
