@@ -20,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import claims, fusion, gauge, graphs, modular, newstead, thetacst, weights
+from .su2reps import check_level
 from .weights import InvariantViolation
 
 
@@ -287,6 +288,7 @@ def _cmd_theta_eval(args):
 
 
 def _cmd_cst_eval(args):
+    check_level(args.level)
     ch = tuple(int(p) for p in _split(args.char))
     om = _parse_omega(args.omega)
     z = [_parse_complex(p) for p in _split(args.z)]
@@ -297,6 +299,7 @@ def _cmd_cst_eval(args):
 
 
 def _cmd_cst_check(args):
+    check_level(args.level)
     if args.points < 1:
         raise ValueError("--points must be a positive integer")
     om = _parse_omega(args.omega)

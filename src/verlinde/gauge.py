@@ -8,16 +8,13 @@ against a kernel omega . rho(a) per edge; the pairing makes gauge
 invariance an identity, not a tolerance.
 
 Monte Carlo probes draw Haar samples from seeded per-chunk streams and
-reduce in chunk order, so results do not depend on the thread count.
+reduce in chunk order.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -290,24 +287,11 @@ def abelian_embed(graph, phases):
 # -- Monte Carlo probes --------------------------------------------------------
 
 
-def _threads(threads):
-    if threads is None:
-        threads = int(os.environ.get("VERLINDE_THREADS", "1") or 1)
-    return max(1, threads)
-
-
 def _chunks(samples, seed):
     n_chunks = (samples + _CHUNK - 1) // _CHUNK
     seqs = np.random.SeedSequence(seed).spawn(n_chunks)
     sizes = [_CHUNK] * (n_chunks - 1) + [samples - _CHUNK * (n_chunks - 1)]
     return list(zip(seqs, sizes))
-
-
-def _run_chunks(job, chunks, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(job, chunks))
-    return [job(c) for c in chunks]
 
 
 @dataclass(frozen=True)
@@ -320,26 +304,20 @@ class ProbeReport:
     samples: int
 
 
-def distinguishability_probe(snf1, snf2, sample_count=1000, seed=0, threads=None):
+def distinguishability_probe(snf1, snf2, sample_count=1000, seed=0):
     """Probabilistic separation witness: max |f1 - f2| over random connections."""
     if snf1.graph != snf2.graph:
         raise ValueError("probe needs both networks on the same graph")
     n_edges = len(snf1.graph.edge_ids())
-
-    def job(chunk):
-        seq, m = chunk
+    best, where = 0.0, 0
+    offset = 0
+    for seq, m in _chunks(sample_count, seed):
         rng = np.random.default_rng(seq)
         batch = _haar_batch(rng, m * n_edges).reshape(m, n_edges, 2, 2)
         diff = np.abs(_values_batch(snf1, batch) - _values_batch(snf2, batch))
         k = int(np.argmax(diff))
-        return float(diff[k]), k
-
-    results = _run_chunks(job, _chunks(sample_count, seed), _threads(threads))
-    best, where = 0.0, 0
-    offset = 0
-    for (val, k), (_, m) in zip(results, _chunks(sample_count, seed)):
-        if val > best:
-            best, where = val, offset + k
+        if diff[k] > best:
+            best, where = float(diff[k]), offset + k
         offset += m
     return ProbeReport(best, where, best > 1e-6, sample_count)
 
@@ -354,7 +332,7 @@ class PeterWeylReport:
     samples: int
 
 
-def peter_weyl_probe(graph, colorings, samples=100_000, seed=0, threads=None):
+def peter_weyl_probe(graph, colorings, samples=100_000, seed=0):
     """Estimate the L2 inner products of network functions by Haar sampling.
 
     Distinct colorings are orthogonal (matrix coefficient orthogonality),
@@ -363,62 +341,16 @@ def peter_weyl_probe(graph, colorings, samples=100_000, seed=0, threads=None):
     snfs = [spin_network(graph, c) for c in colorings]
     n_edges = len(graph.edge_ids())
     n = len(snfs)
-
-    def job(chunk):
-        seq, m = chunk
+    gram_sum = np.zeros((n, n), dtype=complex)
+    sq_sum = np.zeros((n, n))
+    for seq, m in _chunks(samples, seed):
         rng = np.random.default_rng(seq)
         batch = _haar_batch(rng, m * n_edges).reshape(m, n_edges, 2, 2)
         f = np.stack([_values_batch(s, batch) for s in snfs])
         p = (f * f.conj()).real
-        return f @ f.conj().T, p @ p.T
-
-    results = _run_chunks(job, _chunks(samples, seed), _threads(threads))
-    gram_sum = np.zeros((n, n), dtype=complex)
-    sq_sum = np.zeros((n, n))
-    for g, s in results:
-        gram_sum += g
-        sq_sum += s
+        gram_sum += f @ f.conj().T
+        sq_sum += p @ p.T
     gram = gram_sum / samples
     var = np.maximum(sq_sum / samples - np.abs(gram) ** 2, 0.0)
     stderr = np.sqrt(var / samples)
     return PeterWeylReport(tuple(dict(c) for c in colorings), gram, stderr, samples)
-
-
-# -- JSON ----------------------------------------------------------------------
-
-
-def connection_to_json(conn):
-    edges = {
-        str(e): [[[z.real, z.imag] for z in row] for row in np.asarray(m)]
-        for e, m in conn.matrices.items()
-    }
-    payload = {
-        "involution": list(conn.graph.involution),
-        "vertex_of": list(conn.graph.vertex_of),
-        "edges": edges,
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def connection_from_json(graph, blob):
-    data = json.loads(blob)
-    if tuple(data["involution"]) != graph.involution or tuple(
-        data["vertex_of"]
-    ) != graph.vertex_of:
-        raise ValueError("serialized connection belongs to a different graph")
-    mats = {
-        int(e): np.array([[complex(re, im) for re, im in row] for row in m])
-        for e, m in data["edges"].items()
-    }
-    return Connection(graph, mats)
-
-
-def spin_network_to_json(snf):
-    return json.dumps(
-        {"coloring": {str(e): n for e, n in snf.coloring.items()}}, sort_keys=True
-    )
-
-
-def spin_network_from_json(graph, blob):
-    data = json.loads(blob)
-    return spin_network(graph, {int(e): int(n) for e, n in data["coloring"].items()})

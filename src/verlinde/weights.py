@@ -4,9 +4,10 @@ A level-k weight assigns each edge a value in (1/2k)*{0..k}.  At every
 vertex the three incident values (a loop counts twice) must satisfy the
 parity, sum and quantum triangle conditions.  This module enumerates the
 admissible set, counts it by vertex elimination without listing it,
-builds the continuous moment polytope it discretizes, counts U(1) and
-level-1 analogues, fits the leading growth of the count in k, and
-classifies the stabilizer data of the torus fibers sitting over a weight.
+builds the continuous moment polytope it discretizes and computes its
+volume exactly, counts U(1) and level-1 analogues, fits the leading
+growth of the count in k, and classifies the stabilizer data of the
+torus fibers sitting over a weight.
 """
 
 from __future__ import annotations
@@ -387,58 +388,26 @@ def count_weights(graph, k, parity=True):
     return sum(states.values())
 
 
-@dataclass(frozen=True)
-class VolumeEstimate:
-    """Monte Carlo volume with a Hoeffding confidence interval."""
+def polytope_volume(p):
+    """Exact (Fraction) Euclidean volume of the weight polytope.
 
-    volume: float
-    half_width: float
-    confidence: float
-    samples: int
-
-
-def polytope_volume(p, method="auto", seed=0, samples=200_000, confidence=0.999):
-    """Euclidean volume of the weight polytope.
-
-    The coordinates are the internal edges and the parabolic legs.  Exact
-    (Fraction) by lattice-point interpolation when there are at most six
-    coordinates; otherwise a VolumeEstimate from certified sampling.
+    The coordinates are the internal edges and the parabolic legs.  The
+    volume is the leading coefficient of the lattice-point counts of the
+    polytope's even dilations, found by finite differences.
     """
     graph = p.graph
-    coords = _weight_edge_ids(graph)
-    dim = len(coords)
-    if method not in ("auto", "exact", "monte-carlo"):
-        raise ValueError("method must be auto, exact or monte-carlo")
-    if method == "exact" or (method == "auto" and dim <= 6):
-        seq = [count_weights(graph, 2 * s, parity=False) for s in range(dim + 2)]
-        diffs = [seq]
-        for _ in range(dim + 1):
-            prev = diffs[-1]
-            diffs.append([b - a for a, b in zip(prev, prev[1:])])
-        if diffs[dim + 1][0] != 0:
-            raise InvariantViolation(
-                "dilation counts are not polynomial at even steps", witness=graph
-            )
-        leading = Fraction(diffs[dim][0], math.factorial(dim))
-        return leading / Fraction(4) ** dim
-
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(0.0, 0.5, size=(samples, dim))
-    cols = {e: i for i, e in enumerate(coords)}
-    rows, rhs = [], []
-    for _, coeffs, bound in p.inequalities:
-        row = [0.0] * dim
-        for e, c in coeffs.items():
-            row[cols[e]] = float(c)
-        rows.append(row)
-        rhs.append(float(bound))
-    inside = np.all(pts @ np.array(rows).T <= np.array(rhs) + 1e-12, axis=1)
-    frac = float(inside.mean())
-    hw = math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * samples))
-    box = 0.5**dim
-    return VolumeEstimate(frac * box, hw * box, confidence, samples)
+    dim = len(_weight_edge_ids(graph))
+    seq = [count_weights(graph, 2 * s, parity=False) for s in range(dim + 2)]
+    diffs = [seq]
+    for _ in range(dim + 1):
+        prev = diffs[-1]
+        diffs.append([b - a for a, b in zip(prev, prev[1:])])
+    if diffs[dim + 1][0] != 0:
+        raise InvariantViolation(
+            "dilation counts are not polynomial at even steps", witness=graph
+        )
+    leading = Fraction(diffs[dim][0], math.factorial(dim))
+    return leading / Fraction(4) ** dim
 
 
 # -- growth of the count ------------------------------------------------------
@@ -487,18 +456,11 @@ def bs_asymptotics(g, k_range):
     graph = multi_theta(g)
     counts = [count_weights(graph, k) for k in ks]
     degree = 3 * g - 3
-    vol = polytope_volume(polytope(graph))
+    density = Fraction(2**g) * polytope_volume(polytope(graph))
     note = (
         "count ~ C k^(3g-3) with C = 2^g * vol; the bare volume "
         "normalization misses the parity-density factor 2^g"
     )
-
-    if isinstance(vol, VolumeEstimate):
-        density = 2**g * vol.volume
-        tol = 2**g * vol.half_width
-    else:
-        density = Fraction(2**g) * vol
-        tol = 0
 
     if len(ks) < degree + 2:
         lead = Fraction(counts[-1], ks[-1] ** degree)
@@ -514,12 +476,8 @@ def bs_asymptotics(g, k_range):
             False, False, note + "; counts are not degree-(3g-3) polynomial",
         )
     lead = coeffs[degree]
-    if tol:
-        consistent = abs(float(lead) - density) <= tol
-    else:
-        consistent = lead == density
     return AsymptoticsReport(
-        g, tuple(ks), tuple(counts), degree, lead, density, consistent, False, note
+        g, tuple(ks), tuple(counts), degree, lead, density, lead == density, False, note
     )
 
 
@@ -683,19 +641,3 @@ def weights_to_json(ws):
         {str(e): int(w.values[e] * den) for e in _weight_edge_ids(w.graph)} for w in ws
     ]
     return json.dumps({"level": k, "denominator": den, "weights": body}, indent=1)
-
-
-def weights_from_json(graph, blob):
-    """Inverse of weights_to_json against a given graph."""
-    data = json.loads(blob)
-    if not data["weights"]:
-        return []
-    k = data["level"]
-    den = data["denominator"]
-    if den != 2 * k:
-        raise ValueError("denominator must be twice the level")
-    out = []
-    for entry in data["weights"]:
-        vals = {int(e): Fraction(n, den) for e, n in entry.items()}
-        out.append(WeightFunction(graph, k, vals))
-    return out

@@ -1,8 +1,10 @@
 """Command-line front end: dispatch, output formats, exit codes."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +75,49 @@ def test_selftest_reports_failed_claim(capsys, monkeypatch):
     assert lines[4] == "FAIL theta-value: routes disagree"
     assert lines[-1] == "selftest: 15/16 checks passed"
     assert err.startswith("invariant violation: 1 selftest checks failed")
+
+
+def readme_examples():
+    """(command, expected lines) for each command in the README's CLI block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("# "):
+            examples[-1][1].append(line[2:])
+        elif line:
+            examples.append((line, []))
+    return examples
+
+
+def lines_match(patterns, lines):
+    """A `...` pattern line matches any run of lines; `...` inside a line any infix."""
+    if not patterns:
+        return not lines
+    head, rest = patterns[0], patterns[1:]
+    if head == "...":
+        return any(lines_match(rest, lines[i:]) for i in range(len(lines) + 1))
+    if not lines:
+        return False
+    line = lines[0]
+    pre, dots, post = head.partition("...")
+    if dots:
+        ok = len(line) >= len(pre) + len(post) and line.startswith(pre) and line.endswith(post)
+    else:
+        ok = line == head
+    return ok and lines_match(rest, lines[1:])
+
+
+README_EXAMPLES = readme_examples()
+
+
+@pytest.mark.parametrize(("command", "expected"), README_EXAMPLES, ids=[c for c, _ in README_EXAMPLES])
+def test_readme_example(capsys, command, expected):
+    argv = shlex.split(command)
+    assert argv[0] == "verlinde"
+    code, out, _ = capture(capsys, argv[1:])
+    assert code == 0
+    assert lines_match(expected, out.splitlines()), out
 
 
 # -- exit codes ------------------------------------------------------------------
@@ -451,6 +496,20 @@ def test_cst_check(capsys):
     data = json.loads(out)
     assert data["characteristics"] == 2
     assert data["residual"] < 1e-10
+
+
+@pytest.mark.parametrize("level", ["0", "-2"])
+@pytest.mark.parametrize(
+    "action",
+    [["eval", "--char", "0", "--omega", "i", "--z", "0.1"], ["check", "--omega", "i"]],
+    ids=["eval", "check"],
+)
+def test_cst_needs_positive_level(capsys, action, level):
+    code, out, err = capture(capsys, ["cst", action[0], "--level", level] + action[1:])
+    assert code == 1
+    assert out == ""
+    assert "level must be a positive integer" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("points", ["0", "-3"])

@@ -12,8 +12,6 @@ from verlinde.gauge import (
     abelian_embed,
     admissible_colorings,
     conj_coordinates,
-    connection_from_json,
-    connection_to_json,
     distinguishability_probe,
     gauge_act,
     goldman_function,
@@ -25,8 +23,6 @@ from verlinde.gauge import (
     random_connection,
     random_transform,
     spin_network,
-    spin_network_from_json,
-    spin_network_to_json,
     spin_network_value,
 )
 from verlinde.graphs import TrivalentGraph, dumbbell_graph, multi_theta, theta_graph
@@ -421,16 +417,6 @@ def test_probe_separates_trivial_from_nontrivial():
     assert report.separated
 
 
-def test_probe_deterministic_across_threads():
-    graph = theta_graph()
-    a = spin_network(graph, {0: 1, 2: 1, 4: 0})
-    b = spin_network(graph, {0: 2, 2: 2, 4: 2})
-    r1 = distinguishability_probe(a, b, 2000, seed=3, threads=1)
-    r2 = distinguishability_probe(a, b, 2000, seed=3, threads=4)
-    assert r1.max_difference == r2.max_difference
-    assert r1.at_sample == r2.at_sample
-
-
 # -- Peter-Weyl orthogonality -------------------------------------------------
 
 
@@ -454,40 +440,3 @@ def test_peter_weyl_orthogonality_monte_carlo():
             assert abs(report.gram[i, j]) < tol, (i, j)
     for i in range(1, n):
         assert report.gram[i, i].real > 5 * report.stderr[i, i]
-
-
-def test_peter_weyl_deterministic_across_threads():
-    graph = theta_graph()
-    colorings = [{0: 1, 2: 1, 4: 0}, {0: 1, 2: 1, 4: 2}]
-    r1 = peter_weyl_probe(graph, colorings, samples=4000, seed=5, threads=1)
-    r2 = peter_weyl_probe(graph, colorings, samples=4000, seed=5, threads=3)
-    assert np.array_equal(r1.gram, r2.gram)
-    assert np.array_equal(r1.stderr, r2.stderr)
-
-
-# -- JSON ---------------------------------------------------------------------
-
-
-def test_connection_json_roundtrip():
-    graph = dumbbell_graph()
-    conn = random_connection(graph, np.random.default_rng(16))
-    blob = connection_to_json(conn)
-    back = connection_from_json(graph, blob)
-    for e in graph.edge_ids():
-        assert np.array_equal(back.matrices[e], conn.matrices[e])
-
-
-def test_connection_json_rejects_wrong_graph():
-    conn = identity_connection(theta_graph())
-    blob = connection_to_json(conn)
-    with pytest.raises(ValueError):
-        connection_from_json(dumbbell_graph(), blob)
-
-
-def test_spin_network_json_roundtrip():
-    graph = theta_graph()
-    snf = spin_network(graph, {0: 1, 2: 1, 4: 2})
-    back = spin_network_from_json(graph, spin_network_to_json(snf))
-    assert back.coloring == snf.coloring
-    conn = random_connection(graph, np.random.default_rng(17))
-    assert spin_network_value(back, conn) == spin_network_value(snf, conn)

@@ -5,6 +5,7 @@ directly with math.sin (independent of the fusion module).
 """
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -13,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from verlinde import newstead
 from verlinde.graphs import (
     TrivalentGraph,
     dumbbell_graph,
     enumerate_trivalent,
+    multi_theta,
     theta_graph,
 )
 from verlinde.su2reps import _null_space
@@ -33,7 +36,6 @@ from verlinde.weights import (
     polytope_volume,
     u1_networks,
     verlinde_count_check,
-    weights_from_json,
     weights_to_json,
 )
 
@@ -296,11 +298,17 @@ def test_polytope_volume_genus2():
     ids=["two-legs", "loop-leg", "edge-four-legs", "theta"],
 )
 def test_polytope_volume_counts_parabolic_legs(graph, volume):
-    # legs are coordinates of the polytope, so both paths must include them
-    p = polytope(graph)
-    assert polytope_volume(p, method="exact") == volume
-    est = polytope_volume(p, method="monte-carlo")
-    assert abs(est.volume - float(volume)) <= est.half_width
+    # legs are coordinates of the polytope
+    assert polytope_volume(polytope(graph)) == volume
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_polytope_volume_meets_bernoulli_leading_coefficient(g):
+    # 2^g vol is the k^(3g-3) coefficient of the Verlinde count, which the
+    # Bernoulli closed form gives independently of any lattice count
+    n = 2 * g - 2
+    expected = (-1) ** g * 2 ** (g - 1) * newstead.bernoulli(n) / math.factorial(n)
+    assert 2**g * polytope_volume(polytope(multi_theta(g))) == expected
 
 
 def test_lattice_census_matches_enumeration():
@@ -335,6 +343,13 @@ def test_bs_asymptotics_genus2():
 def test_bs_asymptotics_genus3():
     rep = bs_asymptotics(3, range(1, 12))
     assert rep.degree == 6
+    assert rep.leading_coefficient == rep.density_times_volume
+    assert rep.consistent
+
+
+def test_bs_asymptotics_genus4_is_exact():
+    rep = bs_asymptotics(4, range(1, 12))
+    assert rep.density_times_volume == Fraction(1, 3780)
     assert rep.leading_coefficient == rep.density_times_volume
     assert rep.consistent
 
@@ -480,10 +495,12 @@ def test_invariant_violation_carries_witness():
 def test_weight_json_roundtrip():
     g = theta_graph()
     ws = enumerate_weights(g, 2)
-    blob = weights_to_json(ws)
-    back = weights_from_json(g, blob)
-    assert len(back) == len(ws)
-    assert all(a.values == b.values and a.level == b.level for a, b in zip(ws, back))
+    data = json.loads(weights_to_json(ws))
+    assert (data["level"], data["denominator"]) == (2, 4)
+    assert len(data["weights"]) == len(ws)
+    for entry, wf in zip(data["weights"], ws):
+        assert list(entry) == [str(e) for e in g.edge_ids()]
+        assert tuple(entry.values()) == wf.numerators()
 
 
 # ---------------------------------------------------------------------------
