@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import fusion, gauge, graphs, modular, newstead, thetacst, weights
+from . import fusion, gauge, graphs, modular, newstead, su2reps, thetacst, weights
 from .weights import InvariantViolation
 
 # Verlinde numbers at four (genus, level) points, known independently
@@ -99,6 +99,19 @@ def u1_counts(quick):
         for k in range(1, kmax + 1):
             got = weights.u1_networks(graph, k).count
             _check(got == k**g, f"genus {g} level {k}: {got} != {k**g}")
+        if not quick and graph.is_trivalent():
+            # level 1: even subgraphs from a cycle basis against listed weights
+            nets = weights.level1_networks(graph)
+            supports = {
+                frozenset(e for e, v in w.values.items() if v)
+                for w in weights.enumerate_weights(graph, 1)
+            }
+            _check(set(nets) == supports, f"genus {g}: even subgraphs != level-1 supports")
+            counted = weights.count_weights(graph, 1)
+            _check(
+                len(nets) == 2**g == counted,
+                f"genus {g}: {len(nets)} even subgraphs, {counted} counted",
+            )
     return f"{len(cases)} graphs up to level {kmax}"
 
 
@@ -164,6 +177,32 @@ def cst_pipeline(quick):
     return "transform of the delta series matches the theta series"
 
 
+def _check_wilson_loops(graph, conn):
+    """Twice-spin 1 on an even subgraph S, 0 elsewhere, is the product of
+    the traced holonomies of the cycles of S over 2**(V/2), V the vertices
+    S touches.  The sign holds on genus-2 graphs; some genus-3 cycles flip it."""
+    for support in weights.level1_networks(graph):
+        if not support:
+            continue
+        darts = [d for d in range(graph.n_darts) if graph.edge_of(d) in support]
+        # partner dart, then the other S-dart at that vertex
+        succ = {}
+        for d in darts:
+            f = graph.involution[d]
+            succ[d] = next(x for x in graph.star(graph.vertex_of[f]) if x != f and x in darts)
+        # each cycle turns up once per orientation; traces cannot tell them apart
+        cycles = {frozenset(map(graph.edge_of, c)): c for c in graphs._orbits(succ)}
+        product = math.prod(np.trace(gauge.holonomy(conn, c)) for c in cycles.values())
+        coloring = {e: int(e in support) for e in graph.edge_ids()}
+        value = gauge.spin_network_value(gauge.spin_network(graph, coloring), conn)
+        n_vertices = len({graph.vertex_of[d] for d in darts})
+        gap = abs(value * 2 ** (n_vertices / 2) - product)
+        _check(
+            gap < 1e-12 * max(1.0, abs(product)),
+            f"Wilson loops on {sorted(support)}: gap {gap}",
+        )
+
+
 def gauge_invariance(quick):
     rng = np.random.default_rng(3 if quick else 0)
     cap = 2 if quick else 4
@@ -178,6 +217,8 @@ def gauge_invariance(quick):
             for _ in range(samples):
                 moved = gauge.gauge_act(conn, gauge.random_transform(graph, rng))
                 worst = max(worst, abs(gauge.spin_network_value(snf, moved) - ref))
+        if not quick:
+            _check_wilson_loops(graph, conn)
     _check(worst < 1e-10, f"gauge orbit spread {worst}")
     return f"colorings up to twice-spin {cap}, {samples} transforms"
 
@@ -254,6 +295,12 @@ def fusion_diagonalization(quick):
         ring = fusion.FusionRing(k)
         for n in range(1, k + 2):
             chi = [fusion.character(k, n, m) for m in ring.labels]
+            if not quick:
+                # the same characters as irrep traces at the torus element
+                z = np.exp(1j * np.pi * n / (k + 2))
+                torus = np.array([[z, 0], [0, z.conjugate()]])
+                for m in ring.labels:
+                    worst = max(worst, abs(su2reps.character(m, torus) - chi[m]))
             for a, b in itertools.product(ring.labels, repeat=2):
                 total = sum(ring.N(a, b, c) * chi[c] for c in ring.labels)
                 worst = max(worst, abs(total - chi[a] * chi[b]))

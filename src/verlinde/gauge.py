@@ -85,11 +85,6 @@ class Connection:
         return a if dart == e else _inv2(a)
 
 
-def identity_connection(graph):
-    eye = np.eye(2, dtype=complex)
-    return Connection(graph, {e: eye for e in graph.edge_ids()})
-
-
 def random_connection(graph, rng=0):
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
@@ -108,11 +103,6 @@ class GaugeTransform:
             raise ValueError("gauge transform must cover every vertex")
         els = {v: _as_matrix(m, f"vertex {v} element") for v, m in self.elements.items()}
         object.__setattr__(self, "elements", els)
-
-
-def identity_transform(graph):
-    eye = np.eye(2, dtype=complex)
-    return GaugeTransform(graph, {v: eye for v in range(graph.n_vertices)})
 
 
 def random_transform(graph, rng=0):
@@ -146,43 +136,6 @@ def holonomy(conn, path):
         cur = cur @ conn.matrix(d)
         end = graph.vertex_of[graph.involution[d]]
     return cur
-
-
-def _angle(trace):
-    half = min(1.0, max(-1.0, trace.real / 2.0))
-    return math.acos(half) / math.pi
-
-
-def conj_coordinates(conn):
-    """Per edge, the conjugacy class angle arccos(tr/2)/pi in [0, 1]."""
-    return {e: _angle(np.trace(m)) for e, m in conn.matrices.items()}
-
-
-def goldman_function(images, loop):
-    """Trace coordinate of a surface group representation along a loop word.
-
-    `images` lists the 2g standard generator images in the order
-    a1, b1, ..., ag, bg; the product of commutators must be the identity.
-    `loop` is a word in signed generator indices (1-based).
-    """
-    mats = [_as_matrix(m, "representation error: generator image") for m in images]
-    if not mats or len(mats) % 2:
-        raise ValueError("representation error: need 2g generator images")
-    rel = np.eye(2, dtype=complex)
-    for i in range(0, len(mats), 2):
-        a, b = mats[i], mats[i + 1]
-        rel = rel @ a @ b @ _inv2(a) @ _inv2(b)
-    if np.abs(rel - np.eye(2)).max() > 1e-10:
-        raise ValueError("representation error: surface relator violated")
-    if isinstance(loop, int):
-        loop = [loop]
-    cur = np.eye(2, dtype=complex)
-    for w in loop:
-        if not isinstance(w, int) or w == 0 or abs(w) > len(mats):
-            raise ValueError(f"loop word letter {w} is out of range")
-        m = mats[abs(w) - 1]
-        cur = cur @ (m if w > 0 else _inv2(m))
-    return _angle(np.trace(cur))
 
 
 # -- spin networks ------------------------------------------------------------
@@ -270,18 +223,6 @@ def spin_network_value(snf, conn):
         raise ValueError("network and connection live on different graphs")
     batch = np.stack([conn.matrices[e] for e in snf.graph.edge_ids()])[None]
     return complex(_values_batch(snf, batch)[0])
-
-
-def abelian_embed(graph, phases):
-    """Lift U(1) phases to the diagonal torus, one phase per edge."""
-    eids = graph.edge_ids()
-    if sorted(phases) != eids:
-        raise ValueError("phases must be assigned per edge id")
-    mats = {}
-    for e in eids:
-        z = np.exp(1j * phases[e])
-        mats[e] = np.array([[z, 0.0], [0.0, z.conjugate()]])
-    return Connection(graph, mats)
 
 
 # -- Monte Carlo probes --------------------------------------------------------

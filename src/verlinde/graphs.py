@@ -1,4 +1,4 @@
-"""Half-edge trivalent graphs: moves, ribbon data, connections, geodesics.
+"""Half-edge trivalent graphs: moves, ribbon data, faces, canonical forms.
 
 A graph is stored as a dart involution plus a dart-to-vertex map.  Darts
 (half-edges) are integers 0..n-1; an internal edge is an involution orbit of
@@ -557,85 +557,6 @@ def eulerian_invariant(graph):
     return best
 
 
-# -- edge coloring ---------------------------------------------------------------
-
-
-def _two_class_cycles(graph, coloring, pair):
-    by_vertex = {v: {} for v in range(graph.n_vertices)}
-    for e, c in coloring.items():
-        if c not in pair:
-            continue
-        by_vertex[graph.vertex_of[e]][c] = e
-        by_vertex[graph.vertex_of[graph.involution[e]]][c] = e
-    cycles = []
-    visited = set()
-    for v0 in range(graph.n_vertices):
-        if v0 in visited:
-            continue
-        cycle = []
-        v, c = v0, pair[0]
-        while True:
-            e = by_vertex[v][c]
-            cycle.append(e)
-            visited.add(v)
-            u0 = graph.vertex_of[e]
-            u1 = graph.vertex_of[graph.involution[e]]
-            v = u1 if v == u0 else u0
-            c = pair[1] if c == pair[0] else pair[0]
-            if v == v0 and c == pair[0]:
-                break
-        cycles.append(cycle)
-    return cycles
-
-
-def edge_chromatic(graph):
-    """Edge chromatic number (3 or 4) with the even-cycle cover witness.
-
-    When 3 colors suffice, the union of two color classes is a disjoint set
-    of even simple cycles covering every vertex; that cover is returned as
-    the witness, else None.
-    """
-    edges = graph.edge_ids()
-    if any(graph.is_loop(e) for e in edges):
-        raise ValueError("edge coloring requires a loopless graph")
-    ends = {
-        e: (graph.vertex_of[e], graph.vertex_of[graph.involution[e]])
-        for e in edges
-    }
-
-    def color_with(n_colors):
-        used = [set() for _ in range(graph.n_vertices)]
-        coloring = {}
-
-        def rec(i):
-            if i == len(edges):
-                return True
-            e = edges[i]
-            u, v = ends[e]
-            for c in range(n_colors):
-                if c in used[u] or c in used[v]:
-                    continue
-                used[u].add(c)
-                used[v].add(c)
-                coloring[e] = c
-                if rec(i + 1):
-                    return True
-                used[u].discard(c)
-                used[v].discard(c)
-                del coloring[e]
-            return False
-
-        return dict(coloring) if rec(0) else None
-
-    three = color_with(3)
-    if three is not None:
-        return 3, _two_class_cycles(graph, three, (1, 2))
-    four = color_with(4)
-    if four is None:
-        raise RuntimeError("cubic loopless multigraphs are always 4-colorable")
-    return 4, None
-
-
 # -- ribbon structures and faces ---------------------------------------------
 
 
@@ -675,190 +596,6 @@ def trace_faces(graph, ribbon):
     if chi % 2:
         raise ValueError("face tracing produced odd Euler characteristic")
     return faces, (2 - chi) // 2
-
-
-# -- connections and geodesics -------------------------------------------------
-
-
-@dataclass
-class GraphConnection:
-    """Star identifications per traversed dart.
-
-    transport[d] maps the star of the source vertex of d onto the star of its
-    target; the reverse dart always carries the inverse map.
-    traversal_normalized records whether transport[d][d] == involution[d]
-    everywhere (the defining normalization; gauge moves may break it).
-    """
-
-    transport: dict
-    traversal_normalized: bool
-
-
-def ribbon_connection(graph, ribbon):
-    """Connection induced by a ribbon structure.
-
-    The traversed dart maps per the normalization, and rotating m steps at
-    the source maps to rotating -m steps at the target; its geodesics are
-    the ribbon faces.
-    """
-    transport = {}
-    for d in range(graph.n_darts):
-        f = graph.involution[d]
-        if f == d:
-            continue
-        src = ribbon.cyclic_order[graph.vertex_of[d]]
-        tgt = ribbon.cyclic_order[graph.vertex_of[f]]
-        i0, j0 = src.index(d), tgt.index(f)
-        transport[d] = {
-            src[(i0 + t) % len(src)]: tgt[(j0 - t) % len(tgt)]
-            for t in range(len(src))
-        }
-    return GraphConnection(transport, True)
-
-
-def gauge_act_connection(graph, connection, gauge):
-    """Discrete gauge action: transport conjugated by star bijections.
-
-    gauge maps each vertex to a bijection of its star; the new transport of a
-    dart is g(target) o transport o g(source)^{-1}.
-    """
-    inv_gauge = {v: {img: f for f, img in m.items()} for v, m in gauge.items()}
-    transport = {}
-    for d, t in connection.transport.items():
-        s = graph.vertex_of[d]
-        w = graph.vertex_of[graph.involution[d]]
-        transport[d] = {f: gauge[w][t[inv_gauge[s][f]]] for f in t}
-    normalized = all(
-        transport[d][d] == graph.involution[d] for d in transport
-    )
-    return GraphConnection(transport, normalized)
-
-
-@dataclass(frozen=True)
-class Holonomy:
-    mapping: tuple
-    cycle_type: tuple
-
-    @property
-    def is_identity(self):
-        return all(f == img for f, img in self.mapping)
-
-
-def holonomy_permutation(graph, connection, darts):
-    """Composite star bijection along a closed dart path, with cycle type."""
-    v0 = graph.vertex_of[darts[0]]
-    cur = {f: f for f in graph.star(v0)}
-    pos = v0
-    for d in darts:
-        if graph.vertex_of[d] != pos:
-            raise ValueError("darts do not form a path")
-        t = connection.transport[d]
-        cur = {f: t[img] for f, img in cur.items()}
-        pos = graph.vertex_of[graph.involution[d]]
-    if pos != v0:
-        raise ValueError("path is not closed")
-    lengths = sorted(len(orbit) for orbit in _orbits(cur))
-    return Holonomy(tuple(sorted(cur.items())), tuple(lengths))
-
-
-@dataclass(frozen=True)
-class ClosedGeodesic:
-    """One closed geodesic, reported once per orientation pair.
-
-    states are the (arrival flag, departure dart) pairs along the loop; darts
-    is the traversed dart sequence; monodromy_class the cycle type of the
-    holonomy at the start vertex.
-    """
-
-    darts: tuple
-    states: tuple
-    monodromy_class: tuple
-    flat: bool
-    simple: bool
-
-
-def geodesics(graph, connection):
-    """All closed geodesics of a normalized connection.
-
-    A state is a pair of distinct flags at a vertex (arrive, depart); the
-    successor transports the arrival flag along the departure dart.  Orbits
-    come in orientation-reversed pairs (swap the two flags), reported once.
-    """
-    if not connection.traversal_normalized:
-        raise ValueError("geodesics require a normalized connection")
-    states = []
-    for v in range(graph.n_vertices):
-        s = graph.star(v)
-        states += [(x, y) for x in s for y in s if x != y]
-    succ = {
-        (x, y): (graph.involution[y], connection.transport[y][x])
-        for (x, y) in states
-    }
-    out = []
-    taken = set()
-    for orb in _orbits(succ):
-        if frozenset((y, x) for (x, y) in orb) in taken:
-            continue
-        taken.add(frozenset(orb))
-        darts = tuple(y for (_, y) in orb)
-        hol = holonomy_permutation(graph, connection, darts)
-        out.append(
-            ClosedGeodesic(
-                darts=darts,
-                states=tuple(orb),
-                monodromy_class=hol.cycle_type,
-                flat=hol.is_identity,
-                simple=len(set(darts)) == len(darts),
-            )
-        )
-    return out
-
-
-# -- large limit curve ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LLCurve:
-    """Nodal-curve incidence data of a closed trivalent graph.
-
-    One rational component per vertex (marked by its star), one node per
-    edge; thickness is the minimal edge cut, which decides base-point
-    freeness (>= 2) and very-ampleness (>= 3) of the canonical system.
-    """
-
-    components: tuple
-    n_nodes: int
-    canonical_multidegree: tuple
-    arithmetic_genus: int
-    thickness: int
-    very_ample: bool
-    base_point_free: bool
-
-
-def ll_curve(graph):
-    if graph.parabolic_darts():
-        raise ValueError("large limit curves are built from closed graphs")
-    v_count = graph.n_vertices
-    edges = graph.edges()
-    thickness = None
-    for mask in range(1, 2 ** (v_count - 1)):
-        side = {v for v in range(v_count) if (mask >> v) & 1}
-        cut = sum(
-            1
-            for d0, d1 in edges
-            if (graph.vertex_of[d0] in side) != (graph.vertex_of[d1] in side)
-        )
-        if thickness is None or cut < thickness:
-            thickness = cut
-    return LLCurve(
-        components=tuple(len(graph.star(v)) for v in range(v_count)),
-        n_nodes=len(edges),
-        canonical_multidegree=(1,) * v_count,
-        arithmetic_genus=genus(graph),
-        thickness=thickness,
-        very_ample=thickness >= 3,
-        base_point_free=thickness >= 2,
-    )
 
 
 # -- serialization ----------------------------------------------------------------

@@ -9,15 +9,14 @@ with their anomaly phase classes.
 
 There is one Racah implementation, the scalar kernel behind q6j.  Its
 values reach callers in two ways.  Single entries and single blocks --
-q6j, fusion_matrix, braiding, fusion_basis_transport and the switching
-data -- call the kernel entry by entry and cache each entry.  Level-wide
-computations -- six_j_table, pentagon_check and the orthogonality,
-symmetry, pentagon, Yang-Baxter and braid-inverse relations of
-residual_report -- read a per-level table instead: every admissible
-(j1, j2, j3, j4, i, j) as a small-int array, with the kernel's value for
-each, built once per level.  They evaluate their relations as array
-operations on it that keep the scalar loops' order of rounding, so both
-ways give the same bits.
+q6j, fusion_matrix, braiding and the switching data -- call the kernel
+entry by entry and cache each entry.  Level-wide computations --
+six_j_table, pentagon_check and the orthogonality, symmetry, pentagon,
+Yang-Baxter and braid-inverse relations of residual_report -- read a
+per-level table instead: every admissible (j1, j2, j3, j4, i, j) as a
+small-int array, with the kernel's value for each, built once per level.
+They evaluate their relations as array operations on it that keep the
+scalar loops' order of rounding, so both ways give the same bits.
 
 All labels are twice-spin integers in 0..k.
 """
@@ -35,7 +34,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .fusion import fuse
-from .graphs import chain_graph, elementary_transformations
+from .graphs import chain_graph
 from .su2reps import admissible_triple, casimir, check_level
 from .weights import InvariantViolation, _weight_edge_ids, enumerate_weights
 
@@ -477,64 +476,6 @@ def t_operator(space, e):
     pos = _edge_positions(graph)[graph.edge_of(e)]
     phases = [t_phase(space.level, w.numerators()[pos]) for w in space.basis]
     return np.diag(phases)
-
-
-def fusion_basis_transport(source, target, e):
-    """Basis change between the weight bases across the move at edge e.
-
-    The matrix applies the fusing block on the four edges around e and the
-    identity elsewhere; a loop edge reproduces the graph and the identity.
-    It is real orthogonal, so its inverse is its transpose.  Carried edges
-    follow the dart-canonical edge maps of the move, so walking a move both
-    ways composes to the induced symmetry of the graph, not necessarily to
-    the identity matrix.
-    """
-    if source.level != target.level:
-        raise ValueError("spaces must share a level")
-    graph = source.graph
-    if not 0 <= e < graph.n_darts or graph.involution[e] == e:
-        raise ValueError("transport needs an internal edge")
-    if graph.parabolic_darts() or target.graph.parabolic_darts():
-        raise ValueError("parabolic legs are not supported by transport")
-    result = elementary_transformations(graph, e)
-    if result.loop_case:
-        if target.graph != graph:
-            raise ValueError("graphs are not related by the move at this edge")
-        return np.eye(source.dim)
-    if target.graph == result.graphs[0]:
-        branch = 0
-    elif target.graph == result.graphs[1]:
-        branch = 1
-    else:
-        raise ValueError("graphs are not related by the move at this edge")
-    emap = result.edge_maps[branch]
-    d0, d1 = e, graph.involution[e]
-    u, w = graph.vertex_of[d0], graph.vertex_of[d1]
-    p, q = (d for d in graph.star(u) if d != d0)
-    r, s = (d for d in graph.star(w) if d != d1)
-    if branch == 1:
-        r, s = s, r
-    e_old = graph.edge_of(e)
-    e_new = emap[e_old]
-    pos = _edge_positions(graph)
-    k = source.level
-    mat = np.zeros((target.dim, source.dim))
-    for col, weight in enumerate(source.basis):
-        nums = weight.numerators()
-        j1 = nums[pos[graph.edge_of(q)]]
-        j2 = nums[pos[graph.edge_of(p)]]
-        j3 = nums[pos[graph.edge_of(r)]]
-        j4 = nums[pos[graph.edge_of(s)]]
-        carried = {new: nums[pos[old]] for old, new in emap.items() if old != e_old}
-        for j in _target_channels(k, j1, j2, j3, j4):
-            coeff = _q6j(k, j1, j2, j3, j4, nums[pos[e_old]], j)
-            if coeff == 0.0:
-                continue
-            values = dict(carried)
-            values[e_new] = j
-            row = target.index_of(tuple(values[eid] for eid in sorted(values)))
-            mat[row, col] = coeff
-    return mat
 
 
 # ---------------------------------------------------------------------------

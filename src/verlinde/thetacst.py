@@ -217,17 +217,6 @@ def evaluate_series(series, z):
     return total
 
 
-def pair_series(a, b):
-    """Pair a coset distribution with a finite series coefficientwise."""
-    if a.coset is None:
-        a, b = b, a
-    if a.coset is None or b.coefficients is None:
-        raise ValueError("pairing needs one distribution and one finite series")
-    if a.genus != b.genus:
-        raise ValueError("series genus mismatch")
-    return sum(val for n, val in b.coefficients.items() if a.coefficient(n))
-
-
 def abelian_cst(series, om, t):
     """Time-t transform: the coefficient at n picks up exp(t i pi n.Omega.n).
 
@@ -263,9 +252,11 @@ def abelian_cst(series, om, t):
                 1j * math.pi * t * (m @ pm.matrix @ m)
             )
             # decay against a unit strip of imaginary displacement, so the
-            # result still evaluates accurately at moderately complex points
+            # result still evaluates accurately at moderately complex points;
+            # a positive exponent never falls below the cutoff, so capping it
+            # at 0 keeps exp from overflowing on nearly real period matrices
             weight = math.exp(
-                -math.pi * t * (m @ im @ m) + 2 * math.pi * np.abs(m).sum()
+                min(0.0, -math.pi * t * (m @ im @ m) + 2 * math.pi * np.abs(m).sum())
             )
             largest = max(largest, weight)
         small = small + 1 if largest < 1e-15 else 0
@@ -510,9 +501,8 @@ def nonabelian_theta(graph, coloring, k, om, point, cutoff=8, variant="pairing",
     def flow_trace(plabels, b):
         if diagonal:
             damped = cmath.exp(-laplacian_eigenvalue(plabels, pm) / (2 * k)) * b
-        else:
-            damped = expm(su2_laplacian_block(plabels, pm) / (2 * k)) @ b
-        return pw_evaluate(PWSeries(genus, {plabels: damped}), mats)
+            return pw_evaluate(PWSeries(genus, {plabels: damped}), mats)
+        return pw_evaluate(nonabelian_cst(PWSeries(genus, {plabels: b}), pm, 1 / k), mats)
 
     if variant == "pairing":
         return flow_trace(labels, block)

@@ -5,9 +5,8 @@ vertex the three incident values (a loop counts twice) must satisfy the
 parity, sum and quantum triangle conditions.  This module enumerates the
 admissible set, counts it by vertex elimination without listing it,
 builds the continuous moment polytope it discretizes and computes its
-volume exactly, counts U(1) and level-1 analogues, fits the leading
-growth of the count in k, and classifies the stabilizer data of the
-torus fibers sitting over a weight.
+volume exactly, counts U(1) flows and the level-1 even subgraphs, and
+fits the leading growth of the count in k.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import TrivalentGraph, chord_edges, enumerate_trivalent, multi_theta, spanning_tree
-from .su2reps import _null_space, check_level
+from .su2reps import check_level
 
 
 class InvariantViolation(Exception):
@@ -479,151 +478,6 @@ def bs_asymptotics(g, k_range):
     return AsymptoticsReport(
         g, tuple(ks), tuple(counts), degree, lead, density, lead == density, False, note
     )
-
-
-# -- fiber stabilizers --------------------------------------------------------
-
-
-_GROUP_DIM = {"Z2": 0, "U1": 1, "SU2": 3}
-_GROUP_RANK = {"Z2": 0, "U1": 1, "SU2": 2}
-
-
-@dataclass(frozen=True)
-class FiberReport:
-    """Stabilizer groups over a weight and, when certified, the fiber shape.
-
-    tps = (t, p, s) describes T^t x [(S^3)^p x (S^2)^s] / G_w; h1 is the
-    pair (free rank, number of Z2 summands).  When the reduction cannot
-    certify a product form, tps is None and reason says why.
-    """
-
-    edge_stabilizers: dict
-    vertex_stabilizers: dict
-    product_description: str
-    tps: tuple
-    gw: str
-    h1: tuple
-    reason: str
-
-
-def _is_central(val):
-    return val == 0 or val == Fraction(1, 2)
-
-
-def _vertex_group(trip):
-    if all(_is_central(x) for x in trip):
-        return "SU2"
-    a, b, c = sorted(trip)
-    if c == a + b or a + b + c == 1:
-        return "U1"
-    return "Z2"
-
-
-def fiber_stabilizers(w):
-    """Stabilizer data of the fiber over an admissible weight.
-
-    Central edge values keep the full SU(2); others break to U(1).  A
-    vertex keeps SU(2) when all three values are central, U(1) when the
-    triple is degenerate (a triangle or sum bound is tight), and only
-    the center Z2 when strictly interior.  The product form is certified
-    by gauge-fixing edges one at a time; strata where that reduction
-    stalls are reported honestly with tps = None.
-    """
-    ok, problems = is_admissible(w)
-    if not ok:
-        raise ValueError("weight is not admissible: " + "; ".join(problems))
-    graph = w.graph
-    if graph.parabolic_darts():
-        raise ValueError("fiber data is defined for graphs without legs")
-
-    edge_stab = {
-        e: "SU2" if _is_central(w.values[e]) else "U1" for e in graph.edge_ids()
-    }
-    vertex_stab = {}
-    for v in range(graph.n_vertices):
-        trip = [w.values[e] for e in _vertex_flag_edges(graph, v)]
-        vertex_stab[v] = _vertex_group(trip)
-        # two central values force the third and a central vertex
-        central = sum(1 for x in trip if _is_central(x))
-        assert central < 2 or vertex_stab[v] == "SU2"
-
-    desc = "(%s) / (%s)" % (
-        " x ".join(edge_stab[e] for e in graph.edge_ids()),
-        " x ".join(vertex_stab[v] for v in range(graph.n_vertices)),
-    )
-
-    def report(tps=None, gw=None, h1=None, reason=None):
-        return FiberReport(edge_stab, vertex_stab, desc, tps, gw, h1, reason)
-
-    if any(s == "SU2" for s in vertex_stab.values()):
-        return report(reason="residual nonabelian conjugation at a central vertex")
-
-    edges = graph.edge_ids()
-    if all(s == "U1" for s in edge_stab.values()):
-        # torus fiber: vertex circles translate edge phases
-        cols = {e: i for i, e in enumerate(edges)}
-        rows = []
-        for v, s in vertex_stab.items():
-            if s != "U1":
-                continue
-            row = [0] * len(edges)
-            for d in graph.star(v):
-                e = graph.edge_of(d)
-                row[cols[e]] += 1 if d == e else -1
-            rows.append(row)
-        # t = width - rank, the nullity of the vertex-circle action
-        t = len(_null_space(rows, len(edges)))
-        return report(tps=(t, 0, 0), gw="finite translations, absorbed", h1=(t, 0))
-
-    # gauge-fix edges whose stabilizer equals the larger endpoint group
-    group_of = dict(vertex_stab)
-    ends = {}
-    for e in edges:
-        ends[e] = (graph.vertex_of[e], graph.vertex_of[graph.involution[e]])
-    order = _GROUP_RANK
-    live = set(edges)
-    while True:
-        pick = None
-        for e in sorted(live):
-            u, v = ends[e]
-            if u == v:
-                continue
-            umax = max(group_of[u], group_of[v], key=order.get)
-            if edge_stab[e] == umax:
-                pick = e
-                break
-        if pick is None:
-            break
-        u, v = ends[pick]
-        merged = min(group_of[u], group_of[v], key=order.get)
-        live.discard(pick)
-        group_of[u] = merged
-        for e in live:
-            a, b = ends[e]
-            ends[e] = (u if a == v else a, u if b == v else b)
-        del group_of[v]
-
-    stalled = [e for e in live if ends[e][0] != ends[e][1]]
-    if stalled:
-        if any(edge_stab[e] == "SU2" for e in stalled):
-            return report(reason="double-coset interval between abelian stabilizers")
-        return report(reason="reduction stalled on a finite residual action")
-    if len(group_of) != 1:
-        return report(reason="reduction left several components")
-    residual = next(iter(group_of.values()))
-    loops = [edge_stab[e] for e in sorted(live)]
-    su2_loops = loops.count("SU2")
-    t = loops.count("U1")
-    if residual == "SU2":
-        return report(reason="residual nonabelian conjugation")
-    if su2_loops == 0:
-        return report(tps=(t, 0, 0), gw="trivial", h1=(t, 0))
-    if su2_loops == 1 and residual == "U1":
-        # circle conjugation flattens the 3-sphere to a half 2-sphere
-        return report(tps=(t, 0, 1), gw="Z2", h1=(t, 0))
-    if su2_loops == 1:
-        return report(reason="unreduced 3-sphere factor with finite residual action")
-    return report(reason="multiple conjugation-coupled 3-sphere factors")
 
 
 # -- serialization ------------------------------------------------------------

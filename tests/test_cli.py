@@ -187,6 +187,20 @@ def test_threads_flag_is_usage_error(capsys):
     assert capture(capsys, ["selftest", "--quick", "--threads", "2"])[0] == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cst", "check", "--level", "2", "--omega", "0.1+0.001i", "--points", "1"],
+        ["cst", "eval", "--level", "2", "--char", "0", "--omega", "0.1+0.001i", "--z", "0"],
+    ],
+)
+def test_nearly_real_omega_is_not_converged(capsys, argv):
+    # the shell-decay weight grows without bound here; it must not overflow
+    code, _, err = capture(capsys, argv)
+    assert code == 1
+    assert "damped coset series not converged" in err
+
+
 # -- verlinde and fusion -----------------------------------------------------------
 
 

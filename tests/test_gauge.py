@@ -1,7 +1,5 @@
 """Holonomy, gauge action, and spin network evaluation on trivalent graphs."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -9,16 +7,11 @@ from verlinde import gauge
 from verlinde.gauge import (
     Connection,
     GaugeTransform,
-    abelian_embed,
     admissible_colorings,
-    conj_coordinates,
     distinguishability_probe,
     gauge_act,
-    goldman_function,
     haar_su2,
     holonomy,
-    identity_connection,
-    identity_transform,
     peter_weyl_probe,
     random_connection,
     random_transform,
@@ -29,15 +22,10 @@ from verlinde.graphs import TrivalentGraph, dumbbell_graph, multi_theta, theta_g
 from verlinde.su2reps import AdmissibilityError
 
 I2 = np.eye(2)
-X = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 def inv2(m):
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
-
-
-def zrot(t):
-    return np.diag([np.exp(1j * t), np.exp(-1j * t)])
 
 
 # -- Haar sampling ----------------------------------------------------------
@@ -84,12 +72,6 @@ def test_connection_rejects_bad_shape():
     graph = theta_graph()
     with pytest.raises(ValueError):
         Connection(graph, {0: np.eye(3), 2: I2, 4: I2})
-
-
-def test_identity_connection_conj_coordinates_zero():
-    graph = dumbbell_graph()
-    coords = conj_coordinates(identity_connection(graph))
-    assert coords == {e: 0.0 for e in graph.edge_ids()}
 
 
 # -- holonomy ---------------------------------------------------------------
@@ -148,7 +130,7 @@ def test_holonomy_rejects_non_composable():
 def test_gauge_identity_transform_is_noop():
     graph = theta_graph()
     conn = random_connection(graph, np.random.default_rng(8))
-    acted = gauge_act(conn, identity_transform(graph))
+    acted = gauge_act(conn, GaugeTransform(graph, {v: I2 for v in (0, 1)}))
     for e in graph.edge_ids():
         assert np.allclose(acted.matrices[e], conn.matrices[e])
 
@@ -190,88 +172,6 @@ def test_gauge_conjugates_loop_holonomy():
     assert abs(np.trace(after) - np.trace(before)) < 1e-10
 
 
-# -- conjugacy coordinates ----------------------------------------------------
-
-
-def test_conj_coordinates_values():
-    graph = theta_graph()
-    mats = {0: zrot(0.3 * math.pi), 2: -I2, 4: I2}
-    coords = conj_coordinates(Connection(graph, mats))
-    assert abs(coords[0] - 0.3) < 1e-12
-    assert abs(coords[2] - 1.0) < 1e-12
-    assert coords[4] == 0.0
-
-
-def test_conj_coordinates_orientation_independent():
-    graph = dumbbell_graph()
-    conn = random_connection(graph, np.random.default_rng(12))
-    coords = conj_coordinates(conn)
-    for e in graph.edge_ids():
-        rev = np.trace(conn.matrix(graph.involution[e])).real
-        assert abs(coords[e] - math.acos(min(1, max(-1, rev / 2))) / math.pi) < 1e-12
-
-
-def test_conj_coordinates_invariant_under_conjugation():
-    # constant transforms conjugate every edge; a rose graph makes every
-    # transform a conjugation, which is the regime where the vector is fixed
-    graph = dumbbell_graph()
-    rng = np.random.default_rng(12)
-    conn = random_connection(graph, rng)
-    coords = conj_coordinates(conn)
-    u = haar_su2(rng)
-    constant = GaugeTransform(graph, {0: u, 1: u})
-    acted = conj_coordinates(gauge_act(conn, constant))
-    for e in graph.edge_ids():
-        assert abs(coords[e] - acted[e]) < 1e-10
-
-    rose = TrivalentGraph.from_edges(1, [(0, 0), (0, 0)])
-    conn = random_connection(rose, rng)
-    coords = conj_coordinates(conn)
-    acted = conj_coordinates(gauge_act(conn, random_transform(rose, rng)))
-    for e in rose.edge_ids():
-        assert abs(coords[e] - acted[e]) < 1e-10
-
-
-# -- Goldman functions --------------------------------------------------------
-
-
-def test_goldman_trivial_representation_is_zero():
-    images = [I2, I2, I2, I2]
-    assert goldman_function(images, [1]) == 0.0
-    assert goldman_function(images, [2, 4, -1]) == 0.0
-
-
-def test_goldman_half_for_traceless():
-    images = [zrot(math.pi / 2), I2, X, I2]
-    assert abs(goldman_function(images, [1]) - 0.5) < 1e-12
-    assert abs(goldman_function(images, [3]) - 0.5) < 1e-12
-
-
-def test_goldman_word_with_inverse_cancels():
-    images = [zrot(0.7), I2, X, I2]
-    assert abs(goldman_function(images, [1, -1])) < 1e-12
-
-
-def test_goldman_conjugation_invariant():
-    rng = np.random.default_rng(13)
-    u = haar_su2(rng)
-    images = [zrot(0.4), I2, X, I2]
-    moved = [u @ m @ inv2(u) for m in images]
-    for loop in ([1], [3], [1, 3], [3, -1]):
-        assert abs(goldman_function(images, loop) - goldman_function(moved, loop)) < 1e-10
-
-
-def test_goldman_rejects_broken_relator():
-    images = [zrot(math.pi / 2), X]  # genus 1, non-commuting pair
-    with pytest.raises(ValueError, match="representation"):
-        goldman_function(images, [1])
-
-
-def test_goldman_rejects_odd_image_count():
-    with pytest.raises(ValueError, match="representation"):
-        goldman_function([I2, I2, I2], [1])
-
-
 # -- spin networks ------------------------------------------------------------
 
 
@@ -311,7 +211,7 @@ def test_all_zero_network_evaluates_to_one():
 def test_theta_110_identity_connection_is_one():
     graph = theta_graph()
     snf = spin_network(graph, {0: 1, 2: 1, 4: 0})
-    val = spin_network_value(snf, identity_connection(graph))
+    val = spin_network_value(snf, Connection(graph, {e: I2 for e in graph.edge_ids()}))
     assert isinstance(val, complex)
     assert abs(val - 1) < 1e-12
 
@@ -357,35 +257,9 @@ def test_spin_network_gauge_invariance(graph, coloring):
 
 def test_spin_network_value_mismatched_graph():
     snf = spin_network(theta_graph(), {0: 1, 2: 1, 4: 0})
-    conn = identity_connection(dumbbell_graph())
+    conn = Connection(dumbbell_graph(), {e: I2 for e in (0, 2, 4)})
     with pytest.raises(ValueError):
         spin_network_value(snf, conn)
-
-
-# -- abelian embedding --------------------------------------------------------
-
-
-def test_abelian_embed_zero_phases():
-    graph = theta_graph()
-    conn = abelian_embed(graph, {e: 0.0 for e in graph.edge_ids()})
-    for e in graph.edge_ids():
-        assert np.allclose(conn.matrices[e], I2)
-
-
-def test_abelian_embed_pi_gives_minus_identity():
-    graph = theta_graph()
-    conn = abelian_embed(graph, {0: math.pi, 2: 0.0, 4: 0.0})
-    assert np.allclose(conn.matrices[0], -I2, atol=1e-12)
-    assert abs(conj_coordinates(conn)[0] - 1.0) < 1e-12
-
-
-def test_abelian_embed_then_conj_folds():
-    graph = theta_graph()
-    for phi in (-2.9, -1.2, 0.0, 0.4, 1.5 * math.pi, 2.7, math.pi):
-        conn = abelian_embed(graph, {0: phi, 2: 0.0, 4: 0.0})
-        got = conj_coordinates(conn)[0]
-        folded = abs(math.remainder(phi, 2 * math.pi)) / math.pi
-        assert abs(got - folded) < 1e-12
 
 
 # -- distinguishability -------------------------------------------------------

@@ -27,7 +27,6 @@ from verlinde.modular import (
     block_space,
     braiding,
     braiding_relation_residual,
-    fusion_basis_transport,
     fusion_matrix,
     genus_chain_invariant,
     genus_chain_operator,
@@ -437,64 +436,6 @@ def test_t_operators_commute():
     t0 = t_operator(space, 0)
     t4 = t_operator(space, 4)
     assert np.abs(t0 @ t4 - t4 @ t0).max() < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# transport between fusion bases
-# ---------------------------------------------------------------------------
-
-
-def slot_swap_permutation(space):
-    # middle/last theta slots trade places when the move is walked both ways
-    perm = np.zeros((space.dim, space.dim))
-    for col, w in enumerate(space.basis):
-        a, b, c = w.numerators()
-        perm[space.index_of((a, c, b)), col] = 1.0
-    return perm
-
-
-def test_transport_theta_dumbbell_level1():
-    theta = block_space(theta_graph(), 1)
-    bell = block_space(dumbbell_graph(), 1)
-    m = fusion_basis_transport(theta, bell, 2)
-    assert m.shape == (4, 4)
-    assert abs(abs(np.linalg.det(m)) - 1.0) < 1e-10
-    # the all-ones column carries the level-1 fusing sign
-    col = [w.numerators() for w in theta.basis].index((1, 0, 1))
-    row = [w.numerators() for w in bell.basis].index((1, 1, 0))
-    assert m[row, col] == pytest.approx(-1.0, abs=1e-12)
-    # the transport is real orthogonal, so its inverse is its transpose
-    assert np.abs(np.linalg.inv(m) @ m - np.eye(4)).max() < 1e-10
-    assert np.abs(m.T @ m - np.eye(4)).max() < 1e-10
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_transport_round_trip(k):
-    theta = block_space(theta_graph(), k)
-    bell = block_space(dumbbell_graph(), k)
-    assert theta.dim == bell.dim == verlinde(2, k)
-    m = fusion_basis_transport(theta, bell, 2)
-    assert np.abs(np.linalg.inv(m) @ m - np.eye(theta.dim)).max() < 1e-10
-    assert abs(abs(np.linalg.det(m)) - 1.0) < 1e-10
-    # walking the move back lands on the dart-canonical identification of
-    # the theta, which differs from the start by the parallel-edge symmetry
-    back = fusion_basis_transport(bell, theta, 4)
-    assert np.abs(back @ m - slot_swap_permutation(theta)).max() < 1e-10
-
-
-def test_transport_loop_edge_is_identity():
-    bell = block_space(dumbbell_graph(), 2)
-    m = fusion_basis_transport(bell, bell, 0)
-    assert np.abs(m - np.eye(bell.dim)).max() == 0.0
-
-
-def test_transport_unrelated_graphs():
-    theta = block_space(theta_graph(), 1)
-    chain = block_space(chain_graph(3), 1)
-    with pytest.raises(ValueError):
-        fusion_basis_transport(theta, chain, 2)
-    with pytest.raises(ValueError):
-        fusion_basis_transport(theta, block_space(theta_graph(), 2), 2)
 
 
 # ---------------------------------------------------------------------------

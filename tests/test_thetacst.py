@@ -24,7 +24,6 @@ from verlinde.thetacst import (
     laplacian_eigenvalue,
     nonabelian_cst,
     nonabelian_theta,
-    pair_series,
     pw_evaluate,
     spin_network_blocks,
     su2_laplacian_block,
@@ -208,12 +207,6 @@ def test_delta_distribution_all_ones_at_level_one():
     assert d.growth == "polynomial"
     for n in (-3, 0, 5):
         assert d.coefficient((n,)) == 1
-
-
-def test_delta_pairing_sums_coset_coefficients():
-    d = delta_distribution((0,), 2)
-    poly = FourierSeries(1, {(0,): 1.0, (2,): 2.0, (3,): 5.0, (4,): 7.0})
-    assert abs(pair_series(d, poly) - 10.0) < 1e-12
 
 
 def test_evaluate_rejects_distribution():

@@ -1,4 +1,4 @@
-"""Tests for admissible weights, U(1) networks, polytopes and fiber data.
+"""Tests for admissible weights, U(1) networks, polytopes and their counts.
 
 Counts are cross-checked against the trigonometric closed form evaluated
 directly with math.sin (independent of the fusion module).
@@ -29,7 +29,6 @@ from verlinde.weights import (
     bs_asymptotics,
     count_weights,
     enumerate_weights,
-    fiber_stabilizers,
     is_admissible,
     level1_networks,
     polytope,
@@ -360,74 +359,12 @@ def test_bs_asymptotics_short_range_warns():
 
 
 # ---------------------------------------------------------------------------
-# fiber stabilizers
+# exact elimination
 # ---------------------------------------------------------------------------
 
 
-def test_fiber_theta_boundary_stratum():
-    g = theta_graph()
-    rep = fiber_stabilizers(w(g, 2, (2, 1, 1)))
-    assert list(rep.edge_stabilizers.values()) == ["SU2", "U1", "U1"]
-    assert list(rep.vertex_stabilizers.values()) == ["U1", "U1"]
-    assert rep.tps == (1, 0, 1)
-    assert rep.h1 == (1, 0)
-    assert rep.gw == "Z2"
-
-
-def test_fiber_theta_interior():
-    g = theta_graph()
-    rep = fiber_stabilizers(w(g, 4, (2, 2, 2)))
-    assert set(rep.edge_stabilizers.values()) == {"U1"}
-    assert set(rep.vertex_stabilizers.values()) == {"Z2"}
-    assert rep.tps == (3, 0, 0)
-    assert rep.h1 == (3, 0)
-
-
-def test_fiber_dumbbell_interior():
-    g = dumbbell_graph()
-    rep = fiber_stabilizers(w(g, 4, (2, 2, 2)))
-    assert rep.tps == (3, 0, 0)
-
-
-def test_fiber_vacuum_not_certified():
-    g = theta_graph()
-    rep = fiber_stabilizers(w(g, 2, (0, 0, 0)))
-    assert set(rep.edge_stabilizers.values()) == {"SU2"}
-    assert set(rep.vertex_stabilizers.values()) == {"SU2"}
-    assert rep.tps is None
-    assert "nonabelian" in rep.reason
-
-
-def test_fiber_double_coset_not_certified():
-    g = dumbbell_graph()
-    rep = fiber_stabilizers(w(g, 4, (2, 2, 4)))
-    assert rep.tps is None
-    assert "coset" in rep.reason
-
-
-def test_fiber_rejects_inadmissible():
-    g = theta_graph()
-    with pytest.raises(ValueError):
-        fiber_stabilizers(w(g, 2, (1, 1, 1)))
-
-
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_fiber_report_coherent(k):
-    for graph in [theta_graph(), dumbbell_graph()]:
-        for wf in enumerate_weights(graph, k):
-            rep = fiber_stabilizers(wf)
-            assert set(rep.edge_stabilizers.values()) <= {"U1", "SU2"}
-            assert set(rep.vertex_stabilizers.values()) <= {"Z2", "U1", "SU2"}
-            # a report either certifies a product form or explains why not
-            assert (rep.tps is None) == (rep.reason is not None)
-            if rep.tps is not None:
-                t, p, s = rep.tps
-                assert rep.h1 == (t, p)
-
-
 def _oracle_rank(rows):
-    # frozen copy of the fraction-free row reduction that fiber_stabilizers
-    # used before it took the nullity from su2reps._null_space
+    # fraction-free row reduction, independent of su2reps._null_space
     rows = [list(r) for r in rows if any(r)]
     rank, col, width = 0, 0, (len(rows[0]) if rows else 0)
     while rows and col < width:
@@ -446,31 +383,6 @@ def _oracle_rank(rows):
         rank += 1
         col += 1
     return rank
-
-
-def test_fiber_torus_rank_matches_elimination_oracle():
-    # on the torus stratum t = |E| - rank of the vertex-circle action; the
-    # genus-2 classes first reach that stratum at level 3
-    torus = 0
-    for graph, k in itertools.product(enumerate_trivalent(2), range(1, 5)):
-        edges = graph.edge_ids()
-        for wf in enumerate_weights(graph, k):
-            rep = fiber_stabilizers(wf)
-            if "SU2" in rep.vertex_stabilizers.values() or "SU2" in rep.edge_stabilizers.values():
-                continue
-            rows = []
-            for v, s in rep.vertex_stabilizers.items():
-                if s == "U1":
-                    row = [0] * len(edges)
-                    for d in graph.star(v):
-                        e = graph.edge_of(d)
-                        row[edges.index(e)] += 1 if d == e else -1
-                    rows.append(row)
-            t = len(edges) - (_oracle_rank(rows) if rows else 0)
-            assert rep.tps == (t, 0, 0)
-            assert rep.h1 == (t, 0)
-            torus += 1
-    assert torus > 0
 
 
 def test_null_space_nullity_matches_rank_oracle():
