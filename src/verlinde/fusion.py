@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .graphs import multi_theta
-from .su2reps import check_level
+from .su2reps import check_labels, check_level
 from .weights import InvariantViolation, count_weights
 
 
@@ -36,8 +36,7 @@ def clebsch_gordan(n1, n2):
 def fuse(k, n1, n2):
     """Level-k fusion product, descending label list."""
     check_level(k)
-    if not (0 <= n1 <= k and 0 <= n2 <= k):
-        raise ValueError(f"labels must lie in 0..{k}")
+    check_labels(k, (n1, n2))
     top = n1 + n2 if n1 + n2 <= k else 2 * k - n1 - n2
     return list(range(top, abs(n1 - n2) - 1, -2))
 
@@ -56,8 +55,7 @@ class FusionRing:
         return tuple(range(self.level + 1))
 
     def N(self, a, b, c):
-        if not all(0 <= x <= self.level for x in (a, b, c)):
-            raise ValueError(f"labels must lie in 0..{self.level}")
+        check_labels(self.level, (a, b, c))
         return _fusion_matrices(self.level)[0][a][b][c]
 
     def fuse(self, a, b):
@@ -113,9 +111,8 @@ def rk(g, N, k):
     check_level(k)
     if isinstance(g, bool) or not isinstance(g, int) or g < 0:
         raise ValueError("genus must be a nonnegative integer")
-    labels = tuple(sorted(N))
-    if any(not 0 <= n <= k for n in labels):
-        raise ValueError(f"labels must lie in 0..{k}")
+    labels = tuple(N)
+    check_labels(k, labels)
     mats, handle = _fusion_matrices(k)
     row = [1] + [0] * k
     for _ in range(g):
@@ -133,8 +130,7 @@ def character(k, n, m):
     check_level(k)
     if not 1 <= n <= k + 1:
         raise ValueError(f"character index must lie in 1..{k + 1}")
-    if not 0 <= m <= k:
-        raise ValueError(f"labels must lie in 0..{k}")
+    check_labels(k, (m,))
     theta = n * math.pi / (k + 2)
     return math.sin((m + 1) * theta) / math.sin(theta)
 

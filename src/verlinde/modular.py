@@ -35,16 +35,8 @@ import numpy as np
 
 from .fusion import fuse
 from .graphs import chain_graph
-from .su2reps import admissible_triple, casimir, check_level
+from .su2reps import _check_label, admissible_triple, casimir, check_labels, check_level
 from .weights import InvariantViolation, _weight_edge_ids, enumerate_weights
-
-
-def _check_labels(k, labels):
-    for n in labels:
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-            raise ValueError("labels must be integers")
-        if not 0 <= n <= k:
-            raise ValueError(f"labels must lie in 0..{k}")
 
 
 def _triple_ok(k, a, b, c):
@@ -130,17 +122,16 @@ def q6j(k, j1, j2, j3, j4, i, j):
     out-of-range outer labels are errors.
     """
     check_level(k)
-    _check_labels(k, (j1, j2, j3, j4))
-    for n in (i, j):
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-            raise ValueError("channels must be nonnegative integers")
+    check_labels(k, (j1, j2, j3, j4))
+    _check_label(i)
+    _check_label(j)
     return _q6j(k, j1, j2, j3, j4, i, j)
 
 
 def fusion_matrix(k, j1, j2, j3, j4):
     """Square fusing block: rows over i-channels, columns over j-channels."""
     check_level(k)
-    _check_labels(k, (j1, j2, j3, j4))
+    check_labels(k, (j1, j2, j3, j4))
     rows = _source_channels(k, j1, j2, j3, j4)
     cols = _target_channels(k, j1, j2, j3, j4)
     mat = np.array(
@@ -315,7 +306,7 @@ def pentagon_check(k):
 def braid_phase(k, j2, j3, i, inverse=False):
     """Crossing eigenvalue on channel i of j2 (x) j3."""
     check_level(k)
-    _check_labels(k, (j2, j3))
+    check_labels(k, (j2, j3, i))
     value = (-1.0) ** ((j2 + j3 - i) // 2) * cmath.exp(
         1j
         * math.pi
@@ -328,7 +319,7 @@ def braid_phase(k, j2, j3, i, inverse=False):
 def braiding(k, j1, j2, j3, j4, inverse=False):
     """Braid matrix B± = F^-1 D± F on the channels of (j1 j2)/(j3 j4)."""
     check_level(k)
-    _check_labels(k, (j1, j2, j3, j4))
+    check_labels(k, (j1, j2, j3, j4))
     rows, cols, f = fusion_matrix(k, j1, j2, j3, j4)
     if not rows:
         return rows, np.zeros((0, 0), dtype=complex)
@@ -377,7 +368,7 @@ def braiding_relation_residual(k):
 def t_phase(k, n):
     """Twist e^{2*pi*i*(h_n - c/24)} of the label n at level k."""
     check_level(k)
-    _check_labels(k, (n,))
+    check_labels(k, (n,))
     exponent = casimir(n) / (k + 2) - Fraction(k, 8 * (k + 2))
     return cmath.exp(2j * math.pi * float(exponent))
 
@@ -440,11 +431,10 @@ class BlockSpace:
     graph: object
     level: int
     basis: tuple
-    boundary: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "basis", tuple(self.basis))
-        index = {w.numerators(): i for i, w in enumerate(self.basis)}
+        index = {w.numerators: i for i, w in enumerate(self.basis)}
         object.__setattr__(self, "_index", index)
 
     @property
@@ -457,11 +447,7 @@ class BlockSpace:
 
 def block_space(graph, k, boundary=None):
     """Block space on the weight basis; legs must be pinned via boundary."""
-    basis = enumerate_weights(graph, k, boundary)
-    pinned = tuple(
-        sorted((graph.edge_of(key), Fraction(val)) for key, val in (boundary or {}).items())
-    )
-    return BlockSpace(graph, k, tuple(basis), pinned)
+    return BlockSpace(graph, k, enumerate_weights(graph, k, boundary))
 
 
 def _edge_positions(graph):
@@ -474,7 +460,7 @@ def t_operator(space, e):
     if not 0 <= e < graph.n_darts:
         raise ValueError("edge is not in the graph")
     pos = _edge_positions(graph)[graph.edge_of(e)]
-    phases = [t_phase(space.level, w.numerators()[pos]) for w in space.basis]
+    phases = [t_phase(space.level, w.numerators[pos]) for w in space.basis]
     return np.diag(phases)
 
 
@@ -669,7 +655,7 @@ def _end_switch(space, loop_edge):
     bridge_pos = positions[bridge]
     mat = np.zeros((space.dim, space.dim), dtype=complex)
     for col, weight in enumerate(space.basis):
-        nums = list(weight.numerators())
+        nums = list(weight.numerators)
         labels = _loop_labels(k, nums[bridge_pos])
         block = _switching_block(k, nums[bridge_pos])
         col_in_block = labels.index(nums[loop_pos])
@@ -710,7 +696,7 @@ def genus_chain_invariant(k, g, ops):
     check_level(k)
     space = block_space(chain_graph(g), k)
     rho = genus_chain_operator(space, ops)
-    vacuum = space.index_of((0,) * len(space.basis[0].numerators()))
+    vacuum = space.index_of((0,) * len(space.basis[0].numerators))
     return complex(rho[vacuum, vacuum])
 
 

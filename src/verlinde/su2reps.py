@@ -36,6 +36,14 @@ def check_level(k):
         raise ValueError("level must be a positive integer")
 
 
+def check_labels(k, labels):
+    """Level-k labels: twice-spin ints in 0..k, and not bools."""
+    for n in labels:
+        _check_label(n)
+        if n > k:
+            raise ValueError(f"labels must lie in 0..{k}")
+
+
 def _entries(g):
     if isinstance(g, np.ndarray):
         if g.shape != (2, 2):

@@ -25,7 +25,6 @@ from .graphs import chord_edges
 from .su2reps import AdmissibilityError, casimir, check_level, omega, rep_matrix, wigner_3j
 
 _MAX_RADIUS = 60
-_GROWTH_CLASSES = ("finite", "polynomial", "exponential")
 
 
 # -- period matrices and characteristics ---------------------------------------
@@ -159,19 +158,16 @@ class FourierSeries:
 
     Finite series carry an explicit coefficient dict.  Coset distributions
     (unit coefficients on l + k Z^g) carry `coset=(l, k)` with coefficients
-    None; `growth` records the admissible coefficient growth class.
+    None.
     """
 
     genus: int
     coefficients: dict | None
-    growth: str = "finite"
     coset: tuple | None = None
 
     def __post_init__(self):
         if self.genus < 1:
             raise ValueError("genus must be at least 1")
-        if self.growth not in _GROWTH_CLASSES:
-            raise ValueError(f"growth must be one of {_GROWTH_CLASSES}")
         if (self.coefficients is None) == (self.coset is None):
             raise ValueError("exactly one of coefficients and coset is required")
         if self.coefficients is not None:
@@ -201,7 +197,7 @@ class FourierSeries:
 
 def delta_distribution(l, k):
     """Unit Fourier coefficients on the coset l + k Z^g."""
-    return FourierSeries(len(tuple(l)), None, growth="polynomial", coset=(tuple(l), k))
+    return FourierSeries(len(tuple(l)), None, coset=(tuple(l), k))
 
 
 def evaluate_series(series, z):
@@ -221,14 +217,11 @@ def abelian_cst(series, om, t):
     """Time-t transform: the coefficient at n picks up exp(t i pi n.Omega.n).
 
     Coset distributions come out as finite series, materialized out to where
-    the damped coefficients stop mattering; coefficient growth beyond
-    polynomial leaves the domain of the transform.
+    the damped coefficients stop mattering.
     """
     pm = _period(om)
     if pm.genus != series.genus:
         raise ValueError("series and period matrix genus differ")
-    if series.growth == "exponential":
-        raise ValueError("transform needs at most polynomial coefficient growth")
     if t < 0:
         raise ValueError("transform time must be nonnegative")
     if t == 0:

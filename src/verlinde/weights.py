@@ -1,8 +1,9 @@
 """Admissible edge weights on trivalent graphs.
 
-A level-k weight assigns each edge a value in (1/2k)*{0..k}.  At every
-vertex the three incident values (a loop counts twice) must satisfy the
-parity, sum and quantum triangle conditions.  This module enumerates the
+A level-k weight assigns each edge a value in (1/2k)*{0..k}, stored as its
+integer numerator over 2k; Fractions appear only in the `values` view.  At
+every vertex the three incident values (a loop counts twice) must satisfy
+the parity, sum and quantum triangle conditions.  This module enumerates the
 admissible set, counts it by vertex elimination without listing it,
 builds the continuous moment polytope it discretizes and computes its
 volume exactly, counts U(1) flows and the level-1 even subgraphs, and
@@ -16,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .graphs import TrivalentGraph, chord_edges, enumerate_trivalent, multi_theta, spanning_tree
 from .su2reps import check_level
@@ -34,34 +36,32 @@ class InvariantViolation(Exception):
 
 @dataclass(frozen=True, eq=False)
 class WeightFunction:
-    """Edge weights at a fixed level, stored as exact fractions."""
+    """Edge weights at level k, stored as integer numerators over 2k.
+
+    `numerators` holds one int in 0..k per edge, in the sorted order of the
+    internal edge ids and parabolic legs; `values` is the read-only
+    Fraction view {edge id: numerator / 2k}.
+    """
 
     graph: TrivalentGraph
     level: int
-    values: dict
+    numerators: tuple
 
     def __post_init__(self):
         k = self.level
         check_level(k)
-        ids = _weight_edge_ids(self.graph)
-        if set(self.values) != set(ids):
-            raise ValueError("weights must cover every edge exactly once")
-        vals = {}
-        for e in ids:
-            val = Fraction(self.values[e])
-            num = val * 2 * k
-            if num.denominator != 1 or not 0 <= num <= k:
-                raise ValueError(
-                    f"edge {e}: value {val} not in (1/{2 * k})*{{0..{k}}}"
-                )
-            vals[e] = val
-        object.__setattr__(self, "values", vals)
+        nums = tuple(self.numerators)
+        if len(nums) != len(_weight_edge_ids(self.graph)):
+            raise ValueError("weights need one numerator per edge")
+        if not all(type(n) is int and 0 <= n <= k for n in nums):
+            raise ValueError(f"numerators must be integers in 0..{k}")
+        object.__setattr__(self, "numerators", nums)
 
-    def numerators(self):
-        """Values scaled by 2k, in edge-id order."""
-        return tuple(
-            int(self.values[e] * 2 * self.level) for e in _weight_edge_ids(self.graph)
-        )
+    @property
+    def values(self):
+        den = 2 * self.level
+        ids = _weight_edge_ids(self.graph)
+        return MappingProxyType({e: Fraction(n, den) for e, n in zip(ids, self.numerators)})
 
 
 def _vertex_flag_edges(graph, v):
@@ -76,10 +76,10 @@ def _weight_edge_ids(graph):
 
 def is_admissible(w):
     """Check the vertex conditions; returns (ok, list of violations)."""
-    graph, k = w.graph, w.level
+    graph, k, vals = w.graph, w.level, w.values
     problems = []
     for v in range(graph.n_vertices):
-        trip = [w.values[e] for e in _vertex_flag_edges(graph, v)]
+        trip = [vals[e] for e in _vertex_flag_edges(graph, v)]
         total = sum(trip)
         if total % Fraction(1, k) != 0:
             problems.append(f"vertex {v}: parity, sum {total} not in (1/{k})Z")
@@ -151,11 +151,7 @@ def enumerate_weights(graph, k, boundary=None):
         del nums[e]
 
     dfs(0)
-    den = 2 * k
-    return [
-        WeightFunction(graph, k, {e: Fraction(n, den) for e, n in zip(edges, tup)})
-        for tup in sorted(out)
-    ]
+    return [WeightFunction(graph, k, tup) for tup in sorted(out)]
 
 
 def verlinde_count_check(g, k):
@@ -490,8 +486,5 @@ def weights_to_json(ws):
     k = ws[0].level
     if any(w.level != k for w in ws):
         raise ValueError("all weights must share one level")
-    den = 2 * k
-    body = [
-        {str(e): int(w.values[e] * den) for e in _weight_edge_ids(w.graph)} for w in ws
-    ]
-    return json.dumps({"level": k, "denominator": den, "weights": body}, indent=1)
+    body = [{str(e): n for e, n in zip(_weight_edge_ids(w.graph), w.numerators)} for w in ws]
+    return json.dumps({"level": k, "denominator": 2 * k, "weights": body}, indent=1)

@@ -181,6 +181,28 @@ def test_rk_rejects_bad_labels():
         rk(-1, (), 2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: rk(2, (1.5,), 3),
+        lambda: rk(2, (True,), 3),
+        lambda: fuse(3, 1.5, 1),
+        lambda: fuse(3, 1, True),
+        lambda: FusionRing(3).N(1.0, 1, 0),
+        lambda: character(3, 1, 0.5),
+        lambda: character(3, 1, False),
+    ],
+    ids=[
+        "rk-float", "rk-bool", "fuse-float", "fuse-bool", "N-float",
+        "character-float", "character-bool",
+    ],
+)
+def test_labels_are_ints_in_range(call):
+    # twice-spin labels are ints in 0..k; floats and bools are not labels
+    with pytest.raises(ValueError):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # characters
 # ---------------------------------------------------------------------------

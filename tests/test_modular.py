@@ -25,6 +25,7 @@ from verlinde.modular import (
     BlockSpace,
     HeegaardWord,
     block_space,
+    braid_phase,
     braiding,
     braiding_relation_residual,
     fusion_matrix,
@@ -95,6 +96,29 @@ def test_q6j_label_range_errors():
         q6j(2, 3, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         q6j(1, 0, 0, 0, -1, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: braid_phase(2, np.int64(1), 1, 0),
+        lambda: braid_phase(2, 1, 1, 1.5),
+        lambda: braid_phase(2, 1, 1, 7),
+        lambda: t_phase(2, np.int64(1)),
+        lambda: fusion_matrix(2, np.int64(1), 1, 1, 1),
+        lambda: q6j(2, np.int64(1), 1, 1, 1, 0, 0),
+        lambda: q6j(2, 1, 1, 1, 1, np.int64(0), 0),
+    ],
+    ids=[
+        "braid_phase", "braid-channel-float", "braid-channel-range", "t_phase",
+        "fusion_matrix", "q6j-label", "q6j-channel",
+    ],
+)
+def test_one_label_rule(call):
+    # labels and channels are Python ints everywhere, and braid channels lie
+    # in 0..k like the labels they couple
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_fusion_matrix_unitary():
@@ -412,14 +436,14 @@ def test_block_space_boundary_labels():
     leg = graph.parabolic_darts()[0]
     space = block_space(graph, 3, boundary={leg: Fraction(2, 6)})
     assert space.dim == 2
-    assert [w.numerators() for w in space.basis] == [(1, 2), (2, 2)]
+    assert [w.numerators for w in space.basis] == [(1, 2), (2, 2)]
     with pytest.raises(ValueError):
         block_space(graph, 3)
 
 
 def test_t_operator_diagonal_phases():
     space = block_space(theta_graph(), 1)
-    numerators = [w.numerators() for w in space.basis]
+    numerators = [w.numerators for w in space.basis]
     assert numerators == [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
     op = t_operator(space, 0)
     assert op.shape == (4, 4)

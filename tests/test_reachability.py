@@ -17,8 +17,8 @@ SRC = ROOT / "src" / "verlinde"
 # Test-only names that stay, each with its reason.  A name wired to an entry
 # point must leave this list; the test fails until it does.
 KEEP = {
-    ("modular", "pentagon_check"): "perfbench's tracer times it by name, "
-    "as modular.pentagon_check.self_s",
+    ("modular", "pentagon_check"): "the public single-relation pentagon "
+    "check that the tests use; level-wide reports go through _pentagon_residual",
     ("modular", "phase_unit"): "README API; the Gauss-sum comparison of "
     "Heegaard words needs it",
     ("modular", "same_phase_class"): "README API; the Gauss-sum comparison of "

@@ -204,7 +204,6 @@ def test_fourier_series_evaluation():
 
 def test_delta_distribution_all_ones_at_level_one():
     d = delta_distribution((0,), 1)
-    assert d.growth == "polynomial"
     for n in (-3, 0, 5):
         assert d.coefficient((n,)) == 1
 
@@ -260,12 +259,6 @@ def test_abelian_cst_pipeline_matches_theta_char():
         series = abelian_cst(delta_distribution(l, k), om, 1 / k)
         direct = theta_char(ThetaCharacteristic(k, l), om, z)
         assert abs(evaluate_series(series, z) - direct) < 1e-10
-
-
-def test_abelian_cst_rejects_bad_growth_class():
-    f = FourierSeries(1, {(0,): 1.0}, growth="exponential")
-    with pytest.raises(ValueError):
-        abelian_cst(f, PeriodMatrix([[1j]]), 0.5)
 
 
 def test_abelian_cst_unitarity_monte_carlo():

@@ -49,10 +49,7 @@ def closed_form_count(g, k):
 
 def w(graph, k, numerators):
     """Weight from numerators over 2k, in edge-id order."""
-    den = 2 * k
-    return WeightFunction(
-        graph, k, dict(zip(graph.edge_ids(), (Fraction(n, den) for n in numerators)))
-    )
+    return WeightFunction(graph, k, tuple(numerators))
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +76,17 @@ def test_dumbbell_sum_bound():
 
 def test_out_of_range_value_rejected():
     g = theta_graph()
-    with pytest.raises(ValueError):
-        WeightFunction(g, 1, {e: Fraction(3, 4) for e in g.edge_ids()})
-    with pytest.raises(ValueError):
-        WeightFunction(g, 2, {e: Fraction(-1, 4) for e in g.edge_ids()})
+    for k, nums in [
+        (1, (2, 0, 0)),  # above the level
+        (2, (-1, 1, 0)),
+        (2, (Fraction(1, 2), 1, 1)),
+        (2, (1.0, 1, 0)),
+        (2, (True, 1, 0)),
+        (2, (1, 1)),  # one numerator per edge
+        (2, (1, 1, 0, 0)),
+    ]:
+        with pytest.raises(ValueError):
+            w(g, k, nums)
 
 
 def test_loop_counted_twice():
@@ -186,14 +190,21 @@ def test_boundary_labels():
 def test_level_monotonicity():
     # a level-k coloring stays admissible at any higher level
     for wf in enumerate_weights(theta_graph(), 2):
-        nums = [wf.values[e] * 4 for e in theta_graph().edge_ids()]
         for k2 in (3, 5, 8):
-            scaled = {
-                e: Fraction(int(n), 2 * k2)
-                for e, n in zip(theta_graph().edge_ids(), nums)
-            }
-            ok, _ = is_admissible(WeightFunction(theta_graph(), k2, scaled))
+            ok, _ = is_admissible(w(theta_graph(), k2, wf.numerators))
             assert ok
+
+
+@pytest.mark.parametrize("graph", [theta_graph(), dumbbell_graph()], ids=["theta", "dumbbell"])
+@pytest.mark.parametrize("k", range(1, 5))
+def test_values_view_matches_numerators(graph, k):
+    # the Fraction view is numerator / 2k edge by edge, and the Fraction
+    # reference accepts every weight the integer search lists
+    for wf in enumerate_weights(graph, k):
+        assert dict(wf.values) == {
+            e: Fraction(n, 2 * k) for e, n in zip(graph.edge_ids(), wf.numerators)
+        }
+        assert is_admissible(wf)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +336,7 @@ def test_lattice_census_matches_enumeration():
             )
             if parity and p.contains(vals):
                 pts.append(nums)
-        counted = {
-            tuple(int(wf.values[e] * den) for e in g.edge_ids())
-            for wf in enumerate_weights(g, k)
-        }
+        counted = {wf.numerators for wf in enumerate_weights(g, k)}
         assert set(pts) == counted
 
 
@@ -412,7 +420,7 @@ def test_weight_json_roundtrip():
     assert len(data["weights"]) == len(ws)
     for entry, wf in zip(data["weights"], ws):
         assert list(entry) == [str(e) for e in g.edge_ids()]
-        assert tuple(entry.values()) == wf.numerators()
+        assert tuple(entry.values()) == wf.numerators
 
 
 # ---------------------------------------------------------------------------
