@@ -329,14 +329,10 @@ def _cmd_gauge_check(args):
     graph = _load_graph(args.graph)
     rng = np.random.default_rng(args.seed)
     conn = gauge.random_connection(graph, rng)
-    networks = [gauge.spin_network(graph, c) for c in gauge.admissible_colorings(graph, args.cap)]
-    base = [gauge.spin_network_value(snf, conn) for snf in networks]
-    worst = 0.0
-    for _ in range(args.samples):
-        moved = gauge.gauge_act(conn, gauge.random_transform(graph, rng))
-        for snf, ref in zip(networks, base):
-            worst = max(worst, abs(gauge.spin_network_value(snf, moved) - ref))
-    _jprint({"colorings": len(networks), "samples": args.samples, "residual": _sci(worst)})
+    colorings = gauge.admissible_colorings(graph, args.cap)
+    transforms = [gauge.random_transform(graph, rng) for _ in range(args.samples)]
+    worst = gauge.orbit_spread(conn, colorings, transforms)
+    _jprint({"colorings": len(colorings), "samples": args.samples, "residual": _sci(worst)})
     if worst > args.tol:
         raise InvariantViolation(f"gauge orbit spread {worst} exceeds tolerance")
     return 0

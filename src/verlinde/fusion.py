@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .graphs import multi_theta
-from .su2reps import check_labels, check_level
+from .su2reps import _check_label, check_labels, check_level
 from .weights import InvariantViolation, count_weights
 
 
@@ -128,6 +128,7 @@ def rk(g, N, k):
 def character(k, n, m):
     """chi_n(m) = sin((m+1) n pi/(k+2)) / sin(n pi/(k+2))."""
     check_level(k)
+    _check_label(n)
     if not 1 <= n <= k + 1:
         raise ValueError(f"character index must lie in 1..{k + 1}")
     check_labels(k, (m,))
@@ -138,6 +139,7 @@ def character(k, n, m):
 def chi_c(k, n):
     """Casimir character value (k+2) / (2 sin^2(n pi/(k+2)))."""
     check_level(k)
+    _check_label(n)
     if not 1 <= n <= k + 1:
         raise ValueError(f"character index must lie in 1..{k + 1}")
     return (k + 2) / (2.0 * math.sin(n * math.pi / (k + 2)) ** 2)

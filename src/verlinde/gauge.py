@@ -85,9 +85,7 @@ class Connection:
         return a if dart == e else _inv2(a)
 
 
-def random_connection(graph, rng=0):
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+def random_connection(graph, rng):
     return Connection(graph, {e: haar_su2(rng) for e in graph.edge_ids()})
 
 
@@ -105,9 +103,7 @@ class GaugeTransform:
         object.__setattr__(self, "elements", els)
 
 
-def random_transform(graph, rng=0):
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+def random_transform(graph, rng):
     return GaugeTransform(graph, {v: haar_su2(rng) for v in range(graph.n_vertices)})
 
 
@@ -200,7 +196,11 @@ def _values_batch(snf, batch):
         kernel = np.einsum("ij,bjk->bik", omega(n).astype(complex), rep)
         operands += [kernel, [bax, d, p]]
     subscripts = tuple(tuple(sub) for sub in operands[1::2]) + ((bax,),)
-    path = _contraction_path(subscripts, tuple(t.shape for t in operands[::2]))
+    # search as for a batch of one: greedy caps intermediates at the largest
+    # operand, so a wide batch would force a one-shot contraction
+    shapes = [t.shape for t in operands[::2]]
+    shapes[graph.n_vertices:] = [(1,) + s[1:] for s in shapes[graph.n_vertices:]]
+    path = _contraction_path(subscripts, tuple(shapes))
     return np.einsum(*operands, [bax], optimize=path)
 
 
@@ -223,6 +223,24 @@ def spin_network_value(snf, conn):
         raise ValueError("network and connection live on different graphs")
     batch = np.stack([conn.matrices[e] for e in snf.graph.edge_ids()])[None]
     return complex(_values_batch(snf, batch)[0])
+
+
+def _orbit_batch(conn, transforms):
+    """(1 + N, E, 2, 2) stack: the connection, then its move by each transform."""
+    eids = conn.graph.edge_ids()
+    moved = [conn] + [gauge_act(conn, gt) for gt in transforms]
+    return np.stack([[c.matrices[e] for e in eids] for c in moved])
+
+
+def orbit_spread(conn, colorings, transforms):
+    """Largest |f(g.conn) - f(conn)| over the colorings' networks f and the
+    transforms g; the orbit is stacked once, one batched evaluation per f."""
+    batch = _orbit_batch(conn, transforms)
+    worst = 0.0
+    for coloring in colorings:
+        values = _values_batch(spin_network(conn.graph, coloring), batch)
+        worst = max(worst, float(np.abs(values[1:] - values[0]).max(initial=0.0)))
+    return worst
 
 
 # -- Monte Carlo probes --------------------------------------------------------

@@ -7,22 +7,26 @@ exp(t i pi n.Omega.n), turning distributions into holomorphic sums.
 
 The nonabelian half replaces the torus by SU(2)^g up to simultaneous
 conjugation.  Functions are finite sums of matrix blocks traced against
-product irreps, the Omega-weighted invariant Laplacian acts on each block by
-an explicit matrix, and a colored trivalent graph yields a theta series by
-flowing its holonomy function for time 1/k.
+product irreps, and the Omega-weighted invariant Laplacian acts on each block
+by an explicit matrix.  A colored trivalent graph reduces to one block; its
+theta value is that block flowed for time 1/k and traced at a Schottky point.
+
+Residues, Fourier indices and irrep labels are integers (numpy ints pass);
+a float or a bool is refused, never truncated.
 """
 
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
 from .gauge import spin_network
-from .graphs import chord_edges
-from .su2reps import AdmissibilityError, casimir, check_level, omega, rep_matrix, wigner_3j
+from .graphs import chord_edges, genus
+from .su2reps import AdmissibilityError, _check_label, casimir, check_level, omega, rep_matrix
 
 _MAX_RADIUS = 60
 
@@ -57,6 +61,24 @@ def _period(om):
     return om if isinstance(om, PeriodMatrix) else PeriodMatrix(om)
 
 
+def _indices(vec, what):
+    """Integer entries, numpy ints included; floats and bools are refused."""
+    vec = tuple(vec)
+    if any(isinstance(v, bool) or not hasattr(v, "__index__") for v in vec):
+        raise ValueError(f"{what} must be integers")
+    return tuple(operator.index(v) for v in vec)
+
+
+def _labels(labels, g):
+    """One twice-spin int label per handle of a genus-g block."""
+    labels = tuple(labels)
+    for n in labels:
+        _check_label(n)
+    if len(labels) != g:
+        raise ValueError(f"need {g} labels, one per handle, got {len(labels)}")
+    return labels
+
+
 @dataclass(frozen=True)
 class ThetaCharacteristic:
     """Residue vector in (Z/kZ)^g at level k, entries kept in [0, k)."""
@@ -66,7 +88,7 @@ class ThetaCharacteristic:
 
     def __post_init__(self):
         check_level(self.level)
-        vec = tuple(int(v) for v in self.vector)
+        vec = _indices(self.vector, "characteristic entries")
         if not vec:
             raise ValueError("characteristic needs at least one entry")
         if any(v < 0 or v >= self.level for v in vec):
@@ -88,13 +110,6 @@ def _sup_shell(g, s):
         return
     for pt in itertools.product(range(-s, s + 1), repeat=g):
         if max(abs(c) for c in pt) == s:
-            yield pt
-
-
-def _label_shell(g, s):
-    """Nonnegative label vectors of sup norm exactly s."""
-    for pt in itertools.product(range(s + 1), repeat=g):
-        if max(pt) == s:
             yield pt
 
 
@@ -173,26 +188,18 @@ class FourierSeries:
         if self.coefficients is not None:
             coeffs = {}
             for n, a in self.coefficients.items():
-                key = tuple(int(v) for v in n)
+                key = _indices(n, "coefficient indices")
                 if len(key) != self.genus:
                     raise ValueError("coefficient index has the wrong length")
                 coeffs[key] = complex(a)
             object.__setattr__(self, "coefficients", coeffs)
         else:
             l, k = self.coset
-            l = tuple(int(v) for v in l)
-            if len(l) != self.genus or k < 1 or any(v < 0 or v >= k for v in l):
+            check_level(k)
+            l = _indices(l, "coset residues")
+            if len(l) != self.genus or any(v < 0 or v >= k for v in l):
                 raise ValueError("coset needs residues in [0, k)")
             object.__setattr__(self, "coset", (l, k))
-
-    def coefficient(self, n):
-        n = tuple(int(v) for v in n)
-        if len(n) != self.genus:
-            raise ValueError("index has the wrong length")
-        if self.coset is not None:
-            l, k = self.coset
-            return 1 if all((a - b) % k == 0 for a, b in zip(n, l)) else 0
-        return self.coefficients.get(n, 0)
 
 
 def delta_distribution(l, k):
@@ -304,11 +311,7 @@ def su2_laplacian_block(labels, om):
     explicit matrix; a diagonal Omega gives the scalar -laplacian_eigenvalue.
     """
     pm = _period(om)
-    labels = tuple(int(n) for n in labels)
-    if len(labels) != pm.genus:
-        raise ValueError("labels and period matrix genus differ")
-    if any(n < 0 for n in labels):
-        raise ValueError("labels must be nonnegative twice-spins")
+    labels = _labels(labels, pm.genus)
     total = int(np.prod([n + 1 for n in labels]))
     lifted = _lifted_generators(labels)
     out = np.zeros((total, total), dtype=complex)
@@ -329,9 +332,7 @@ def laplacian_eigenvalue(labels, om):
     matrices mix the block and have no single eigenvalue.
     """
     pm = _period(om)
-    labels = tuple(int(n) for n in labels)
-    if len(labels) != pm.genus:
-        raise ValueError("labels and period matrix genus differ")
+    labels = _labels(labels, pm.genus)
     off = pm.matrix - np.diag(np.diag(pm.matrix))
     if np.abs(off).max() > 1e-14:
         raise ValueError("eigenvalue only defined for diagonal period matrices")
@@ -356,9 +357,7 @@ class PWSeries:
             raise ValueError("genus must be at least 1")
         blocks = {}
         for labels, b in self.blocks.items():
-            key = tuple(int(n) for n in labels)
-            if len(key) != self.genus or any(n < 0 for n in key):
-                raise ValueError("block labels must be nonnegative twice-spins")
+            key = _labels(labels, self.genus)
             m = np.asarray(b, dtype=complex)
             dim = int(np.prod([n + 1 for n in key]))
             if m.shape != (dim, dim):
@@ -455,84 +454,25 @@ def spin_network_blocks(graph, coloring):
     return labels, tensor.reshape(dim, dim)
 
 
-def _check_vertex_sums(graph, coloring, k):
+def nonabelian_theta(graph, coloring, k, om, point):
+    """Level-k theta value of a colored graph at a conjugation orbit.
+
+    The graph function reduces to a single block via `spin_network_blocks`;
+    the value is that block flowed for time 1/k and traced against the
+    point.  A diagonal Omega flows by the scalar `laplacian_eigenvalue`, any
+    other by `nonabelian_cst`.
+    """
+    pm = _period(om)
+    g = genus(graph)
+    if g != pm.genus:
+        raise ValueError("graph genus and period matrix genus differ")
+    check_level(k)
+    labels, block = spin_network_blocks(graph, coloring)
     for v in range(graph.n_vertices):
         colors = [coloring[graph.edge_of(d)] for d in graph.star(v)]
         if sum(colors) > 2 * k:
-            raise AdmissibilityError(
-                f"vertex {v} colors exceed level {k}: {colors}"
-            )
-
-
-def _clebsch_embedding(n, m, p):
-    """Isometry V_p -> V_n (x) V_m intertwining the product action."""
-    t = wigner_3j(n, m, p).tensor
-    return math.sqrt(p + 1) * np.einsum("abc,cd->abd", t, omega(p))
-
-
-def nonabelian_theta(graph, coloring, k, om, point, cutoff=8, variant="pairing", tol=1e-9):
-    """Level-k theta value of a colored graph at a conjugation orbit.
-
-    The graph function reduces to a single block via `spin_network_blocks`.
-    The default "pairing" variant flows that block for time 1/k and traces it
-    against the point.  The "product" variant instead multiplies the graph
-    function by the level delta series (blocks up to `cutoff` per handle,
-    each weighted by its dimension, the Peter-Weyl weight), flows the
-    expansion, and sums the traces; the tail past `cutoff` must stay below
-    tol or the sum aborts.
-    """
-    pm = _period(om)
-    genus = len(graph.edge_ids()) - graph.n_vertices + 1
-    if genus != pm.genus:
-        raise ValueError("graph genus and period matrix genus differ")
-    mats = _point_matrices(point, genus)
-    check_level(k)
-    labels, block = spin_network_blocks(graph, coloring)
-    _check_vertex_sums(graph, coloring, k)
-    diagonal = np.abs(pm.matrix - np.diag(np.diag(pm.matrix))).max() <= 1e-14
-
-    def flow_trace(plabels, b):
-        if diagonal:
-            damped = cmath.exp(-laplacian_eigenvalue(plabels, pm) / (2 * k)) * b
-            return pw_evaluate(PWSeries(genus, {plabels: damped}), mats)
-        return pw_evaluate(nonabelian_cst(PWSeries(genus, {plabels: b}), pm, 1 / k), mats)
-
-    if variant == "pairing":
-        return flow_trace(labels, block)
-    if variant != "product":
-        raise ValueError("variant must be 'pairing' or 'product'")
-
-    dims = [n + 1 for n in labels]
-    btensor = block.reshape(dims + dims)
-    total = 0j
-    shell_mag = 0.0
-    for s in range(cutoff + 1):
-        shell_mag = 0.0
-        for mvec in _label_shell(genus, s):
-            weight = np.prod([v + 1 for v in mvec])
-            embeddings = [
-                [_clebsch_embedding(n, m, p) for p in range(abs(n - m), n + m + 1, 2)]
-                for n, m in zip(labels, mvec)
-            ]
-            for choice in itertools.product(*embeddings):
-                plabels = tuple(e.shape[2] - 1 for e in choice)
-                operands = [btensor, list(range(2 * genus))]
-                out = []
-                for i, e in enumerate(choice):
-                    b_ax = 2 * genus + i
-                    c_ax, c2_ax = 3 * genus + i, 4 * genus + i
-                    operands += [e.conj(), [i, b_ax, c_ax]]
-                    operands += [e, [genus + i, b_ax, c2_ax]]
-                    out.append(c_ax)
-                out += [4 * genus + i for i in range(genus)]
-                bp = np.einsum(*operands, out, optimize=True)
-                d = int(np.prod([p + 1 for p in plabels]))
-                term = weight * flow_trace(plabels, bp.reshape(d, d))
-                total += term
-                shell_mag += abs(term)
-    if shell_mag > tol:
-        raise ValueError(
-            f"product expansion tail {shell_mag:.3e} above {tol:.1e}; "
-            f"cutoff {cutoff} is too small"
-        )
-    return total
+            raise AdmissibilityError(f"vertex {v} colors exceed level {k}: {colors}")
+    if np.abs(pm.matrix - np.diag(np.diag(pm.matrix))).max() <= 1e-14:
+        damped = cmath.exp(-laplacian_eigenvalue(labels, pm) / (2 * k)) * block
+        return pw_evaluate(PWSeries(g, {labels: damped}), point)
+    return pw_evaluate(nonabelian_cst(PWSeries(g, {labels: block}), pm, 1 / k), point)

@@ -218,6 +218,15 @@ def test_character_level1_value():
     assert character(1, 1, 1) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("n", [1.5, 2.0, True])
+def test_character_index_must_be_an_int(n):
+    # a float or bool index names no character, even inside 1..k+1
+    with pytest.raises(ValueError):
+        character(3, n, 0)
+    with pytest.raises(ValueError):
+        chi_c(3, n)
+
+
 @pytest.mark.parametrize("k", range(1, 9))
 def test_chi_c_closed_matches_direct(k):
     for n in range(1, k + 2):

@@ -255,6 +255,32 @@ def test_spin_network_gauge_invariance(graph, coloring):
             assert abs(spin_network_value(snf, acted) - base) < 1e-10
 
 
+@pytest.mark.parametrize("graph", [theta_graph(), dumbbell_graph(), multi_theta(3)])
+def test_orbit_batch_matches_single_evaluations(graph):
+    rng = np.random.default_rng(21)
+    conn = random_connection(graph, rng)
+    transforms = [random_transform(graph, rng) for _ in range(7)]
+    batch = gauge._orbit_batch(conn, transforms)
+    assert batch.shape == (8, len(graph.edge_ids()), 2, 2)
+    for coloring in admissible_colorings(graph, 2):
+        snf = spin_network(graph, coloring)
+        values = gauge._values_batch(snf, batch)
+        singles = [conn] + [gauge_act(conn, t) for t in transforms]
+        for got, c in zip(values, singles):
+            assert abs(got - spin_network_value(snf, c)) < 1e-14
+
+
+def test_orbit_spread_is_rounding_noise():
+    graph = dumbbell_graph()
+    rng = np.random.default_rng(22)
+    conn = random_connection(graph, rng)
+    transforms = [random_transform(graph, rng) for _ in range(5)]
+    colorings = admissible_colorings(graph, 3)
+    spread = gauge.orbit_spread(conn, colorings, transforms)
+    assert 0.0 <= spread < 1e-12
+    assert gauge.orbit_spread(conn, colorings, []) == 0.0
+
+
 def test_spin_network_value_mismatched_graph():
     snf = spin_network(theta_graph(), {0: 1, 2: 1, 4: 0})
     conn = Connection(dumbbell_graph(), {e: I2 for e in (0, 2, 4)})
