@@ -58,9 +58,6 @@ class FusionRing:
         check_labels(self.level, (a, b, c))
         return _fusion_matrices(self.level)[0][a][b][c]
 
-    def fuse(self, a, b):
-        return fuse(self.level, a, b)
-
     def multiplication_rows(self):
         """Rows (a, b, c1 c2 ...) of the multiplication table."""
         rows = []

@@ -233,27 +233,38 @@ def _vertex_profile(graph, v):
     return (loops, tuple(sorted(neigh.values())), len(graph.star(v)))
 
 
-def _canonical_data(graph):
-    """Per-component (encoding, relabeling) pairs, sorted by encoding.
+def canonical_form(graph):
+    """Relabeling-invariant encoding; equal iff graphs are isomorphic.
 
-    Branch-and-bound over the BFS relabelings described in canonical_form.
+    Each component is encoded by its least (inv_t, vert_t) over the BFS
+    relabelings: the seed is a vertex of least _vertex_profile with its
+    star in some order, and each newly reached vertex gets its entering
+    dart, then its other darts in some order.  inv_t[t] is the new label
+    of the partner of dart t and vert_t[t] the new label of its vertex.
+    The components' encodings are returned sorted.
+
+    inv_t[t] is fixed when BFS step t runs, so the search cuts a branch as
+    soon as its inv_t prefix exceeds the best found so far, and compares
+    vert_t only at complete relabelings.  A branch whose prefix ties the
+    best is never cut, so the least encoding is found as in an exhaustive
+    scan.
     """
     out = []
     for comp in _components(graph):
         profiles = {v: _vertex_profile(graph, v) for v in comp}
         seed_class = min(profiles.values())
-        best = best_assign = None
+        best = None
         order, new_id, inv_t = [], {}, []
 
         def rec(t, tied):
-            nonlocal best, best_assign
+            nonlocal best
             # tied: inv_t[:t] equals the best's prefix.  Returns whether a
             # new best was recorded below, which ties every open frame again.
             if t == len(order):
                 vert_t = _vertex_encoding(graph, order)
                 if best is not None and tied and vert_t >= best[1]:
                     return False
-                best, best_assign = (tuple(inv_t), vert_t), dict(new_id)
+                best = (tuple(inv_t), vert_t)
                 return True
             p = graph.involution[order[t]]
             x = new_id.get(p, len(order))
@@ -287,42 +298,8 @@ def _canonical_data(graph):
                 new_id.clear()
                 new_id.update((d, i) for i, d in enumerate(perm))
                 rec(0, True)
-        out.append((best, best_assign))
-    out.sort(key=lambda pair: pair[0])
-    return out
-
-
-def canonical_form(graph):
-    """Relabeling-invariant encoding; equal iff graphs are isomorphic.
-
-    Each component is encoded by its least (inv_t, vert_t) over the BFS
-    relabelings: the seed is a vertex of least _vertex_profile with its
-    star in some order, and each newly reached vertex gets its entering
-    dart, then its other darts in some order.  inv_t[t] is the new label
-    of the partner of dart t and vert_t[t] the new label of its vertex.
-
-    inv_t[t] is fixed when BFS step t runs, so the search cuts a branch as
-    soon as its inv_t prefix exceeds the best found so far, and compares
-    vert_t only at complete relabelings.  Ties are never cut: the first
-    least relabeling in search order is kept, as in an exhaustive scan,
-    so _canonical_relabel's dart map is determined too.
-    """
-    return tuple(enc for enc, _ in _canonical_data(graph))
-
-
-def _canonical_relabel(graph):
-    """Canonically relabeled copy plus the old-dart -> new-dart map."""
-    invs, verts = [], []
-    dart_map = {}
-    for enc, assign in _canonical_data(graph):
-        inv_t, vert_t = enc
-        doff = len(invs)
-        voff = max(verts) + 1 if verts else 0
-        invs += [d + doff for d in inv_t]
-        verts += [v + voff for v in vert_t]
-        for old, local in assign.items():
-            dart_map[old] = local + doff
-    return TrivalentGraph(tuple(invs), tuple(verts)), dart_map
+        out.append(best)
+    return tuple(sorted(out))
 
 
 def is_isomorphic(a, b):
@@ -391,8 +368,12 @@ def _trivalent_classes(g):
 # -- moves --------------------------------------------------------------------
 
 
-def contract_edge(graph, e, return_map=False):
-    """Contract a non-loop edge, merging its endpoints (4-valent result)."""
+def contract_edge(graph, e):
+    """Contract a non-loop edge, merging its endpoints (4-valent result).
+
+    Returns the contracted graph and the map from each kept dart to its
+    new label.
+    """
     d0 = e
     d1 = graph.involution[e]
     if d1 == d0:
@@ -413,7 +394,7 @@ def contract_edge(graph, e, return_map=False):
         tuple(dart_map[graph.involution[d]] for d in keep),
         tuple(vmap(graph.vertex_of[d]) for d in keep),
     )
-    return (out, dart_map) if return_map else out
+    return out, dart_map
 
 
 def expand_vertex(graph, v, partition):
@@ -437,43 +418,21 @@ def expand_vertex(graph, v, partition):
     return TrivalentGraph(tuple(inv), tuple(vert))
 
 
-@dataclass(frozen=True)
-class MoveResult:
-    """Both results of an elementary transformation at one edge.
-
-    edge_maps sends each old edge to its counterpart; the transformed edge
-    goes to the freshly inserted one.  loop_case marks the degenerate move
-    that reproduces the input.
-    """
-
-    graphs: tuple
-    edge_maps: tuple
-    loop_case: bool
-
-
 def elementary_transformations(graph, e):
-    d0 = e
+    """The two graphs of the elementary move at a non-loop edge.
+
+    The edge is contracted and the merged vertex expanded along the two
+    partitions that pair each end's darts across; a loop raises ValueError,
+    as in contract_edge.
+    """
+    contracted, dmap = contract_edge(graph, e)
     d1 = graph.involution[e]
-    if graph.vertex_of[d0] == graph.vertex_of[d1]:
-        ident = {x: x for x in graph.edge_ids()}
-        return MoveResult((graph, graph), (ident, dict(ident)), True)
-    contracted, dmap = contract_edge(graph, e, return_map=True)
-    u, w = graph.vertex_of[d0], graph.vertex_of[d1]
-    a, b = (dmap[d] for d in graph.star(u) if d != d0)
-    c, dd = (dmap[d] for d in graph.star(w) if d != d1)
+    a, b = (dmap[d] for d in graph.star(graph.vertex_of[e]) if d != e)
+    c, dd = (dmap[d] for d in graph.star(graph.vertex_of[d1]) if d != d1)
     merged = contracted.vertex_of[a]
-    outs, maps = [], []
-    for part in (((a, c), (b, dd)), ((a, dd), (b, c))):
-        out = expand_vertex(contracted, merged, part)
-        emap = {}
-        for old in graph.edge_ids():
-            if old == graph.edge_of(e):
-                emap[old] = out.n_darts - 2
-            else:
-                emap[old] = out.edge_of(dmap[old])
-        outs.append(out)
-        maps.append(emap)
-    return MoveResult(tuple(outs), tuple(maps), False)
+    return tuple(
+        expand_vertex(contracted, merged, part) for part in (((a, c), (b, dd)), ((a, dd), (b, c)))
+    )
 
 
 def move_graph_components(g):
@@ -485,7 +444,7 @@ def move_graph_components(g):
         for e in graph.edge_ids():
             if graph.is_loop(e):
                 continue
-            for out in elementary_transformations(graph, e).graphs:
+            for out in elementary_transformations(graph, e):
                 j = keys[canonical_form(out)]
                 adj[i].add(j)
                 adj[j].add(i)
@@ -601,44 +560,25 @@ def trace_faces(graph, ribbon):
 # -- serialization ----------------------------------------------------------------
 
 
-def graph_to_json(graph, ribbon=None, canonical=False):
+def graph_to_json(graph, canonical=False):
     """Serialize to the graph JSON format; loops appear as [v, v].
 
-    With canonical=True the graph (and ribbon, if given) is relabeled to its
-    canonical form first, so equal outputs mean isomorphic graphs.  Ribbon
-    orders are stored as lists of edge indices; a loop's first occurrence
-    refers to its lower dart.
+    With canonical=True the graph is rebuilt from its canonical form first,
+    so equal outputs mean isomorphic graphs.
     """
     if canonical:
-        relabeled, dart_map = _canonical_relabel(graph)
-        if ribbon is not None:
-            ribbon = RibbonStructure(
-                {
-                    relabeled.vertex_of[dart_map[cyc[0]]]: tuple(
-                        dart_map[d] for d in cyc
-                    )
-                    for cyc in ribbon.cyclic_order.values()
-                }
-            )
-        graph = relabeled
-    edges = graph.edges()
+        invs, verts = [], []
+        for inv_t, vert_t in canonical_form(graph):
+            doff = len(invs)
+            voff = max(verts) + 1 if verts else 0
+            invs += [d + doff for d in inv_t]
+            verts += [v + voff for v in vert_t]
+        graph = TrivalentGraph(tuple(invs), tuple(verts))
     data = {
         "vertices": graph.n_vertices,
-        "edges": [
-            [graph.vertex_of[d0], graph.vertex_of[d1]] for d0, d1 in edges
-        ],
+        "edges": [[graph.vertex_of[d0], graph.vertex_of[d1]] for d0, d1 in graph.edges()],
         "parabolic": [graph.vertex_of[d] for d in graph.parabolic_darts()],
     }
-    if ribbon is not None:
-        if graph.parabolic_darts():
-            raise ValueError("ribbon serialization supports closed graphs only")
-        eindex = {}
-        for i, (d0, d1) in enumerate(edges):
-            eindex[d0] = eindex[d1] = i
-        data["ribbon"] = {
-            str(v): [eindex[d] for d in ribbon.cyclic_order[v]]
-            for v in sorted(ribbon.cyclic_order)
-        }
     return json.dumps(data, sort_keys=True)
 
 

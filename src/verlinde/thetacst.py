@@ -6,10 +6,10 @@ distributions, and the time-t transform that damps the coefficient at n by
 exp(t i pi n.Omega.n), turning distributions into holomorphic sums.
 
 The nonabelian half replaces the torus by SU(2)^g up to simultaneous
-conjugation.  Functions are finite sums of matrix blocks traced against
-product irreps, and the Omega-weighted invariant Laplacian acts on each block
-by an explicit matrix.  A colored trivalent graph reduces to one block; its
-theta value is that block flowed for time 1/k and traced at a Schottky point.
+conjugation.  A colored trivalent graph reduces to one matrix block traced
+against a product irrep, and the Omega-weighted invariant Laplacian acts on
+that block by an explicit matrix.  The graph's theta value is the block
+flowed for time 1/k and traced at a Schottky point.
 
 Residues, Fourier indices and irrep labels are integers (numpy ints pass);
 a float or a bool is refused, never truncated.
@@ -22,7 +22,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .gauge import spin_network
 from .graphs import chord_edges, genus
@@ -267,7 +266,7 @@ def abelian_cst(series, om, t):
     )
 
 
-# -- the invariant Laplacian on block series ---------------------------------------
+# -- the invariant Laplacian on one block ---------------------------------------------
 
 
 def _su2_generators(n):
@@ -342,88 +341,33 @@ def laplacian_eigenvalue(labels, om):
     )
 
 
-# -- block series on SU(2)^g --------------------------------------------------------
+# -- one block on SU(2)^g ---------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class PWSeries:
-    """Finitely many matrix blocks indexed by product-irrep labels."""
-
-    genus: int
-    blocks: dict
-
-    def __post_init__(self):
-        if self.genus < 1:
-            raise ValueError("genus must be at least 1")
-        blocks = {}
-        for labels, b in self.blocks.items():
-            key = _labels(labels, self.genus)
-            m = np.asarray(b, dtype=complex)
-            dim = int(np.prod([n + 1 for n in key]))
-            if m.shape != (dim, dim):
-                raise ValueError(
-                    f"block {key} must be {dim} x {dim}, got {m.shape}"
-                )
-            blocks[key] = m
-        object.__setattr__(self, "blocks", blocks)
-
-
-@dataclass(frozen=True, eq=False)
-class SchottkyPoint:
-    """One unimodular matrix per handle, taken up to overall conjugation."""
-
-    matrices: tuple
-
-    def __post_init__(self):
-        mats = []
-        for m in self.matrices:
-            a = np.asarray(m, dtype=complex)
-            if a.shape != (2, 2):
-                raise ValueError("handle matrices must be 2 x 2")
-            det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-            if abs(det - 1) > 1e-9:
-                raise ValueError("handle matrices must have determinant one")
-            mats.append(a)
-        if not mats:
-            raise ValueError("need at least one handle matrix")
-        object.__setattr__(self, "matrices", tuple(mats))
-
-
-def _point_matrices(point, genus):
-    mats = point.matrices if isinstance(point, SchottkyPoint) else tuple(
-        np.asarray(m, dtype=complex) for m in point
-    )
-    if len(mats) != genus:
+def pw_evaluate(labels, block, point):
+    """tr(rho_labels(point) . block), with one unimodular matrix per handle."""
+    if len(point) != len(labels):
         raise ValueError("point has the wrong number of handle matrices")
-    return mats
+    rep = np.eye(1, dtype=complex)
+    for n, w in zip(labels, point):
+        rep = np.kron(rep, rep_matrix(n, w))
+    return complex(np.trace(rep @ block))
 
 
-def pw_evaluate(series, point):
-    """Sum over blocks of tr(rho_labels(point) . block)."""
-    mats = _point_matrices(point, series.genus)
-    total = 0j
-    for labels, block in series.blocks.items():
-        rep = np.eye(1, dtype=complex)
-        for n, w in zip(labels, mats):
-            rep = np.kron(rep, rep_matrix(n, w))
-        total += np.trace(rep @ block)
-    return complex(total)
+def nonabelian_cst(labels, block, om, k):
+    """Level-k transform of one block: exp(t/2 Laplacian) . block at t = 1/k.
 
-
-def nonabelian_cst(series, om, t):
-    """Flow a block series for time t: each block is hit by exp(t/2 Laplacian)."""
+    A diagonal Omega acts by the scalar -laplacian_eigenvalue; any other is
+    exponentiated as the matrix su2_laplacian_block.
+    """
     pm = _period(om)
-    if pm.genus != series.genus:
-        raise ValueError("series and period matrix genus differ")
-    if t < 0:
-        raise ValueError("transform time must be nonnegative")
-    if t == 0:
-        return series
-    blocks = {
-        labels: expm(su2_laplacian_block(labels, pm) * (t / 2)) @ b
-        for labels, b in series.blocks.items()
-    }
-    return PWSeries(series.genus, blocks)
+    check_level(k)
+    if np.abs(pm.matrix - np.diag(np.diag(pm.matrix))).max() <= 1e-14:
+        return cmath.exp(-laplacian_eigenvalue(labels, pm) / (2 * k)) * block
+    from scipy.linalg import expm  # imported here: at module level it doubles the cli import time
+
+    t = 1 / k
+    return expm(su2_laplacian_block(labels, pm) * (t / 2)) @ block
 
 
 # -- graph functions as single blocks ------------------------------------------------
@@ -458,13 +402,11 @@ def nonabelian_theta(graph, coloring, k, om, point):
     """Level-k theta value of a colored graph at a conjugation orbit.
 
     The graph function reduces to a single block via `spin_network_blocks`;
-    the value is that block flowed for time 1/k and traced against the
-    point.  A diagonal Omega flows by the scalar `laplacian_eigenvalue`, any
-    other by `nonabelian_cst`.
+    the value is that block flowed by `nonabelian_cst` and traced against
+    the point, one SU(2) or SL(2, C) matrix per chord.
     """
     pm = _period(om)
-    g = genus(graph)
-    if g != pm.genus:
+    if genus(graph) != pm.genus:
         raise ValueError("graph genus and period matrix genus differ")
     check_level(k)
     labels, block = spin_network_blocks(graph, coloring)
@@ -472,7 +414,4 @@ def nonabelian_theta(graph, coloring, k, om, point):
         colors = [coloring[graph.edge_of(d)] for d in graph.star(v)]
         if sum(colors) > 2 * k:
             raise AdmissibilityError(f"vertex {v} colors exceed level {k}: {colors}")
-    if np.abs(pm.matrix - np.diag(np.diag(pm.matrix))).max() <= 1e-14:
-        damped = cmath.exp(-laplacian_eigenvalue(labels, pm) / (2 * k)) * block
-        return pw_evaluate(PWSeries(g, {labels: damped}), point)
-    return pw_evaluate(nonabelian_cst(PWSeries(g, {labels: block}), pm, 1 / k), point)
+    return pw_evaluate(labels, nonabelian_cst(labels, block, pm, k), point)

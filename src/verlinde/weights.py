@@ -198,10 +198,6 @@ class U1NetworkFamily:
     def count(self):
         return len(self.flows)
 
-    def coordinates(self, flow):
-        """Chord values of a flow; a bijection onto (Z_k)^g."""
-        return tuple(flow[e] for e in self.cycle_basis)
-
 
 def u1_networks(graph, k):
     """Mod-k edge flows with Kirchhoff condition at every vertex.

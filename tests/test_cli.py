@@ -665,3 +665,10 @@ def test_closed_stdout_exits_one_without_traceback():
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err
     assert "BrokenPipeError" not in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # only the non-diagonal nonabelian flow needs scipy, and it imports it there
+    code = "import sys, verlinde.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")

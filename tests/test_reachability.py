@@ -1,11 +1,16 @@
-"""Every top-level def and class in src/verlinde/ is reached from an entry point.
+"""Every def, class and method in src/verlinde/ is reached from the program.
 
-The walk starts at cli.run and cli.main, at the module-level code of every
-package module (which holds claims.CLAIMS), and at everything in scripts/
-and perfbench/.  From there it follows names through the AST: a bare name
-resolves to a definition or import of the module it appears in, and
-`module.name` resolves through an imported package module.  Tests are not
-entry points, so a function that only tests call is reported here.
+The walk starts at cli.run and cli.main and at the module-level code of the
+package modules, which importing cli runs (claims.CLAIMS among it).  From
+there it follows names through the AST: a bare name resolves to a definition
+or import of the module it appears in, and `module.name` resolves through an
+imported package module.  A method or property counts as reached when reached
+code reads `.name` on any object; matching by name alone can over-count reach
+but never under-count it.  Dunder methods run implicitly and are exempt.
+
+Tests are not entry points, so a function or method that only tests call is
+reported here.  Neither are scripts/ and perfbench/: a name that only they
+reach must sit on BENCH_KEEP, with the open ROADMAP item it waits on.
 """
 
 import ast
@@ -28,11 +33,62 @@ KEEP = {
     "newstead to fusion",
     ("weights", "is_admissible"): "the Fraction reference that tests compare "
     "enumerate_weights against",
+    ("weights", "MomentPolytope.contains"): "the H-representation membership "
+    "test that tests compare enumerate_weights against",
+}
+
+_ITEM2 = "ROADMAP item 2: the Riemann-Roch route and its leading-coefficient claim"
+_ITEM4 = "ROADMAP item 4: the nonabelian-theta claim"
+_ITEM5 = "ROADMAP item 5: the exact cyclotomic 6j route"
+_ITEM6 = "ROADMAP item 6: block-space dimensions and chain invariants against rk"
+_ITEM8 = "ROADMAP item 8: give it an exact second route, or delete it with its perfbench op"
+
+# Names that only scripts/ or perfbench/ reach, each with the open ROADMAP
+# item that puts it on a claim or deletes it.  No claim checks these yet.
+BENCH_KEEP = {
+    **{("newstead", n): _ITEM2 for n in ("ConjectureReport", "conjecture_scan")},
+    **{
+        ("weights", n): _ITEM2
+        for n in ("AsymptoticsReport", "_newton_coefficients", "bs_asymptotics")
+    },
+    **{
+        ("thetacst", n): _ITEM4
+        for n in (
+            "_labels", "_lifted_generators", "_su2_generators", "laplacian_eigenvalue",
+            "nonabelian_cst", "nonabelian_theta", "pw_evaluate", "spin_network_blocks",
+            "su2_laplacian_block",
+        )
+    },
+    **{
+        ("modular", n): _ITEM5
+        for n in ("SixJTable", "SixJTable.coefficient", "q6j", "six_j_table")
+    },
+    **{
+        ("modular", n): _ITEM6
+        for n in (
+            "BlockSpace", "BlockSpace.dim", "BlockSpace.index_of", "_edge_positions",
+            "_end_switch", "block_space", "genus_chain_invariant", "genus_chain_operator",
+            "t_operator",
+        )
+    },
+    **{
+        ("gauge", n): _ITEM8
+        for n in (
+            "PeterWeylReport", "ProbeReport", "_chunks", "_haar_batch",
+            "distinguishability_probe", "peter_weyl_probe",
+        )
+    },
+    ("graphs", "is_isomorphic"): _ITEM8,
+    ("thetacst", "truncation_radius"): _ITEM8,
 }
 
 
 def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
 
 
 def _scope(tree, module):
@@ -73,61 +129,115 @@ def _scope(tree, module):
 
 
 def _references(nodes, scope):
-    """Targets of the names and attribute chains used inside nodes."""
-    found = set()
+    """Targets of the names and attribute chains used inside nodes, and
+    every attribute name read there."""
+    found, attrs = set(), set()
     for top in nodes:
         for node in ast.walk(top):
             if isinstance(node, ast.Name):
                 target = scope.get(node.id)
                 if target and target[0] == "def":
                     found.add(target[1:])
-            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                target = scope.get(node.value.id)
-                if target and target[0] == "module":
-                    found.add((target[1], node.attr))
-            elif (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Attribute)
-                and isinstance(node.value.value, ast.Name)
-                and scope.get(node.value.value.id) == ("package",)
-            ):
-                found.add((node.value.attr, node.attr))
-    return found
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+                if isinstance(node.value, ast.Name):
+                    target = scope.get(node.value.id)
+                    if target and target[0] == "module":
+                        found.add((target[1], node.attr))
+                elif (
+                    isinstance(node.value, ast.Attribute)
+                    and isinstance(node.value.value, ast.Name)
+                    and scope.get(node.value.value.id) == ("package",)
+                ):
+                    found.add((node.value.attr, node.attr))
+    return found, attrs
 
 
-def unreached():
-    defs, scopes, roots = {}, {}, set()
+def _program():
+    """Definitions with the nodes reaching each one walks, per-module scopes,
+    methods by name, and the package's module-level code."""
+    defs, scopes, methods, body = {}, {}, {}, []
     for path in sorted(SRC.glob("*.py")):
         module = path.stem
         tree = _parse(path)
         scopes[module] = _scope(tree, module)
-        body = []
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs[(module, node.name)] = node
+            if isinstance(node, ast.FunctionDef):
+                defs[(module, node.name)] = [node]
+            elif isinstance(node, ast.ClassDef):
+                # a reached class runs its decorators, fields and dunders, and
+                # a base class from outside the package may call any of its
+                # methods (argparse calls error); any other method is walked
+                # only once it is reached itself
+                walked = [*node.decorator_list, *node.bases]
+                hooks = any(
+                    not (isinstance(base, ast.Name) and base.id in scopes[module])
+                    for base in node.bases
+                )
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name) and not hooks:
+                        defs[(module, f"{node.name}.{item.name}")] = [item]
+                        methods.setdefault(item.name, []).append((module, f"{node.name}.{item.name}"))
+                    else:
+                        walked.append(item)
+                defs[(module, node.name)] = walked
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
-                body.append(node)
-        roots |= _references(body, scopes[module])
-    roots |= {("cli", "run"), ("cli", "main")}
-    for path in sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
-        tree = _parse(path)
-        roots |= _references([tree], _scope(tree, None))
+                body.append((module, node))
+    return defs, scopes, methods, body
 
-    seen, todo = set(), [r for r in roots if r in defs]
+
+def reached(extra_roots=()):
+    """Keys of the definitions reached from the program's entry points, plus
+    the parsed files in extra_roots."""
+    defs, scopes, methods, body = _program()
+    roots = [([node], scopes[module]) for module, node in body]
+    for path in extra_roots:
+        tree = _parse(path)
+        roots.append(([tree], _scope(tree, None)))
+    todo, attrs, seen = [("cli", "run"), ("cli", "main")], set(), set()
+
+    def visit(nodes, scope):
+        found, names = _references(nodes, scope)
+        todo.extend(found)
+        todo.extend(key for name in names - attrs for key in methods.get(name, ()))
+        attrs.update(names)
+
+    for nodes, scope in roots:
+        visit(nodes, scope)
     while todo:
         key = todo.pop()
-        if key in seen:
-            continue
-        seen.add(key)
-        todo += [r for r in _references([defs[key]], scopes[key[0]]) if r in defs]
-    return set(defs) - seen
+        if key in defs and key not in seen:
+            seen.add(key)
+            visit(defs[key], scopes[key[0]])
+    return seen
+
+
+def _all_defs():
+    return set(_program()[0])
+
+
+def _bench_roots():
+    return sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def _names(keys):
+    return ", ".join(sorted(f"{m}.{n}" for m, n in keys))
 
 
 def test_every_definition_is_reached_or_kept():
-    missing = sorted(f"{m}.{n}" for m, n in unreached() - set(KEEP))
-    assert not missing, "reached only from tests, or not at all: " + ", ".join(missing)
+    core = reached()
+    bench_only = reached(_bench_roots()) - core
+    missing = _all_defs() - core - set(KEEP) - set(BENCH_KEEP)
+    assert not missing, "reached only from tests, or not at all: " + _names(missing)
+    bench_missing = bench_only - set(BENCH_KEEP)
+    assert not bench_missing, "reached only from scripts or perfbench: " + _names(bench_missing)
 
 
 def test_keep_list_names_only_unreached_definitions():
-    stale = sorted(f"{m}.{n}" for m, n in set(KEEP) - unreached())
-    assert not stale, "reached now, drop from KEEP: " + ", ".join(stale)
+    core = reached()
+    every = reached(_bench_roots())
+    stale = set(KEEP) & every
+    assert not stale, "reached now, drop from KEEP: " + _names(stale)
+    stale = set(BENCH_KEEP) - (every - core)
+    assert not stale, "not reached from scripts or perfbench alone, drop from BENCH_KEEP: " + _names(stale)
+    assert all(reason.strip() for reason in [*KEEP.values(), *BENCH_KEEP.values()])

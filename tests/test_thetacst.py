@@ -14,8 +14,6 @@ from verlinde.su2reps import casimir, rep_matrix
 from verlinde.thetacst import (
     FourierSeries,
     PeriodMatrix,
-    PWSeries,
-    SchottkyPoint,
     ThetaCharacteristic,
     abelian_cst,
     chord_edges,
@@ -88,8 +86,8 @@ def test_numpy_int_residues_pass():
         lambda: FourierSeries(1, {(True,): 1}),
         lambda: su2_laplacian_block((1.5,), [[1j]]),
         lambda: laplacian_eigenvalue((1.5,), [[1j]]),
-        lambda: PWSeries(1, {(1.9,): np.eye(2)}),
-        lambda: PWSeries(1, {(True,): np.eye(2)}),
+        lambda: pw_evaluate((1.9,), np.eye(2), [np.eye(2)]),
+        lambda: pw_evaluate((True,), np.eye(2), [np.eye(2)]),
     ],
     ids=[
         "char-float", "char-bool", "coset-residue", "coset-modulus", "fourier-float",
@@ -114,7 +112,7 @@ def test_bool_level_is_rejected():
             {e: 0 for e in graph.edge_ids()},
             True,
             PeriodMatrix(np.diag([1j, 1j])),
-            SchottkyPoint((np.eye(2), np.eye(2))),
+            (np.eye(2), np.eye(2)),
         )
 
 
@@ -359,84 +357,64 @@ def test_laplacian_eigenvalue_rejects_off_diagonal():
 # -- nonabelian CST ------------------------------------------------------------
 
 
-def test_pw_series_validates_block_shape():
-    with pytest.raises(ValueError):
-        PWSeries(2, {(1, 1): np.eye(3)})
-    PWSeries(2, {(1, 1): np.eye(4)})
-
-
 def test_pw_evaluate_single_block():
     rng = np.random.default_rng(8)
     b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    series = PWSeries(1, {(1,): b})
     u = haar_su2(rng)
-    assert abs(pw_evaluate(series, [u]) - np.trace(rep_matrix(1, u) @ b)) < 1e-12
-
-
-def test_nonabelian_cst_zero_time_identity():
-    rng = np.random.default_rng(9)
-    b = rng.normal(size=(4, 4))
-    series = PWSeries(2, {(1, 1): b})
-    out = nonabelian_cst(series, PeriodMatrix(1j * np.eye(2)), 0.0)
-    assert np.allclose(out.blocks[(1, 1)], b)
+    assert abs(pw_evaluate((1,), b, [u]) - np.trace(rep_matrix(1, u) @ b)) < 1e-12
 
 
 def test_nonabelian_cst_diagonal_scalar_damping():
     rng = np.random.default_rng(10)
     om = PeriodMatrix(np.diag([1j, 3j]))
     b = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    series = PWSeries(2, {(1, 2): b})
-    t = 0.8
-    out = nonabelian_cst(series, om, t)
+    k = 2
+    out = nonabelian_cst((1, 2), b, om, k)
     lam = (1 * float(casimir(1)) + 3 * float(casimir(2))) / (2 * math.pi)
-    assert np.allclose(out.blocks[(1, 2)], math.exp(-t * lam / 2) * b, atol=1e-12)
+    assert np.allclose(out, math.exp(-lam / (2 * k)) * b, atol=1e-12)
 
 
 def test_nonabelian_cst_preserves_class_functions():
     # B = identity block is an intertwiner; the image stays conjugation
     # invariant, including at complexified points
     om = PeriodMatrix([[0.3 + 1.4j]])
-    series = PWSeries(1, {(2,): np.eye(3)})
-    out = nonabelian_cst(series, om, 0.6)
+    out = nonabelian_cst((2,), np.eye(3), om, 3)
     rng = np.random.default_rng(11)
     for _ in range(5):
         w = random_sl2c(rng)
         u = random_sl2c(rng)
         ui = np.array([[u[1, 1], -u[0, 1]], [-u[1, 0], u[0, 0]]])
-        a = pw_evaluate(out, [w])
-        b = pw_evaluate(out, [u @ w @ ui])
+        a = pw_evaluate((2,), out, [w])
+        b = pw_evaluate((2,), out, [u @ w @ ui])
         assert abs(a - b) < 1e-9 * max(1.0, abs(a))
 
 
 def test_nonabelian_cst_matches_heat_smoothing_monte_carlo():
-    # walk the heat flow by composing many small group steps and compare
-    # with the block damping, within the Monte Carlo error
-    om = PeriodMatrix([[1j]])
-    t = 1.5
-    n = 2
-    lam = float(casimir(n)) / (2 * math.pi)
+    # walk the heat flow by composing many small group steps and compare the
+    # smoothed character chi_2 with the program's flowed chi_2 block, within
+    # the Monte Carlo error; Omega = 1.5i at level 1 flows for time 1.5
+    om = PeriodMatrix([[1.5j]])
+    flowed = nonabelian_cst((2,), np.eye(3), om, 1)
     rng = np.random.default_rng(12)
     n_samples, n_steps = 60_000, 48
-    c = t / (2 * math.pi)  # total variance per su(2) direction
-    vecs = rng.normal(0.0, math.sqrt(c / n_steps), size=(n_samples, n_steps, 3))
-    angle = np.linalg.norm(vecs, axis=2)
-    axis = vecs / np.maximum(angle[..., None], 1e-300)
-    cos, sin = np.cos(angle / 2), np.sin(angle / 2)
-    steps = np.empty((n_samples, n_steps, 2, 2), dtype=complex)
-    steps[..., 0, 0] = cos - 1j * sin * axis[..., 2]
-    steps[..., 0, 1] = -1j * sin * (axis[..., 0] - 1j * axis[..., 1])
-    steps[..., 1, 0] = -1j * sin * (axis[..., 0] + 1j * axis[..., 1])
-    steps[..., 1, 1] = cos + 1j * sin * axis[..., 2]
-    walk = steps[:, 0]
-    for i in range(1, n_steps):
-        walk = walk @ steps[:, i]
+    c_var = 1.5 / (2 * math.pi)  # total variance per su(2) direction
+    # the walk's entries [[a, b], [c, d]], one per sample, times each step
+    a, b, c, d = (np.full(n_samples, v, dtype=complex) for v in (1, 0, 0, 1))
+    for _ in range(n_steps):
+        vecs = rng.normal(0.0, math.sqrt(c_var / n_steps), size=(n_samples, 3))
+        angle = np.linalg.norm(vecs, axis=1)
+        x1, x2, x3 = (vecs / np.maximum(angle[:, None], 1e-300)).T
+        cos, sin = np.cos(angle / 2), np.sin(angle / 2)
+        s00, s01 = cos - 1j * sin * x3, -1j * sin * (x1 - 1j * x2)
+        s10, s11 = -1j * sin * (x1 + 1j * x2), cos + 1j * sin * x3
+        a, b, c, d = a * s00 + b * s10, a * s01 + b * s11, c * s00 + d * s10, c * s01 + d * s11
     for seed in range(5):
         x = haar_su2(np.random.default_rng(100 + seed))
-        moved = x @ walk
-        chi2 = (np.trace(moved, axis1=1, axis2=2) ** 2 - 1).real
-        smoothed = float(np.mean(chi2))
-        exact = math.exp(-t * lam / 2) * ((np.trace(x) ** 2 - 1).real)
-        assert abs(smoothed - exact) < 0.01 * (1 + abs(exact))
+        trace = x[0, 0] * a + x[0, 1] * c + x[1, 0] * b + x[1, 1] * d
+        smoothed = float(np.mean((trace**2 - 1).real))
+        want = pw_evaluate((2,), flowed, [x])
+        assert abs(want.imag) < 1e-14
+        assert abs(smoothed - want.real) < 0.01 * (1 + abs(want))
 
 
 # -- spin network blocks and nonabelian theta -----------------------------------
@@ -461,14 +439,13 @@ def test_spin_network_blocks_reproduce_network_function():
         jvec, block = spin_network_blocks(graph, coloring)
         assert jvec == tuple(coloring[e] for e in chords)
         snf = spin_network(graph, coloring)
-        series = PWSeries(len(jvec), {jvec: block})
         for _ in range(4):
             ws = [haar_su2(rng) for _ in jvec]
             mats = {e: np.eye(2, dtype=complex) for e in graph.edge_ids()}
             mats.update(zip(chords, ws))
             conn = Connection(graph, mats)
             direct = spin_network_value(snf, conn)
-            via_block = pw_evaluate(series, ws)
+            via_block = pw_evaluate(jvec, block, ws)
             assert abs(direct - via_block) < 1e-10
 
 
@@ -487,11 +464,11 @@ def test_nonabelian_theta_pairing_matches_manual_pipeline():
     k = 1
     rng = np.random.default_rng(15)
     om = random_omega(2, rng)
-    point = SchottkyPoint((haar_su2(rng), haar_su2(rng)))
+    point = (haar_su2(rng), haar_su2(rng))
     got = nonabelian_theta(graph, coloring, k, om, point)
     jvec, block = spin_network_blocks(graph, coloring)
     damped = expm(su2_laplacian_block(jvec, om) / (2 * k)) @ block
-    want = pw_evaluate(PWSeries(2, {jvec: damped}), point.matrices)
+    want = np.trace(np.kron(rep_matrix(jvec[0], point[0]), rep_matrix(jvec[1], point[1])) @ damped)
     assert abs(got - want) < 1e-12
 
 
@@ -504,8 +481,8 @@ def test_nonabelian_theta_gauge_invariance_in_point():
     u = haar_su2(rng)
     ui = u.conj().T
     moved = tuple(u @ w @ ui for w in ws)
-    a = nonabelian_theta(graph, coloring, 1, om, SchottkyPoint(ws))
-    b = nonabelian_theta(graph, coloring, 1, om, SchottkyPoint(moved))
+    a = nonabelian_theta(graph, coloring, 1, om, ws)
+    b = nonabelian_theta(graph, coloring, 1, om, moved)
     assert abs(a - b) < 1e-9 * max(1.0, abs(a))
 
 
@@ -544,7 +521,7 @@ def test_nonabelian_theta_rejects_level_inadmissible():
             {0: 2, 2: 2, 4: 2},
             1,
             PeriodMatrix(np.diag([1j, 1j])),
-            SchottkyPoint((np.eye(2), np.eye(2))),
+            (np.eye(2), np.eye(2)),
         )
 
 
@@ -556,7 +533,7 @@ def test_nonabelian_theta_genus_mismatch():
             {0: 1, 2: 1, 4: 0},
             1,
             PeriodMatrix([[1j]]),
-            SchottkyPoint((np.eye(2),)),
+            (np.eye(2),),
         )
 
 
@@ -570,7 +547,7 @@ def test_nonabelian_theta_cauchy_riemann():
     h = 1e-4
 
     def f(s):
-        p = SchottkyPoint((w1 @ expm(s * gen), w2))
+        p = (w1 @ expm(s * gen), w2)
         return nonabelian_theta(graph, coloring, 1, om, p)
 
     dx = (f(h) - f(-h)) / (2 * h)
@@ -579,5 +556,11 @@ def test_nonabelian_theta_cauchy_riemann():
 
 
 def test_schottky_point_validation():
-    with pytest.raises(ValueError):
-        SchottkyPoint((np.diag([2.0, 1.0]),))
+    # every handle matrix of the point must be unimodular, and one per handle
+    graph = theta_graph()
+    coloring = {0: 1, 2: 1, 4: 0}
+    om = PeriodMatrix(np.diag([1j, 1j]))
+    with pytest.raises(ValueError, match="unimodular"):
+        nonabelian_theta(graph, coloring, 1, om, (np.diag([2.0, 1.0]), np.eye(2)))
+    with pytest.raises(ValueError, match="handle matrices"):
+        nonabelian_theta(graph, coloring, 1, om, (np.eye(2),) * 3)

@@ -243,7 +243,7 @@ def test_u1_cycle_coordinates_biject():
     g = theta_graph()
     k = 3
     fam = u1_networks(g, k)
-    coords = {fam.coordinates(flow) for flow in fam.flows}
+    coords = {tuple(flow[e] for e in fam.cycle_basis) for flow in fam.flows}
     assert len(coords) == k ** 2
     assert coords == set(itertools.product(range(k), repeat=2))
 
