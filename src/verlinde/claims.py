@@ -83,7 +83,7 @@ def g2_closed_form(quick):
         expect = (k + 2) * ((k + 2) ** 2 - 1) // 6
         got = fusion.verlinde(2, k, via="closed")
         _check(got == expect, f"level {k}: {got} != {expect}")
-    vol = weights.polytope_volume(weights.polytope(graphs.theta_graph()))
+    vol = weights.polytope_volume(graphs.theta_graph())
     _check(4 * vol == Fraction(1, 6), f"lattice density times volume is {4 * vol}")
     return f"cubic in k+2 up to level {kmax}; leading coefficient 4/24"
 

@@ -10,6 +10,7 @@ end.  Exit codes: 0 success, 1 usage error, 2 invariant violation.
 from __future__ import annotations
 
 import argparse
+import cmath
 import itertools
 import json
 import os
@@ -20,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import claims, fusion, gauge, graphs, modular, newstead, thetacst, weights
-from .su2reps import check_level
+from .su2reps import _check_int, check_level
 from .weights import InvariantViolation
 
 
@@ -54,14 +55,17 @@ _BARE_I = re.compile(r"(?<![\d.])j")
 
 
 def _parse_complex(text):
-    """Complex literal with i or j as the imaginary unit, e.g. 1+2i."""
+    """Finite complex literal with i or j as the imaginary unit, e.g. 1+2i."""
     t = text.strip().replace(" ", "").replace("i", "j").replace("I", "j")
     if not t:
         raise ValueError("empty complex literal")
     try:
-        return complex(_BARE_I.sub("1j", t))
+        z = complex(_BARE_I.sub("1j", t))
     except ValueError:
         raise ValueError(f"cannot parse complex literal {text!r}") from None
+    if not cmath.isfinite(z):
+        raise ValueError(f"complex literal {text!r} is not finite")
+    return z
 
 
 def _split(text):
@@ -300,8 +304,7 @@ def _cmd_cst_eval(args):
 
 def _cmd_cst_check(args):
     check_level(args.level)
-    if args.points < 1:
-        raise ValueError("--points must be a positive integer")
+    _check_int(args.points, "--points", 1)
     om = _parse_omega(args.omega)
     g, k = om.genus, args.level
     rng = np.random.default_rng(args.seed)
@@ -322,10 +325,8 @@ def _cmd_cst_check(args):
 
 
 def _cmd_gauge_check(args):
-    if args.cap < 0:
-        raise ValueError("--cap must be a nonnegative integer")
-    if args.samples < 1:
-        raise ValueError("--samples must be a positive integer")
+    _check_int(args.cap, "--cap")
+    _check_int(args.samples, "--samples", 1)
     graph = _load_graph(args.graph)
     rng = np.random.default_rng(args.seed)
     conn = gauge.random_connection(graph, rng)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .graphs import multi_theta
-from .su2reps import _check_label, check_labels, check_level
+from .su2reps import _check_int, _check_label, check_labels, check_level
 from .weights import InvariantViolation, count_weights
 
 
@@ -106,8 +106,7 @@ def rk(g, N, k):
     boundary label fuses in, and the unit channel is read off at the end.
     """
     check_level(k)
-    if isinstance(g, bool) or not isinstance(g, int) or g < 0:
-        raise ValueError("genus must be a nonnegative integer")
+    _check_int(g, "genus")
     labels = tuple(N)
     check_labels(k, labels)
     mats, handle = _fusion_matrices(k)
@@ -202,8 +201,7 @@ def verlinde_route(g, k, via):
     the bound above.
     """
     check_level(k)
-    if isinstance(g, bool) or not isinstance(g, int) or g < 1:
-        raise ValueError("genus must be an integer >= 1")
+    _check_int(g, "genus", 1)
     if via == "weights":
         if g < 2:
             raise ValueError("the weights route needs genus >= 2")

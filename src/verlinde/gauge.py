@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .su2reps import AdmissibilityError, admissible_triple, omega, rep_matrix, wigner_3j
+from .su2reps import AdmissibilityError, _check_int, admissible_triple, omega, rep_matrix, wigner_3j
 
 _CHUNK = 16384
 
@@ -154,9 +154,8 @@ def spin_network(graph, coloring):
     eids = graph.edge_ids()
     if sorted(coloring) != eids:
         raise ValueError("coloring must assign exactly the edge ids")
-    for e, n in coloring.items():
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ValueError(f"edge {e} color must be a nonnegative twice-spin")
+    for n in coloring.values():
+        _check_int(n, "edge color")
     tensors = []
     for v in range(graph.n_vertices):
         labels = tuple(coloring[graph.edge_of(d)] for d in graph.star(v))
@@ -171,6 +170,8 @@ def spin_network(graph, coloring):
 
 def admissible_colorings(graph, cap):
     """Every edge coloring by twice-spins 0..cap admissible at each vertex."""
+    if graph.parabolic_darts() or not graph.is_trivalent():
+        raise ValueError("colorings are defined on closed trivalent graphs")
     eids = graph.edge_ids()
     stars = [
         tuple(graph.edge_of(d) for d in graph.star(v)) for v in range(graph.n_vertices)

@@ -14,6 +14,8 @@ import itertools
 import json
 from dataclasses import dataclass
 
+from .su2reps import _check_int
+
 
 @dataclass(frozen=True)
 class TrivalentGraph:
@@ -318,9 +320,7 @@ def enumerate_trivalent(g):
     computed once per genus and cached for the life of the process; each
     call returns a fresh list of the same (immutable) graphs.
     """
-    if not isinstance(g, int) or isinstance(g, bool):
-        raise ValueError("genus must be an integer")
-    if not 2 <= g <= 5:
+    if not 2 <= _check_int(g, "genus") <= 5:
         raise ValueError("supported genus range is 2..5")
     return list(_trivalent_classes(g))
 
@@ -543,7 +543,7 @@ def trace_faces(graph, ribbon):
     if graph.parabolic_darts():
         raise ValueError("face tracing works on closed graphs")
     for v in range(graph.n_vertices):
-        if tuple(sorted(ribbon.cyclic_order[v])) != graph.star(v):
+        if tuple(sorted(ribbon.cyclic_order.get(v, ()))) != graph.star(v):
             raise ValueError("ribbon order must permute each star")
 
     nxt = {}

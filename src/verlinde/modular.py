@@ -35,7 +35,7 @@ import numpy as np
 
 from .fusion import fuse
 from .graphs import chain_graph
-from .su2reps import _check_label, admissible_triple, casimir, check_labels, check_level
+from .su2reps import _check_int, _check_label, admissible_triple, casimir, check_labels, check_level
 from .weights import InvariantViolation, _weight_edge_ids, enumerate_weights
 
 
@@ -599,7 +599,7 @@ def switching_operator(k, j):
     obtained by solving the slide relation, implemented for k <= 3.
     """
     check_level(k)
-    if isinstance(j, bool) or not isinstance(j, int) or j % 2 or not 0 <= j <= k:
+    if _check_int(j, "hole label") % 2 or j > k:
         raise ValueError("hole label must be an even integer in 0..k")
     if j > 0 and k > 3:
         raise ValueError("holed switching blocks are solved only for k <= 3")

@@ -5,8 +5,7 @@ deg = a + 2b + 3c; gamma acts trivially on N^0 and alpha*beta = omega
 reduces everything to the two-parameter family N^0(alpha^{3k} omega^n),
 evaluated by the closed main equality with Bernoulli numbers.  The
 kappa = 0 specialization evaluates to -1 rather than the +1 a unit
-normalization would suggest; values keep an explicit convention flag
-instead of a silent patch.
+normalization would suggest.
 """
 
 from __future__ import annotations
@@ -15,13 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
+from .su2reps import _check_int
+
 _BERNOULLI = [Fraction(1), Fraction(-1, 2)]
 
 
 def bernoulli(n):
     """Bernoulli number B_n, exact, with the B_1 = -1/2 convention."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError("index must be a nonnegative integer")
+    _check_int(n, "index")
     while len(_BERNOULLI) <= n:
         m = len(_BERNOULLI)
         # sum_{j=0}^{m} C(m+1, j) B_j = 0
@@ -30,34 +30,19 @@ def bernoulli(n):
     return _BERNOULLI[n]
 
 
-@dataclass(frozen=True)
-class NewsteadValue:
-    """An exact value plus the kappa = 0 normalization caveat."""
-
-    value: Fraction
-    convention_flag: bool
-
-
-def n0_report(a, n):
-    """Main equality N^0(alpha^a omega^n) with its convention flag."""
-    if isinstance(a, bool) or not isinstance(a, int) or a < 0 or a % 3:
-        raise ValueError("alpha exponent must be a nonnegative multiple of 3")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError("omega exponent must be a nonnegative integer")
+def n0(a, n):
+    """N^0(alpha^a omega^n) as an exact rational."""
+    if _check_int(a, "alpha exponent") % 3:
+        raise ValueError("alpha exponent must be a multiple of 3")
+    _check_int(n, "omega exponent")
     kappa = a // 3
-    value = (
+    return (
         Fraction(-4) ** (n + kappa)
         * Fraction(factorial(n + 3 * kappa), factorial(n + kappa + 1))
         * factorial(2 * kappa)
         * (4**kappa - 2)
         * bernoulli(2 * kappa)
     )
-    return NewsteadValue(value, kappa == 0)
-
-
-def n0(a, n):
-    """N^0(alpha^a omega^n) as an exact rational."""
-    return n0_report(a, n).value
 
 
 @dataclass(frozen=True)
@@ -70,8 +55,7 @@ class NewsteadMonomial:
 
     def __post_init__(self):
         for x in (self.alpha, self.beta, self.gamma):
-            if isinstance(x, bool) or not isinstance(x, int) or x < 0:
-                raise ValueError("exponents must be nonnegative integers")
+            _check_int(x, "exponent")
 
     @property
     def degree(self):
@@ -97,8 +81,7 @@ def normalized_value(monomial):
 
 def unnormalize(g, monomial):
     """N_g = g! * N^0 on a monomial of degree exactly 3g-3."""
-    if isinstance(g, bool) or not isinstance(g, int) or g < 1:
-        raise ValueError("genus must be a positive integer")
+    _check_int(g, "genus", 1)
     if monomial.degree != 3 * g - 3:
         raise ValueError(
             f"degree {monomial.degree} does not match 3g-3 = {3 * g - 3}"
@@ -108,8 +91,7 @@ def unnormalize(g, monomial):
 
 def witten_volume(g):
     """vol(M_g^ss) = N^0(alpha^(3g-3)); negative for every g >= 2."""
-    if isinstance(g, bool) or not isinstance(g, int) or g < 2:
-        raise ValueError("genus must be an integer >= 2")
+    _check_int(g, "genus", 2)
     return n0(3 * (g - 1), 0)
 
 
@@ -133,8 +115,7 @@ def conjecture_scan(max_deg):
     (none occur: 4^kappa - 2 and B_{2 kappa} never vanish together with
     the factorials) and the kappa = 0 convention cases.
     """
-    if isinstance(max_deg, bool) or not isinstance(max_deg, int) or max_deg < 0:
-        raise ValueError("degree bound must be a nonnegative integer")
+    _check_int(max_deg, "degree bound")
     if max_deg > 30:
         raise ValueError("scan supported up to degree 30")
     zeros = []
@@ -150,6 +131,6 @@ def conjecture_scan(max_deg):
                 bound_holds = False
             if value == 0:
                 zeros.append((kappa, n))
-            if n0_report(3 * kappa, n).convention_flag:
+            if kappa == 0:
                 flagged.append((kappa, n))
     return ConjectureReport(max_deg, entries, bound_holds, tuple(zeros), tuple(flagged))

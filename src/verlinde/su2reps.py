@@ -25,22 +25,27 @@ class AdmissibilityError(ValueError):
     """The label triple admits no invariant tensor."""
 
 
+def _check_int(x, what, low=0):
+    """x if it is an int, not a bool, and at least low; floats are never truncated."""
+    if isinstance(x, bool) or not isinstance(x, int) or x < low:
+        bound = {0: "a nonnegative integer", 1: "a positive integer"}.get(low, f"an integer >= {low}")
+        raise ValueError(f"{what} must be {bound}")
+    return x
+
+
 def _check_label(n):
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError("labels are nonnegative twice-spin integers")
+    _check_int(n, "twice-spin label")
 
 
 def check_level(k):
     """The level k of SU(2)_k: a positive int, and not a bool."""
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise ValueError("level must be a positive integer")
+    _check_int(k, "level", 1)
 
 
 def check_labels(k, labels):
     """Level-k labels: twice-spin ints in 0..k, and not bools."""
     for n in labels:
-        _check_label(n)
-        if n > k:
+        if _check_int(n, "twice-spin label") > k:
             raise ValueError(f"labels must lie in 0..{k}")
 
 

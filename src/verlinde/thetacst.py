@@ -11,8 +11,8 @@ against a product irrep, and the Omega-weighted invariant Laplacian acts on
 that block by an explicit matrix.  The graph's theta value is the block
 flowed for time 1/k and traced at a Schottky point.
 
-Residues, Fourier indices and irrep labels are integers (numpy ints pass);
-a float or a bool is refused, never truncated.
+Residues and Fourier indices are integers (numpy ints pass), and irrep
+labels are Python ints; a float or a bool is refused, never truncated.
 """
 
 import cmath
@@ -43,6 +43,8 @@ class PeriodMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise ValueError("period matrix must be square and nonempty")
+        if not np.isfinite(m).all():
+            raise ValueError("period matrix entries must be finite")
         if np.abs(m - m.T).max() > 1e-12:
             raise ValueError("period matrix must be symmetric")
         try:
@@ -112,7 +114,12 @@ def _sup_shell(g, s):
             yield pt
 
 
-def _theta_scan(char, om, z, tol, radius):
+def theta_char(char, om, z, tol=1e-12):
+    """Level-k theta series sum over l + k Z^g, truncated below tol.
+
+    Each summand is exp(i pi m.(Omega/k).m + 2 pi i m.z) with m = l + k n.
+    The lattice radius adapts to tol.
+    """
     pm = _period(om)
     if pm.genus != char.genus:
         raise ValueError("characteristic and period matrix genus differ")
@@ -127,8 +134,7 @@ def _theta_scan(char, om, z, tol, radius):
     s_min = int(np.ceil(np.abs(drift).max())) + 1
     total = 0j
     small = 0
-    cap = _MAX_RADIUS if radius is None else radius
-    for s in range(cap + 1):
+    for s in range(_MAX_RADIUS + 1):
         mag = 0.0
         for n in _sup_shell(pm.genus, s):
             m = l + k * np.asarray(n, dtype=float)
@@ -136,31 +142,11 @@ def _theta_scan(char, om, z, tol, radius):
             term = cmath.exp(1j * math.pi * quad + 2j * math.pi * (m @ zv))
             total += term
             mag += abs(term)
-        if radius is None and s >= s_min:
+        if s >= s_min:
             small = small + 1 if mag < tol / 20 else 0
             if small >= 2:
-                return total, s
-    if radius is None:
-        raise ValueError(
-            f"theta series not converged within lattice radius {_MAX_RADIUS}"
-        )
-    return total, radius
-
-
-def theta_char(char, om, z, tol=1e-12, radius=None):
-    """Level-k theta series sum over l + k Z^g, truncated below tol.
-
-    Each summand is exp(i pi m.(Omega/k).m + 2 pi i m.z) with m = l + k n.
-    The lattice radius adapts to tol unless `radius` pins it.
-    """
-    value, _ = _theta_scan(char, om, z, tol, radius)
-    return value
-
-
-def truncation_radius(char, om, z, tol=1e-12):
-    """Sup-norm radius at which the adaptive theta sum stops."""
-    _, r = _theta_scan(char, om, z, tol, None)
-    return r
+                return total
+    raise ValueError(f"theta series not converged within lattice radius {_MAX_RADIUS}")
 
 
 # -- Fourier series on the torus --------------------------------------------------
@@ -228,8 +214,8 @@ def abelian_cst(series, om, t):
     pm = _period(om)
     if pm.genus != series.genus:
         raise ValueError("series and period matrix genus differ")
-    if t < 0:
-        raise ValueError("transform time must be nonnegative")
+    if not math.isfinite(t) or t < 0:
+        raise ValueError("transform time must be finite and nonnegative")
     if t == 0:
         return series
     if series.coefficients is not None:
@@ -307,7 +293,7 @@ def su2_laplacian_block(labels, om):
 
     Vector fields act on a block by left multiplication of the lifted
     generators, so -(i/2 pi) sum_ab Omega_ab sum_mu X_mu^(a) X_mu^(b) is an
-    explicit matrix; a diagonal Omega gives the scalar -laplacian_eigenvalue.
+    explicit matrix; a diagonal Omega gives a scalar (see nonabelian_cst).
     """
     pm = _period(om)
     labels = _labels(labels, pm.genus)
@@ -322,23 +308,6 @@ def su2_laplacian_block(labels, om):
             for mu in range(3):
                 out += w * (lifted[a][mu] @ lifted[b][mu])
     return out
-
-
-def laplacian_eigenvalue(labels, om):
-    """Heat eigenvalue of a block for diagonal Omega.
-
-    Equals sum_a (-i Omega_aa / 2 pi) casimir(n_a); off-diagonal period
-    matrices mix the block and have no single eigenvalue.
-    """
-    pm = _period(om)
-    labels = _labels(labels, pm.genus)
-    off = pm.matrix - np.diag(np.diag(pm.matrix))
-    if np.abs(off).max() > 1e-14:
-        raise ValueError("eigenvalue only defined for diagonal period matrices")
-    return sum(
-        -1j * pm.matrix[a, a] / (2 * math.pi) * float(casimir(n))
-        for a, n in enumerate(labels)
-    )
 
 
 # -- one block on SU(2)^g ---------------------------------------------------------
@@ -357,13 +326,18 @@ def pw_evaluate(labels, block, point):
 def nonabelian_cst(labels, block, om, k):
     """Level-k transform of one block: exp(t/2 Laplacian) . block at t = 1/k.
 
-    A diagonal Omega acts by the scalar -laplacian_eigenvalue; any other is
-    exponentiated as the matrix su2_laplacian_block.
+    A diagonal Omega acts by the scalar -lam with lam the heat eigenvalue
+    sum_a (-i Omega_aa / 2 pi) casimir(n_a); any other mixes the block and
+    is exponentiated as the matrix su2_laplacian_block.
     """
     pm = _period(om)
     check_level(k)
     if np.abs(pm.matrix - np.diag(np.diag(pm.matrix))).max() <= 1e-14:
-        return cmath.exp(-laplacian_eigenvalue(labels, pm) / (2 * k)) * block
+        lam = sum(
+            -1j * pm.matrix[a, a] / (2 * math.pi) * float(casimir(n))
+            for a, n in enumerate(_labels(labels, pm.genus))
+        )
+        return cmath.exp(-lam / (2 * k)) * block
     from scipy.linalg import expm  # imported here: at module level it doubles the cli import time
 
     t = 1 / k

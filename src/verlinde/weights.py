@@ -20,7 +20,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .graphs import TrivalentGraph, chord_edges, enumerate_trivalent, multi_theta, spanning_tree
-from .su2reps import check_level
+from .su2reps import _check_int, check_labels, check_level
 
 
 class InvariantViolation(Exception):
@@ -53,8 +53,7 @@ class WeightFunction:
         nums = tuple(self.numerators)
         if len(nums) != len(_weight_edge_ids(self.graph)):
             raise ValueError("weights need one numerator per edge")
-        if not all(type(n) is int and 0 <= n <= k for n in nums):
-            raise ValueError(f"numerators must be integers in 0..{k}")
+        check_labels(k, nums)
         object.__setattr__(self, "numerators", nums)
 
     @property
@@ -101,6 +100,8 @@ def enumerate_weights(graph, k, boundary=None):
     dart (or its edge id) to the prescribed value.
     """
     check_level(k)
+    if not graph.is_trivalent():
+        raise ValueError("weights are defined on trivalent graphs")
     edges = _weight_edge_ids(graph)
     legs = {graph.edge_of(d) for d in graph.parabolic_darts()}
     preset = {}
@@ -162,9 +163,9 @@ def verlinde_count_check(g, k):
     """
     from .fusion import verlinde
 
-    if g not in (2, 3, 4):
+    if not 2 <= _check_int(g, "genus") <= 4:
         raise ValueError("cross-check supports genus 2..4")
-    if isinstance(k, bool) or not isinstance(k, int) or not 1 <= k <= 10:
+    if not 1 <= _check_int(k, "level") <= 10:
         raise ValueError("cross-check supports level 1..10")
     counts = [(graph, count_weights(graph, k)) for graph in enumerate_trivalent(g)]
     baseline = counts[0][1]
@@ -335,10 +336,7 @@ def count_weights(graph, k, parity=True):
     a time, greedily keeping few edges open; a state maps the values of
     the edges still open to the number of partial assignments behind them.
     """
-    if isinstance(k, bool) or not isinstance(k, int) or k < (1 if parity else 0):
-        raise ValueError(
-            "level must be a positive integer" if parity else "dilation must be a nonnegative integer"
-        )
+    _check_int(k, "level" if parity else "dilation", 1 if parity else 0)
     processed = set()
     open_edges = []
     states = {(): 1}
@@ -379,14 +377,13 @@ def count_weights(graph, k, parity=True):
     return sum(states.values())
 
 
-def polytope_volume(p):
-    """Exact (Fraction) Euclidean volume of the weight polytope.
+def polytope_volume(graph):
+    """Exact (Fraction) Euclidean volume of the graph's weight polytope.
 
     The coordinates are the internal edges and the parabolic legs.  The
     volume is the leading coefficient of the lattice-point counts of the
     polytope's even dilations, found by finite differences.
     """
-    graph = p.graph
     dim = len(_weight_edge_ids(graph))
     seq = [count_weights(graph, 2 * s, parity=False) for s in range(dim + 2)]
     diffs = [seq]
@@ -439,15 +436,14 @@ def bs_asymptotics(g, k_range):
     point density of 2^g relative to the polytope volume in w
     coordinates; a bare volume normalization undercounts by that factor.
     """
-    if isinstance(g, bool) or not isinstance(g, int) or g < 2:
-        raise ValueError("genus must be an integer >= 2")
-    ks = sorted(set(int(k) for k in k_range))
-    if not ks or ks[0] < 1:
-        raise ValueError("levels must be positive")
+    _check_int(g, "genus", 2)
+    ks = sorted({_check_int(k, "level", 1) for k in k_range})
+    if not ks:
+        raise ValueError("need at least one level")
     graph = multi_theta(g)
     counts = [count_weights(graph, k) for k in ks]
     degree = 3 * g - 3
-    density = Fraction(2**g) * polytope_volume(polytope(graph))
+    density = Fraction(2**g) * polytope_volume(graph)
     note = (
         "count ~ C k^(3g-3) with C = 2^g * vol; the bare volume "
         "normalization misses the parity-density factor 2^g"

@@ -424,6 +424,48 @@ def test_graph_faces_malformed_ribbon_is_usage_error(capsys, ribbon):
     assert "ribbon" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gauge", "check", "--graph", '{"vertices": 2, "edges": [[0, 1], [0, 1]]}'],
+        ["gauge", "check", "--graph", '{"vertices": 2, "edges": [[0, 1]], "parabolic": [0, 0, 1, 1]}'],
+        ["weights", "list", "--graph", '{"vertices": 2, "edges": [[0, 1], [0, 1]]}', "--level", "1"],
+        [
+            "graph", "faces", "--graph",
+            '{"vertices": 2, "edges": [[0, 1], [0, 1], [0, 1]], "ribbon": {"0": [0, 1, 2]}}',
+        ],
+    ],
+    ids=["gauge-bivalent", "gauge-legs", "weights-bivalent", "faces-missing-vertex"],
+)
+def test_graph_outside_the_command_domain_is_usage_error(capsys, argv):
+    code, out, err = capture(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--omega", "nan+1i"],
+        ["--omega", "[[[NaN, 1.0]]]"],
+        ["--z", "nan"],
+        ["--z", "inf"],
+        ["--time", "inf"],
+        ["--time", "nan"],
+    ],
+    ids=["omega-nan", "omega-json-nan", "z-nan", "z-inf", "time-inf", "time-nan"],
+)
+def test_cst_eval_refuses_non_finite_input(capsys, extra):
+    argv = ["cst", "eval", "--level", "2", "--char", "1", "--omega", "1i", "--z", "0.1"]
+    code, out, err = capture(capsys, argv + extra)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert "converged" not in err
+
+
 def test_weights_list(capsys):
     code, out, _ = capture(capsys, ["weights", "list", "--graph", "theta", "--level", "1"])
     assert code == 0

@@ -16,7 +16,6 @@ from verlinde.newstead import (
     bernoulli,
     conjecture_scan,
     n0,
-    n0_report,
     normalized_value,
     unnormalize,
     witten_volume,
@@ -65,10 +64,9 @@ def test_n0_frozen_values():
 
 
 def test_n0_kappa_zero_flag():
-    assert n0_report(0, 0).convention_flag
-    assert n0_report(0, 3).convention_flag
-    assert not n0_report(3, 0).convention_flag
-    assert n0_report(0, 0).value == -1
+    # the kappa = 0 convention: -1, not the +1 of a unit normalization
+    assert n0(0, 0) == -1
+    assert conjecture_scan(9).kappa_zero_flagged == ((0, 0), (0, 1), (0, 2), (0, 3))
 
 
 def test_n0_requires_divisible_alpha():

@@ -33,8 +33,11 @@ KEEP = {
     "newstead to fusion",
     ("weights", "is_admissible"): "the Fraction reference that tests compare "
     "enumerate_weights against",
-    ("weights", "MomentPolytope.contains"): "the H-representation membership "
-    "test that tests compare enumerate_weights against",
+    **{
+        ("weights", n): "the H-representation membership test that tests "
+        "compare enumerate_weights against"
+        for n in ("MomentPolytope", "MomentPolytope.contains", "polytope")
+    },
 }
 
 _ITEM2 = "ROADMAP item 2: the Riemann-Roch route and its leading-coefficient claim"
@@ -54,8 +57,8 @@ BENCH_KEEP = {
     **{
         ("thetacst", n): _ITEM4
         for n in (
-            "_labels", "_lifted_generators", "_su2_generators", "laplacian_eigenvalue",
-            "nonabelian_cst", "nonabelian_theta", "pw_evaluate", "spin_network_blocks",
+            "_labels", "_lifted_generators", "_su2_generators", "nonabelian_cst",
+            "nonabelian_theta", "pw_evaluate", "spin_network_blocks",
             "su2_laplacian_block",
         )
     },
@@ -79,7 +82,6 @@ BENCH_KEEP = {
         )
     },
     ("graphs", "is_isomorphic"): _ITEM8,
-    ("thetacst", "truncation_radius"): _ITEM8,
 }
 
 

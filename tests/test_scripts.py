@@ -28,7 +28,6 @@ def run_script(name, *args):
         ("count_growth.py", ["--genus", "2", "--kmax", "3"]),
         ("residual_sweep.py", ["--kmax", "2"]),
         ("heegaard_table.py", ["--kmax", "2", "--nmax", "2"]),
-        ("theta_truncation.py", ["--scales", "1.0", "--tols", "1e-6"]),
     ],
 )
 def test_script_runs(name, args):
@@ -37,9 +36,3 @@ def test_script_runs(name, args):
     assert proc.stdout
     assert proc.stderr == ""
 
-
-def test_theta_truncation_rejects_level_one():
-    proc = run_script("theta_truncation.py", "--level", "1")
-    assert proc.returncode == 2
-    assert "--level must be at least 2" in proc.stderr
-    assert "Traceback" not in proc.stderr

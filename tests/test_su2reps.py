@@ -4,9 +4,11 @@ Wigner tensors are cross-checked against sympy.physics.wigner up to a
 global sign, which is the only freedom left by unit normalization.
 """
 
+import ast
 import cmath
 import itertools
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ import pytest
 
 from verlinde.su2reps import (
     AdmissibilityError,
+    _check_int,
     admissible_triple,
     casimir,
     character,
@@ -349,3 +352,55 @@ def test_wigner_matches_sympy_up_to_sign():
 
 def test_wigner_cached():
     assert wigner_3j(2, 2, 2) is wigner_3j(2, 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# the integer-argument rule
+# ---------------------------------------------------------------------------
+
+
+def test_check_int_rule():
+    assert _check_int(0, "count") == 0
+    assert _check_int(3, "genus", 2) == 3
+    for bad, low in ((True, 0), (False, 0), (1.0, 0), (2.5, 1), (-1, 0), (0, 1), (1, 2), ("3", 0)):
+        with pytest.raises(ValueError):
+            _check_int(bad, "x", low)
+    with pytest.raises(ValueError, match="level must be a positive integer"):
+        _check_int(0, "level", 1)
+    with pytest.raises(ValueError, match="genus must be an integer >= 2"):
+        _check_int(1, "genus", 2)
+
+
+# (module, function) pairs allowed their own bool test, with the reason
+BOOL_TEST_EXCEPTIONS = {
+    ("thetacst", "_indices"): "residues and Fourier indices accept numpy ints, "
+    "which are not Python ints, so _check_int would refuse them",
+}
+
+
+def _bool_tests(tree):
+    """Names of the enclosing top-level functions of each isinstance(..., bool)."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                continue
+            if node.func.id != "isinstance" or len(node.args) != 2:
+                continue
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(isinstance(t, ast.Name) and t.id == "bool" for t in kinds):
+                found.append(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_integer_rule_is_written_once():
+    # every int-not-bool argument check goes through su2reps._check_int
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "verlinde"
+    stray = []
+    for path in sorted(src.glob("*.py")):
+        if path.stem == "su2reps":
+            continue
+        for name in _bool_tests(ast.parse(path.read_text())):
+            if (path.stem, name) not in BOOL_TEST_EXCEPTIONS:
+                stray.append(f"{path.stem}.{name}")
+    assert not stray, "hand-written bool checks, use su2reps._check_int: " + ", ".join(stray)

@@ -19,14 +19,12 @@ from verlinde.thetacst import (
     chord_edges,
     delta_distribution,
     evaluate_series,
-    laplacian_eigenvalue,
     nonabelian_cst,
     nonabelian_theta,
     pw_evaluate,
     spin_network_blocks,
     su2_laplacian_block,
     theta_char,
-    truncation_radius,
 )
 
 
@@ -55,6 +53,9 @@ def test_period_matrix_validation():
         PeriodMatrix([[-1j]])  # Im not positive definite
     with pytest.raises(ValueError):
         PeriodMatrix([[1j, 2j], [2j, 1j]])  # indefinite imaginary part
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            PeriodMatrix([[complex(bad, 1.0)]])
     pm = PeriodMatrix([[0.5 + 2j]])
     assert pm.genus == 1
 
@@ -85,14 +86,12 @@ def test_numpy_int_residues_pass():
         lambda: FourierSeries(1, {(0.5,): 1}),
         lambda: FourierSeries(1, {(True,): 1}),
         lambda: su2_laplacian_block((1.5,), [[1j]]),
-        lambda: laplacian_eigenvalue((1.5,), [[1j]]),
         lambda: pw_evaluate((1.9,), np.eye(2), [np.eye(2)]),
         lambda: pw_evaluate((True,), np.eye(2), [np.eye(2)]),
     ],
     ids=[
         "char-float", "char-bool", "coset-residue", "coset-modulus", "fourier-float",
-        "fourier-bool", "laplacian-block", "laplacian-eigenvalue",
-        "pw-float", "pw-bool",
+        "fourier-bool", "laplacian-block", "pw-float", "pw-bool",
     ],
 )
 def test_float_and_bool_indices_are_refused(build):
@@ -192,14 +191,17 @@ def test_theta_quasi_periodicity():
 
 
 def test_theta_truncation_tail_bound():
+    # the adaptive stop leaves out less than tol/10 of the sum over a fixed
+    # box, m = 1 + 2n for |n| <= 30, far past where the terms underflow
     om = PeriodMatrix([[0.3 + 1.2j]])
     char = ThetaCharacteristic(2, (1,))
     z = [complex(0.2, 0.3)]
-    tol = 1e-12
-    r = truncation_radius(char, om, z, tol)
-    a = theta_char(char, om, z, radius=r)
-    b = theta_char(char, om, z, radius=r + 2)
-    assert abs(a - b) < tol / 10
+    box = sum(
+        cmath.exp(1j * math.pi * m * m * om.matrix[0, 0] / 2 + 2j * math.pi * m * z[0])
+        for m in range(-59, 62, 2)
+    )
+    for tol in (1e-4, 1e-8, 1e-12):
+        assert abs(theta_char(char, om, z, tol) - box) < tol / 10
 
 
 def test_theta_rejects_flat_imaginary_part():
@@ -254,8 +256,9 @@ def test_abelian_cst_zero_time_is_identity():
 
 def test_abelian_cst_negative_time_rejected():
     f = FourierSeries(1, {(0,): 1.0})
-    with pytest.raises(ValueError):
-        abelian_cst(f, PeriodMatrix([[1j]]), -0.1)
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            abelian_cst(f, PeriodMatrix([[1j]]), bad)
 
 
 def test_abelian_cst_damps_coefficients():
@@ -322,7 +325,9 @@ def test_laplacian_single_factor_is_casimir_scalar():
     block = su2_laplacian_block((1,), om)
     lam = 3 / (8 * math.pi)  # Casimir 3/4 over 2 pi
     assert np.allclose(block, -lam * np.eye(2), atol=1e-14)
-    assert abs(laplacian_eigenvalue((1,), om) - lam) < 1e-15
+    # the diagonal branch of the transform flows by the same scalar
+    flowed = nonabelian_cst((1,), np.eye(2), om, 3)
+    assert np.allclose(flowed, math.exp(-lam / 6) * np.eye(2), rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -346,12 +351,6 @@ def test_laplacian_off_diagonal_non_scalar():
     # pure imaginary Omega gives a self-adjoint, negative definite operator
     assert np.allclose(block, block.conj().T, atol=1e-12)
     assert np.linalg.eigvalsh(block).max() < 0
-
-
-def test_laplacian_eigenvalue_rejects_off_diagonal():
-    om = PeriodMatrix([[1j, 0.4j], [0.4j, 1.5j]])
-    with pytest.raises(ValueError):
-        laplacian_eigenvalue((1, 1), om)
 
 
 # -- nonabelian CST ------------------------------------------------------------

@@ -138,12 +138,12 @@ def test_count_weights_without_parity_keeps_polytope_values():
     # lattice counts of the dilated polytopes and the exact volumes they give
     for graph in enumerate_trivalent(2):
         assert [count_weights(graph, t, parity=False) for t in range(6)] == [1, 4, 11, 24, 45, 76]
-        assert polytope_volume(polytope(graph)) == Fraction(1, 24)
+        assert polytope_volume(graph) == Fraction(1, 24)
     for graph in enumerate_trivalent(3):
         assert [count_weights(graph, t, parity=False) for t in range(6)] == [
             1, 8, 49, 224, 785, 2248,
         ]
-        assert polytope_volume(polytope(graph)) == Fraction(1, 1440)
+        assert polytope_volume(graph) == Fraction(1, 1440)
     legged = {
         (1, ((0, 0),), (0,)): [1, 2, 5, 8, 13, 18, 25, 32],
         (2, ((0, 1), (0, 1)), (0, 1)): [1, 4, 17, 48, 113, 228, 417, 704],
@@ -168,6 +168,12 @@ def test_verlinde_count_check_spots():
     assert verlinde_count_check(2, 2) == 10
     assert verlinde_count_check(3, 1) == 8
     assert verlinde_count_check(3, 2) == 36
+
+
+@pytest.mark.parametrize("g, k", [(2.0, 1), (True, 1), (2, 1.0), (2, True), (1, 1), (2, 11)])
+def test_verlinde_count_check_refuses_non_int_or_out_of_range(g, k):
+    with pytest.raises(ValueError):
+        verlinde_count_check(g, k)
 
 
 def test_enumeration_is_sorted_and_unique():
@@ -293,8 +299,8 @@ def test_polytope_contains_weights():
 
 
 def test_polytope_volume_genus2():
-    assert polytope_volume(polytope(theta_graph())) == Fraction(1, 24)
-    assert polytope_volume(polytope(dumbbell_graph())) == Fraction(1, 24)
+    assert polytope_volume(theta_graph()) == Fraction(1, 24)
+    assert polytope_volume(dumbbell_graph()) == Fraction(1, 24)
 
 
 @pytest.mark.parametrize(
@@ -309,7 +315,7 @@ def test_polytope_volume_genus2():
 )
 def test_polytope_volume_counts_parabolic_legs(graph, volume):
     # legs are coordinates of the polytope
-    assert polytope_volume(polytope(graph)) == volume
+    assert polytope_volume(graph) == volume
 
 
 @pytest.mark.parametrize("g", [2, 3, 4, 5])
@@ -318,7 +324,7 @@ def test_polytope_volume_meets_bernoulli_leading_coefficient(g):
     # Bernoulli closed form gives independently of any lattice count
     n = 2 * g - 2
     expected = (-1) ** g * 2 ** (g - 1) * newstead.bernoulli(n) / math.factorial(n)
-    assert 2**g * polytope_volume(polytope(multi_theta(g))) == expected
+    assert 2**g * polytope_volume(multi_theta(g)) == expected
 
 
 def test_lattice_census_matches_enumeration():
@@ -364,6 +370,13 @@ def test_bs_asymptotics_genus4_is_exact():
 def test_bs_asymptotics_short_range_warns():
     rep = bs_asymptotics(2, range(1, 3))
     assert rep.fit_warning
+
+
+@pytest.mark.parametrize("ks", [[1.5, 2.7, 3.2, 4.9, 5.0], [1, 2, True], [0, 1, 2], []])
+def test_bs_asymptotics_refuses_non_int_levels(ks):
+    # int() would silently fit the levels 1..5 instead
+    with pytest.raises(ValueError):
+        bs_asymptotics(2, ks)
 
 
 # ---------------------------------------------------------------------------
