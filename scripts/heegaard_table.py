@@ -9,7 +9,7 @@ stable part; the argument column is reduced to the phase lattice.
 
 import argparse
 
-from verlinde.modular import heegaard_invariant, heegaard_word, phase_class
+from verlinde.modular import heegaard_invariant, phase_class
 
 
 def fmt(value, k):
@@ -33,8 +33,7 @@ def main():
     name_w = max(len(name) for name, _ in words)
     print(f"{'word':<{name_w}} " + " ".join(f"{'k=' + str(k):>20}" for k in range(1, args.kmax + 1)))
     for name, text in words:
-        word = heegaard_word(text)
-        row = " ".join(fmt(heegaard_invariant(word, k), k) for k in range(1, args.kmax + 1))
+        row = " ".join(fmt(heegaard_invariant(text, k), k) for k in range(1, args.kmax + 1))
         print(f"{name:<{name_w}} {row}")
 
 

@@ -100,7 +100,7 @@ def u1_counts(quick):
             got = weights.u1_networks(graph, k).count
             _check(got == k**g, f"genus {g} level {k}: {got} != {k**g}")
         if not quick and graph.is_trivalent():
-            # level 1: even subgraphs from a cycle basis against listed weights
+            # level 1: supports of the mod-2 flows against listed and counted weights
             nets = weights.level1_networks(graph)
             supports = {
                 frozenset(e for e, v in w.values.items() if v)
@@ -236,9 +236,9 @@ def modular_residuals(quick):
 def heegaard_words(quick):
     kmax = 4 if quick else 8
     for k in range(1, kmax + 1):
-        one = modular.heegaard_invariant(modular.heegaard_word(""), k)
+        one = modular.heegaard_invariant("", k)
         _check(one == 1.0, f"identity word at level {k}: {one}")
-        s = modular.heegaard_invariant(modular.heegaard_word("S"), k)
+        s = modular.heegaard_invariant("S", k)
         expect = math.sqrt(2.0 / (k + 2)) * math.sin(math.pi / (k + 2))
         _check(abs(s - expect) < 1e-10, f"S word at level {k}: {s} vs {expect}")
     return f"identity and S words up to level {kmax}"

@@ -56,7 +56,10 @@ _BARE_I = re.compile(r"(?<![\d.])j")
 
 def _parse_complex(text):
     """Finite complex literal with i or j as the imaginary unit, e.g. 1+2i."""
-    t = text.strip().replace(" ", "").replace("i", "j").replace("I", "j")
+    t = text.strip().replace(" ", "")
+    if re.search("inf|nan", t, re.IGNORECASE):
+        raise ValueError(f"complex literal {text!r} is not finite")
+    t = t.replace("i", "j").replace("I", "j")
     if not t:
         raise ValueError("empty complex literal")
     try:
@@ -346,7 +349,7 @@ def _cmd_modular_check(args):
 
 
 def _cmd_invariant(args):
-    val = modular.heegaard_invariant(modular.heegaard_word(args.word), args.level)
+    val = modular.heegaard_invariant(args.word, args.level)
     mag, arg = modular.phase_class(val, args.level)
     if mag < 1e-12:
         # the argument of a vanishing invariant is numerical noise

@@ -160,7 +160,7 @@ def spin_network(graph, coloring):
     for v in range(graph.n_vertices):
         labels = tuple(coloring[graph.edge_of(d)] for d in graph.star(v))
         try:
-            tensors.append(wigner_3j(*labels).tensor)
+            tensors.append(wigner_3j(*labels))
         except AdmissibilityError:
             raise AdmissibilityError(
                 f"vertex {v} carries no invariant for labels {labels}"

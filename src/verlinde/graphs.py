@@ -155,24 +155,31 @@ def chain_graph(g):
 # -- genus and components ----------------------------------------------------
 
 
-def _components(graph):
+def _walk_components(nodes, neighbours):
+    """Connected components of ascending `nodes` under `neighbours`, each
+    sorted, in the order of their least node."""
     seen = set()
     comps = []
-    for v0 in range(graph.n_vertices):
+    for v0 in nodes:
         if v0 in seen:
             continue
         comp = {v0}
         queue = [v0]
         while queue:
-            v = queue.pop()
-            for d in graph.star(v):
-                w = graph.vertex_of[graph.involution[d]]
+            for w in neighbours(queue.pop()):
                 if w not in comp:
                     comp.add(w)
                     queue.append(w)
         seen |= comp
         comps.append(sorted(comp))
     return comps
+
+
+def _components(graph):
+    return _walk_components(
+        range(graph.n_vertices),
+        lambda v: [graph.vertex_of[graph.involution[d]] for d in graph.star(v)],
+    )
 
 
 def genus(graph):
@@ -448,20 +455,7 @@ def move_graph_components(g):
                 j = keys[canonical_form(out)]
                 adj[i].add(j)
                 adj[j].add(i)
-    comps = []
-    left = set(range(len(reps)))
-    while left:
-        comp = {min(left)}
-        queue = [min(left)]
-        while queue:
-            x = queue.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    queue.append(y)
-        left -= comp
-        comps.append([reps[i] for i in sorted(comp)])
-    return comps
+    return [[reps[i] for i in comp] for comp in _walk_components(range(len(reps)), adj.get)]
 
 
 # -- Eulerian systems ----------------------------------------------------------

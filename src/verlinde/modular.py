@@ -468,42 +468,22 @@ def t_operator(space, e):
 # genus-1 Heegaard invariants
 # ---------------------------------------------------------------------------
 
-_GENERATORS = ("S", "T", "T-1")
-
-
-@dataclass(frozen=True)
-class HeegaardWord:
-    """Word in the torus mapping-class generators, leftmost acting last."""
-
-    letters: tuple
-
-    def __post_init__(self):
-        letters = tuple(self.letters)
-        for letter in letters:
-            if letter not in _GENERATORS:
-                raise ValueError(f"unknown generator {letter!r}")
-        object.__setattr__(self, "letters", letters)
-
-
-def heegaard_word(text):
-    """Parse a whitespace-separated word over S, T, T-1."""
-    return HeegaardWord(tuple(text.split()))
-
-
 def heegaard_invariant(word, k):
     """Vacuum-to-vacuum matrix element of the word on the torus block.
 
-    Well defined on closed 3-manifolds only up to the anomaly phase class;
-    compare values through same_phase_class.
+    The word is a whitespace-separated string over the torus mapping-class
+    generators S, T and T-1, leftmost acting last.  Well defined on closed
+    3-manifolds only up to the anomaly phase class; compare values through
+    same_phase_class.
     """
     check_level(k)
-    if isinstance(word, str):
-        word = heegaard_word(word)
     s = s_torus(k).astype(complex)
     t = np.diag([t_phase(k, n) for n in range(k + 1)])
     matrices = {"S": s, "T": t, "T-1": t.conj()}
     rho = np.eye(k + 1, dtype=complex)
-    for letter in word.letters:
+    for letter in word.split():
+        if letter not in matrices:
+            raise ValueError(f"unknown generator {letter!r}")
         rho = rho @ matrices[letter]
     return complex(rho[0, 0])
 

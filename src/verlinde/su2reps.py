@@ -13,7 +13,6 @@ subspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, sqrt
@@ -154,14 +153,6 @@ def admissible_triple(n1, n2, n3):
     return abs(n1 - n2) <= n3 <= n1 + n2
 
 
-@dataclass(frozen=True, eq=False)
-class ThreeJTensor:
-    """Unit-norm invariant tensor in V_n1 (x) V_n2 (x) V_n3."""
-
-    labels: tuple
-    tensor: np.ndarray
-
-
 def _null_space(rows, width):
     mat = [[Fraction(x) for x in r] for r in rows]
     pivots = []
@@ -194,12 +185,13 @@ def _null_space(rows, width):
 
 @lru_cache(maxsize=None)
 def wigner_3j(n1, n2, n3):
-    """Invariant 3j tensor, unit norm, first nonzero component positive.
+    """Invariant 3j array, unit norm, first nonzero component positive.
 
     Exact construction: the invariant is the kernel of the total raising
     operator restricted to zero total weight (E x^(n-m) y^m has integer
     coefficients, so the kernel is solved over the rationals), then
-    rescaled into the orthonormal basis and normalized.
+    rescaled into the orthonormal basis and normalized.  The cache hands
+    every caller the same array, so it is read-only.
     """
     labels = (n1, n2, n3)
     if not admissible_triple(*labels):
@@ -242,4 +234,5 @@ def wigner_3j(n1, n2, n3):
     first = flat[np.flatnonzero(np.abs(flat) > 1e-14)[0]]
     if first < 0:
         tensor = -tensor
-    return ThreeJTensor(labels, tensor)
+    tensor.setflags(write=False)
+    return tensor

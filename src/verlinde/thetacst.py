@@ -104,6 +104,19 @@ class ThetaCharacteristic:
 # -- theta series ---------------------------------------------------------------
 
 
+def _point(z, g):
+    """Finite length-g argument with each Re z_i reduced by fmod, which is
+    exact and keeps |Re z_i| < 1; both series are 1-periodic in Re z_i, and
+    unreduced a large Re z costs the phases exp(2 pi i m.z) every digit."""
+    zv = np.array(z, dtype=complex).reshape(-1)
+    if zv.shape != (g,):
+        raise ValueError("argument vector has the wrong length")
+    if not np.isfinite(zv).all():
+        raise ValueError("argument vector entries must be finite")
+    zv.real = np.fmod(zv.real, 1.0)
+    return zv
+
+
 def _sup_shell(g, s):
     """Lattice points of sup norm exactly s."""
     if s == 0:
@@ -123,9 +136,7 @@ def theta_char(char, om, z, tol=1e-12):
     pm = _period(om)
     if pm.genus != char.genus:
         raise ValueError("characteristic and period matrix genus differ")
-    zv = np.asarray(z, dtype=complex).reshape(-1)
-    if zv.shape != (pm.genus,):
-        raise ValueError("argument vector has the wrong length")
+    zv = _point(z, pm.genus)
     k = char.level
     l = np.asarray(char.vector, dtype=float)
     # the summand peaks near n = -(Im Omega)^{-1} Im z; only start testing
@@ -196,9 +207,7 @@ def evaluate_series(series, z):
     """Pointwise sum of a finite series, coefficients times exp(2 pi i n.z)."""
     if series.coefficients is None:
         raise ValueError("only finite series evaluate pointwise")
-    zv = np.asarray(z, dtype=complex).reshape(-1)
-    if zv.shape != (series.genus,):
-        raise ValueError("argument vector has the wrong length")
+    zv = _point(z, series.genus)
     total = 0j
     for n, a in series.coefficients.items():
         total += a * cmath.exp(2j * math.pi * (np.asarray(n, float) @ zv))

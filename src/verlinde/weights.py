@@ -6,15 +6,14 @@ every vertex the three incident values (a loop counts twice) must satisfy
 the parity, sum and quantum triangle conditions.  This module enumerates the
 admissible set, counts it by vertex elimination without listing it,
 builds the continuous moment polytope it discretizes and computes its
-volume exactly, counts U(1) flows and the level-1 even subgraphs, and
-fits the leading growth of the count in k.
+volume exactly, solves the mod-k U(1) flows, whose mod-2 supports are the
+level-1 even subgraphs, and fits the leading growth of the count in k.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -230,40 +229,10 @@ def u1_networks(graph, k):
 
 
 def level1_networks(graph):
-    """Even subgraphs: the 2**genus supports of level-1 weights."""
+    """Even subgraphs: the 2**genus supports of mod-2 flows and of level-1 weights."""
     if graph.parabolic_darts():
         raise ValueError("even subgraphs are defined for graphs without legs")
-    parent_edge = {child: (parent_v, e) for child, parent_v, e in spanning_tree(graph)}
-
-    def fundamental_cycle(e):
-        if graph.is_loop(e):
-            return frozenset([e])
-        u = graph.vertex_of[e]
-        v = graph.vertex_of[graph.involution[e]]
-        ancestors = set()
-        x = u
-        while x is not None:
-            ancestors.add(x)
-            x = parent_edge.get(x, (None, None))[0]
-        cyc = {e}
-        while v not in ancestors:
-            pv, te = parent_edge[v]
-            cyc.add(te)
-            v = pv
-        while u != v:
-            pu, te = parent_edge[u]
-            cyc.add(te)
-            u = pu
-        return frozenset(cyc)
-
-    basis = [fundamental_cycle(e) for e in chord_edges(graph)]
-    nets = set()
-    for picks in itertools.product((0, 1), repeat=len(basis)):
-        acc = frozenset()
-        for bit, cyc in zip(picks, basis):
-            if bit:
-                acc = acc ^ cyc
-        nets.add(acc)
+    nets = {frozenset(e for e, v in flow.items() if v) for flow in u1_networks(graph, 2).flows}
     return sorted(nets, key=lambda s: (len(s), sorted(s)))
 
 
@@ -382,20 +351,17 @@ def polytope_volume(graph):
 
     The coordinates are the internal edges and the parabolic legs.  The
     volume is the leading coefficient of the lattice-point counts of the
-    polytope's even dilations, found by finite differences.
+    polytope's even dilations: on the nodes 0..dim+1 the Newton
+    coefficient f[0..d] is the d-th forward difference over d!.
     """
     dim = len(_weight_edge_ids(graph))
     seq = [count_weights(graph, 2 * s, parity=False) for s in range(dim + 2)]
-    diffs = [seq]
-    for _ in range(dim + 1):
-        prev = diffs[-1]
-        diffs.append([b - a for a, b in zip(prev, prev[1:])])
-    if diffs[dim + 1][0] != 0:
+    coeffs = _newton_coefficients(range(dim + 2), seq)
+    if coeffs[dim + 1] != 0:
         raise InvariantViolation(
             "dilation counts are not polynomial at even steps", witness=graph
         )
-    leading = Fraction(diffs[dim][0], math.factorial(dim))
-    return leading / Fraction(4) ** dim
+    return coeffs[dim] / Fraction(4) ** dim
 
 
 # -- growth of the count ------------------------------------------------------

@@ -452,10 +452,11 @@ def test_graph_outside_the_command_domain_is_usage_error(capsys, argv):
         ["--omega", "[[[NaN, 1.0]]]"],
         ["--z", "nan"],
         ["--z", "inf"],
+        ["--z", "1+Infinityi"],
         ["--time", "inf"],
         ["--time", "nan"],
     ],
-    ids=["omega-nan", "omega-json-nan", "z-nan", "z-inf", "time-inf", "time-nan"],
+    ids=["omega-nan", "omega-json-nan", "z-nan", "z-inf", "z-inf-imag", "time-inf", "time-nan"],
 )
 def test_cst_eval_refuses_non_finite_input(capsys, extra):
     argv = ["cst", "eval", "--level", "2", "--char", "1", "--omega", "1i", "--z", "0.1"]
@@ -463,7 +464,19 @@ def test_cst_eval_refuses_non_finite_input(capsys, extra):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+    # named as not finite, not as unparsable or unconverged
+    assert "finite" in err
     assert "converged" not in err
+
+
+@pytest.mark.parametrize("command", ["theta", "cst"])
+def test_integer_argument_prints_the_value_at_zero(capsys, command):
+    # both series are 1-periodic in each Re z_i, so z = 1e15 is z = 0
+    argv = [command, "eval", "--level", "2", "--char", "1", "--omega", "1i", "--z"]
+    _, at_zero, _ = capture(capsys, argv + ["0"])
+    assert at_zero == "[0.4157606026, 0.0]\n"
+    for z in ("1e15", "1e300"):
+        assert capture(capsys, argv + [z]) == (0, at_zero, "")
 
 
 def test_weights_list(capsys):
@@ -639,7 +652,7 @@ def test_invariant_word(capsys):
     code, out, _ = capture(capsys, ["invariant", "--word", "S T T S", "--level", "2"])
     assert code == 0
     data = json.loads(out)
-    expect = modular.heegaard_invariant(modular.heegaard_word("S T T S"), 2)
+    expect = modular.heegaard_invariant("S T T S", 2)
     assert data["value"] == pytest.approx([expect.real, expect.imag], abs=1e-10)
     mag, arg = modular.phase_class(expect, 2)
     assert data["phase_class"] == pytest.approx([mag, arg], abs=1e-10)

@@ -52,7 +52,7 @@ BENCH_KEEP = {
     **{("newstead", n): _ITEM2 for n in ("ConjectureReport", "conjecture_scan")},
     **{
         ("weights", n): _ITEM2
-        for n in ("AsymptoticsReport", "_newton_coefficients", "bs_asymptotics")
+        for n in ("AsymptoticsReport", "bs_asymptotics")
     },
     **{
         ("thetacst", n): _ITEM4

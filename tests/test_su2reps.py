@@ -272,12 +272,12 @@ def test_admissibility_predicate():
 
 def test_wigner_scalar():
     t = wigner_3j(0, 0, 0)
-    assert t.tensor.shape == (1, 1, 1)
-    assert t.tensor[0, 0, 0] == pytest.approx(1.0)
+    assert t.shape == (1, 1, 1)
+    assert t[0, 0, 0] == pytest.approx(1.0)
 
 
 def test_wigner_epsilon():
-    t = wigner_3j(1, 1, 0).tensor
+    t = wigner_3j(1, 1, 0)
     r = 1 / math.sqrt(2)
     assert t[0, 1, 0] == pytest.approx(r)
     assert t[1, 0, 0] == pytest.approx(-r)
@@ -293,7 +293,7 @@ def test_wigner_inadmissible():
 
 def test_wigner_unit_norm_and_phase():
     for triple in [(1, 1, 2), (2, 2, 2), (3, 2, 1), (4, 2, 2), (3, 3, 2)]:
-        t = wigner_3j(*triple).tensor
+        t = wigner_3j(*triple)
         assert np.linalg.norm(t) == pytest.approx(1.0)
         flat = t.reshape(-1)
         first = flat[np.flatnonzero(np.abs(flat) > 1e-12)[0]]
@@ -308,7 +308,7 @@ def test_wigner_equivariance():
         if admissible_triple(n1, n2, n3)
     ]
     for triple in triples:
-        t = wigner_3j(*triple).tensor
+        t = wigner_3j(*triple)
         vec = t.reshape(-1)
         for _ in range(10):
             g = random_su2(rng)
@@ -319,7 +319,7 @@ def test_wigner_equivariance():
 
 def test_wigner_equivariance_deep_samples():
     rng = random.Random(6)
-    t = wigner_3j(2, 3, 3).tensor.reshape(-1)
+    t = wigner_3j(2, 3, 3).reshape(-1)
     for _ in range(100):
         g = random_su2(rng)
         mats = [rep_matrix(n, g) for n in (2, 3, 3)]
@@ -333,7 +333,7 @@ def test_wigner_matches_sympy_up_to_sign():
 
     for triple in [(1, 1, 0), (1, 1, 2), (2, 2, 2), (2, 1, 1), (3, 2, 1), (4, 2, 2)]:
         n1, n2, n3 = triple
-        mine = wigner_3j(n1, n2, n3).tensor
+        mine = wigner_3j(n1, n2, n3)
         ref = np.zeros_like(mine)
         for i1 in range(n1 + 1):
             for i2 in range(n2 + 1):
@@ -352,6 +352,14 @@ def test_wigner_matches_sympy_up_to_sign():
 
 def test_wigner_cached():
     assert wigner_3j(2, 2, 2) is wigner_3j(2, 2, 2)
+
+
+def test_wigner_cached_array_is_read_only():
+    # every spin network shares the cached array, so a write must fail
+    t = wigner_3j(2, 1, 1)
+    assert not t.flags.writeable
+    with pytest.raises(ValueError):
+        t[0, 0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,28 @@ def test_theta_rejects_flat_imaginary_part():
         theta_char(ThetaCharacteristic(1, (0,)), PeriodMatrix([[1e-7j]]), [0.0])
 
 
+def test_theta_and_series_refuse_non_finite_points():
+    char = ThetaCharacteristic(1, (0,))
+    series = FourierSeries(1, {(1,): 1.0})
+    for bad in (float("nan"), float("inf"), complex(0.1, float("nan"))):
+        with pytest.raises(ValueError, match="finite"):
+            theta_char(char, [[1j]], [bad])
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_series(series, [bad])
+
+
+def test_large_real_part_is_reduced_exactly():
+    # 1e15 + 0.25 is exact in binary, and fmod takes it to 0.25 exactly,
+    # so both series give the bits of the reduced point
+    om = PeriodMatrix([[0.3 + 1.2j]])
+    char = ThetaCharacteristic(2, (1,))
+    series = FourierSeries(1, {(1,): 1.0, (-3,): 0.5j})
+    z = np.array([1e15 + 0.25 + 0.1j])
+    assert theta_char(char, om, z) == theta_char(char, om, [0.25 + 0.1j])
+    assert evaluate_series(series, z) == evaluate_series(series, [0.25 + 0.1j])
+    assert z[0] == 1e15 + 0.25 + 0.1j  # the caller's array is not reduced in place
+
+
 def test_theta_cauchy_riemann():
     rng = np.random.default_rng(6)
     om = random_omega(2, rng)
