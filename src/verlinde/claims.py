@@ -35,38 +35,30 @@ def verlinde_routes(quick):
     return f"{len(_SPOTS)} spot values, 3 routes each"
 
 
-def count_routes(kmax, all_routes=True):
-    """Genus-2 and genus-3 weight counts for k = 1..kmax against the spot
-    values and, with all_routes, the character and closed routes."""
+def graph_independence(quick):
+    kmax = 3 if quick else 8
+    top = 6 if quick else 12
+    # genus-2 and genus-3 weight counts against the spot values and, at full
+    # scale, the character and closed routes
     for g in (2, 3):
         for k in range(1, kmax + 1):
             count = weights.verlinde_count_check(g, k)
             if (g, k) in _SPOTS:
                 _check(count == _SPOTS[(g, k)], f"genus {g} level {k}: count {count}")
-            if all_routes:
+            if not quick:
                 for via in ("characters", "closed"):
                     got = fusion.verlinde(g, k, via=via)
                     _check(got == count, f"genus {g} level {k}: {via} {got} != count {count}")
-
-
-def theta_dumbbell(top, listed=True):
-    """Theta and dumbbell weight counts agree for k = 1..top and, with listed,
-    equal the lengths of their enumerated weight lists."""
+    # theta and dumbbell counts agree and, at full scale, equal the lengths of
+    # their enumerated weight lists
     theta, bell = graphs.theta_graph(), graphs.dumbbell_graph()
     for k in range(1, top + 1):
         a = weights.count_weights(theta, k)
         b = weights.count_weights(bell, k)
         _check(a == b, f"theta {a} != dumbbell {b} at level {k}")
-        if listed:
+        if not quick:
             got = (len(weights.enumerate_weights(theta, k)), len(weights.enumerate_weights(bell, k)))
             _check(got == (a, b), f"level {k}: listed {got} != counted {(a, b)}")
-
-
-def graph_independence(quick):
-    kmax = 3 if quick else 8
-    top = 6 if quick else 12
-    count_routes(kmax, all_routes=not quick)
-    theta_dumbbell(top, listed=not quick)
     if not quick:
         # the handle-operator rank against direct enumeration
         for g in (2, 3):

@@ -299,6 +299,8 @@ def _cmd_cst_eval(args):
     ch = tuple(int(p) for p in _split(args.char))
     om = _parse_omega(args.omega)
     z = [_parse_complex(p) for p in _split(args.z)]
+    if any(abs(v.imag) > 1 for v in z):
+        raise ValueError("cst eval needs |Im z_i| <= 1, the strip its series is truncated for")
     t = args.time if args.time is not None else 1.0 / args.level
     series = thetacst.abelian_cst(thetacst.delta_distribution(ch, args.level), om, t)
     print(json.dumps(_cx(thetacst.evaluate_series(series, z))))

@@ -288,11 +288,8 @@ def _poly_mod(p, q):
     # remainder of p by monic q over the integers
     p = list(p)
     dq = len(q) - 1
-    while len(p) - 1 >= dq and any(p):
+    while len(p) - 1 >= dq:
         lead = p[-1]
-        if lead == 0:
-            p.pop()
-            continue
         shift = len(p) - 1 - dq
         for i, c in enumerate(q):
             p[shift + i] -= lead * c
@@ -301,23 +298,17 @@ def _poly_mod(p, q):
     return p
 
 
-def _to_basis(p, polys, k):
-    # expand p in the basis p_0..p_k; returns None if it does not fit
+def _to_basis(p, polys):
+    # expand p in the monic basis p_0, p_1, ... (p_d has degree d)
     p = list(p)
     coeffs = {}
     for d in range(len(p) - 1, -1, -1):
-        if d >= len(p):
-            continue
         c = p[d]
         if c == 0:
             continue
-        if d > k:
-            return None
         coeffs[d] = c
         for i, pc in enumerate(polys[d]):
             p[i] -= c * pc
-    if any(p):
-        return None
     return coeffs
 
 
@@ -352,9 +343,9 @@ def ideal_check(k):
                 mismatches.append((a, b, "clebsch-gordan sum"))
                 continue
             rem = _poly_mod(product, gen)
-            coeffs = _to_basis(rem, polys, k)
+            coeffs = _to_basis(rem, polys)
             reduced = []
-            if coeffs is not None and all(c >= 0 for c in coeffs.values()):
+            if all(c >= 0 for c in coeffs.values()):
                 for d, c in sorted(coeffs.items(), reverse=True):
                     reduced.extend([d] * c)
             else:

@@ -7,12 +7,13 @@ orthonormalized basis u_m = sqrt(C(n,m)) x^(n-m) y^m makes the action
 unitary on SU(2); rep_matrix returns that version, for one group element
 or an (N, 2, 2) batch of them, and rep_matrix_exact the plain monomial
 one.  Both expand the same symmetric-power core.  Invariant 3j tensors are
-cut out exactly as the kernel of the raising operator on the zero-weight
-subspace.
+written down, not solved for: each is the bracket product [12]^a [23]^b
+[31]^c of classical invariant theory, [ij] = x_i y_j - x_j y_i.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, sqrt
@@ -153,82 +154,35 @@ def admissible_triple(n1, n2, n3):
     return abs(n1 - n2) <= n3 <= n1 + n2
 
 
-def _null_space(rows, width):
-    mat = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    r = 0
-    for c in range(width):
-        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * width
-        v[fc] = Fraction(1)
-        for rr, pc in enumerate(pivots):
-            v[pc] = -mat[rr][fc]
-        basis.append(v)
-    return basis
-
-
 @lru_cache(maxsize=None)
 def wigner_3j(n1, n2, n3):
     """Invariant 3j array, unit norm, first nonzero component positive.
 
-    Exact construction: the invariant is the kernel of the total raising
-    operator restricted to zero total weight (E x^(n-m) y^m has integer
-    coefficients, so the kernel is solved over the rationals), then
-    rescaled into the orthonormal basis and normalized.  The cache hands
-    every caller the same array, so it is read-only.
+    Exact construction: with a, b, c the numbers of (1,2), (2,3) and (3,1)
+    strands, the invariant is the bracket product [12]^a [23]^b [31]^c,
+    [ij] = x_i y_j - x_j y_i, whose monomial coefficients are integers by the
+    binomial theorem; it is rescaled into the orthonormal basis and
+    normalized.  The cache hands every caller the same array, so it is
+    read-only.
     """
     labels = (n1, n2, n3)
     if not admissible_triple(*labels):
         raise AdmissibilityError(f"no invariant tensor for labels {labels}")
-
-    def weight(idx):
-        return sum(n - 2 * i for n, i in zip(labels, idx))
-
-    all_idx = [
-        (i1, i2, i3)
-        for i1 in range(n1 + 1)
-        for i2 in range(n2 + 1)
-        for i3 in range(n3 + 1)
-    ]
-    zero = [idx for idx in all_idx if weight(idx) == 0]
-    col = {idx: p for p, idx in enumerate(zero)}
-    rows = []
-    for tgt in (idx for idx in all_idx if weight(idx) == 2):
-        row = [0] * len(zero)
-        for slot in range(3):
-            src = list(tgt)
-            src[slot] += 1
-            src = tuple(src)
-            if src in col:
-                row[col[src]] += tgt[slot] + 1
-        if any(row):
-            rows.append(row)
-    basis = _null_space(rows, len(zero)) if zero else []
-    if len(basis) != 1:
-        raise AdmissibilityError(
-            f"invariant multiplicity {len(basis)} for labels {labels}"
-        )
-    vec = basis[0]
+    a, b, c = (n1 + n2 - n3) // 2, (n2 + n3 - n1) // 2, (n3 + n1 - n2) // 2
+    coeff = {}
+    for s, t, u in itertools.product(range(a + 1), range(b + 1), range(c + 1)):
+        # y-degrees on the three slots of this term of the expansion
+        idx = (s + c - u, a - s + t, b - t + u)
+        term = (-1) ** (s + t + u) * comb(a, s) * comb(b, t) * comb(c, u)
+        coeff[idx] = coeff.get(idx, 0) + term
+    # the lexicographically last nonzero coefficient is scaled to 1: that fixes
+    # the overall sign before the floats are taken, and with it the sign of
+    # the zero entries after the phase flip below
+    last = coeff[max(idx for idx, x in coeff.items() if x)]
     tensor = np.zeros((n1 + 1, n2 + 1, n3 + 1))
-    for idx, p in col.items():
+    for idx, x in coeff.items():
         scale = sqrt(comb(n1, idx[0]) * comb(n2, idx[1]) * comb(n3, idx[2]))
-        tensor[idx] = float(vec[p]) / scale
+        tensor[idx] = float(Fraction(x, last)) / scale
     tensor /= np.linalg.norm(tensor)
     flat = tensor.reshape(-1)
     first = flat[np.flatnonzero(np.abs(flat) > 1e-14)[0]]

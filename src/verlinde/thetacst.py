@@ -28,6 +28,7 @@ from .graphs import chord_edges, genus
 from .su2reps import AdmissibilityError, _check_label, casimir, check_level, omega, rep_matrix
 
 _MAX_RADIUS = 60
+_OUT_OF_RANGE = "theta value lies outside the float range at this point"
 
 
 # -- period matrices and characteristics ---------------------------------------
@@ -150,12 +151,18 @@ def theta_char(char, om, z, tol=1e-12):
         for n in _sup_shell(pm.genus, s):
             m = l + k * np.asarray(n, dtype=float)
             quad = m @ pm.matrix @ m / k
-            term = cmath.exp(1j * math.pi * quad + 2j * math.pi * (m @ zv))
+            try:
+                term = cmath.exp(1j * math.pi * quad + 2j * math.pi * (m @ zv))
+            except OverflowError:
+                raise ValueError(_OUT_OF_RANGE) from None
             total += term
             mag += abs(term)
         if s >= s_min:
             small = small + 1 if mag < tol / 20 else 0
             if small >= 2:
+                # each term can fit in a float while their sum does not
+                if not cmath.isfinite(total):
+                    raise ValueError(_OUT_OF_RANGE)
                 return total
     raise ValueError(f"theta series not converged within lattice radius {_MAX_RADIUS}")
 
@@ -218,7 +225,8 @@ def abelian_cst(series, om, t):
     """Time-t transform: the coefficient at n picks up exp(t i pi n.Omega.n).
 
     Coset distributions come out as finite series, materialized out to where
-    the damped coefficients stop mattering.
+    the damped coefficients stop mattering on the strip |Im z_i| <= 1; off
+    that strip the finite series does not approximate the transform.
     """
     pm = _period(om)
     if pm.genus != series.genus:

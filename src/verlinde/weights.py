@@ -119,14 +119,6 @@ def enumerate_weights(graph, k, boundary=None):
     full_at = [[] for _ in edges]
     for v, flags in enumerate(flag_lists):
         full_at[max(position[e] for e in flags)].append(v)
-    # loop vertices allow one early cut: third value known, loop still free
-    loop_cut_at = [[] for _ in edges]
-    for v, flags in enumerate(flag_lists):
-        if len(set(flags)) == 2:
-            loop = next(e for e in flags if flags.count(e) == 2)
-            other = next(e for e in flags if flags.count(e) == 1)
-            if position[other] < position[loop]:
-                loop_cut_at[position[other]].append((v, other))
 
     nums = {}
     out = []
@@ -144,9 +136,7 @@ def enumerate_weights(graph, k, boundary=None):
         choices = (preset[e],) if e in preset else range(k + 1)
         for n in choices:
             nums[e] = n
-            if all(vertex_ok(v) for v in full_at[i]) and all(
-                nums[other] % 2 == 0 for _, other in loop_cut_at[i]
-            ):
+            if all(vertex_ok(v) for v in full_at[i]):
                 dfs(i + 1)
         del nums[e]
 

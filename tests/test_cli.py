@@ -201,6 +201,34 @@ def test_nearly_real_omega_is_not_converged(capsys, argv):
     assert "damped coset series not converged" in err
 
 
+@pytest.mark.parametrize("z", ["15.0304i", "16i", "30i", "100i"])
+def test_theta_eval_beyond_float_range_is_usage_error(capsys, z):
+    # past about 15.03i a term, or at 15.0304i only the sum, overflows a float
+    argv = ["theta", "eval", "--level", "1", "--char", "0", "--omega", "i", "--z", z]
+    code, out, err = capture(capsys, argv)
+    assert (code, out) == (1, "")
+    assert "outside the float range" in err
+
+
+def test_theta_eval_near_float_range_still_prints(capsys):
+    argv = ["theta", "eval", "--level", "1", "--char", "0", "--omega", "i", "--z", "15i"]
+    assert capture(capsys, argv)[:2] == (0, "[1.0487773200449865e+307, 0.0]\n")
+
+
+@pytest.mark.parametrize("z", ["5i", "30i", "0.2-1.5i"])
+def test_cst_eval_off_its_strip_is_usage_error(capsys, z):
+    # the transformed series is truncated for |Im z| <= 1 only
+    argv = ["cst", "eval", "--level", "1", "--char", "0", "--omega", "i", "--z", z]
+    code, out, err = capture(capsys, argv)
+    assert (code, out) == (1, "")
+    assert "|Im z_i| <= 1" in err
+
+
+def test_cst_eval_on_its_strip(capsys):
+    argv = ["cst", "eval", "--level", "1", "--char", "0", "--omega", "i", "--z", "0.5i"]
+    assert capture(capsys, argv)[:2] == (0, "[2.0037348985, 0.0]\n")
+
+
 # -- verlinde and fusion -----------------------------------------------------------
 
 

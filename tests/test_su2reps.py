@@ -291,8 +291,12 @@ def test_wigner_inadmissible():
         wigner_3j(4, 1, 1)
 
 
+# every ordering: the bracket product treats the three slots asymmetrically
+ORDERED_TRIPLES = [t for t in itertools.product(range(7), repeat=3) if admissible_triple(*t)]
+
+
 def test_wigner_unit_norm_and_phase():
-    for triple in [(1, 1, 2), (2, 2, 2), (3, 2, 1), (4, 2, 2), (3, 3, 2)]:
+    for triple in ORDERED_TRIPLES:
         t = wigner_3j(*triple)
         assert np.linalg.norm(t) == pytest.approx(1.0)
         flat = t.reshape(-1)
@@ -331,8 +335,8 @@ def test_wigner_matches_sympy_up_to_sign():
     from sympy import Rational
     from sympy.physics.wigner import wigner_3j as sym3j
 
-    for triple in [(1, 1, 0), (1, 1, 2), (2, 2, 2), (2, 1, 1), (3, 2, 1), (4, 2, 2)]:
-        n1, n2, n3 = triple
+    assert len(ORDERED_TRIPLES) == 106
+    for n1, n2, n3 in ORDERED_TRIPLES:
         mine = wigner_3j(n1, n2, n3)
         ref = np.zeros_like(mine)
         for i1 in range(n1 + 1):

@@ -7,7 +7,6 @@ directly with math.sin (independent of the fusion module).
 import itertools
 import json
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -22,7 +21,6 @@ from verlinde.graphs import (
     multi_theta,
     theta_graph,
 )
-from verlinde.su2reps import _null_space
 from verlinde.weights import (
     InvariantViolation,
     WeightFunction,
@@ -377,41 +375,6 @@ def test_bs_asymptotics_refuses_non_int_levels(ks):
     # int() would silently fit the levels 1..5 instead
     with pytest.raises(ValueError):
         bs_asymptotics(2, ks)
-
-
-# ---------------------------------------------------------------------------
-# exact elimination
-# ---------------------------------------------------------------------------
-
-
-def _oracle_rank(rows):
-    # fraction-free row reduction, independent of su2reps._null_space
-    rows = [list(r) for r in rows if any(r)]
-    rank, col, width = 0, 0, (len(rows[0]) if rows else 0)
-    while rows and col < width:
-        pivot = next((i for i, r in enumerate(rows) if r[col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[0], rows[pivot] = rows[pivot], rows[0]
-        top = rows[0]
-        for r in rows[1:]:
-            if r[col]:
-                f = Fraction(r[col], top[col])
-                for j in range(col, width):
-                    r[j] -= f * top[j]
-        rows = rows[1:]
-        rank += 1
-        col += 1
-    return rank
-
-
-def test_null_space_nullity_matches_rank_oracle():
-    rng = random.Random(5)
-    for _ in range(200):
-        height, width = rng.randint(0, 5), rng.randint(1, 6)
-        rows = [[rng.randint(-2, 2) for _ in range(width)] for _ in range(height)]
-        assert width - len(_null_space(rows, width)) == _oracle_rank(rows)
 
 
 def test_invariant_violation_carries_witness():
