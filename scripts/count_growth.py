@@ -17,6 +17,8 @@ def main():
     ap.add_argument("--genus", type=int, default=2)
     ap.add_argument("--kmax", type=int, default=10)
     args = ap.parse_args()
+    if args.kmax < 1:
+        ap.error("--kmax must be at least 1")
 
     print(f"genus {args.genus}, levels 1..{args.kmax}")
     print(f"{'k':>4} {'count':>10} {'characters':>12} {'closed':>10} {'count/k^(3g-3)':>16}")

@@ -25,6 +25,10 @@ def main():
     ap.add_argument("--kmax", type=int, default=6)
     ap.add_argument("--nmax", type=int, default=4)
     args = ap.parse_args()
+    if args.kmax < 1:
+        ap.error("--kmax must be at least 1")
+    if args.nmax < 0:
+        ap.error("--nmax must be at least 0")
 
     words = [("empty", ""), ("S", "S")]
     for n in range(args.nmax + 1):

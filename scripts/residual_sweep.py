@@ -28,6 +28,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--kmax", type=int, default=6)
     args = ap.parse_args()
+    if args.kmax < 1:
+        ap.error("--kmax must be at least 1")
 
     header = " ".join(f"{c[:12]:>12}" for c in COLUMNS)
     print(f"{'k':>3} {header}")

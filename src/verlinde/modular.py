@@ -7,16 +7,18 @@ operators on block spaces of labeled graphs, the torus S matrix, the
 switching operators of the holed torus, and genus-1 Heegaard invariants
 with their anomaly phase classes.
 
-There is one Racah implementation, the scalar kernel behind q6j.  Its
-values reach callers in two ways.  Single entries and single blocks --
-q6j, fusion_matrix, braiding and the switching data -- call the kernel
+The Racah sum has two evaluations that do the same floating-point
+operations in the same order.  Single entries and single blocks -- q6j,
+fusion_matrix, braiding and the switching data -- call the scalar kernel
 entry by entry and cache each entry.  Level-wide computations --
 six_j_table, pentagon_check and the orthogonality, symmetry, pentagon,
 Yang-Baxter and braid-inverse relations of residual_report -- read a
 per-level table instead: every admissible (j1, j2, j3, j4, i, j) as a
-small-int array, with the kernel's value for each, built once per level.
-They evaluate their relations as array operations on it that keep the
-scalar loops' order of rounding, so both ways give the same bits.
+small-int array, with its values computed by an array evaluation of the
+Racah sum over blocks of keys, built once per level.  They evaluate their
+relations as array operations on it that keep the scalar loops' order of
+rounding, so both ways give the same bits; tests pin the table against
+q6j entry by entry.
 
 All labels are twice-spin integers in 0..k.
 """
@@ -103,6 +105,47 @@ def _racah(k, a, b, e, c, d, f):
     return prefactor * total
 
 
+def _q6j_array(k, keys):
+    """_q6j for every row of an (n, 6) array of admissible labels.
+
+    Every step repeats the scalar kernel's floating-point operations in its
+    order, on factorials and quantum integers from the cached scalar
+    _qfact and _qint, so each value has the scalar kernel's bits.
+    """
+    # int16 label sums stay exact up to 4k <= 32767, that is k <= 8191
+    j1, j2, j3, j4, i, j = keys.T.astype(np.int16, order="C")
+    fact = np.array([_qfact(k, n) for n in range(2 * k + 2)])
+    qint = np.array([_qint(k, n) for n in range(k + 2)])
+
+    def delta(a, b, c):
+        return np.sqrt(
+            fact[(-a + b + c) // 2]
+            * fact[(a - b + c) // 2]
+            * fact[(a + b - c) // 2]
+            / fact[(a + b + c) // 2 + 1]
+        )
+
+    # _racah's (a, b, e, c, d, f) are (j1, j2, i, j3, j4, j)
+    lows = ((j1 + j2 + i) // 2, (i + j3 + j4) // 2, (j2 + j3 + j) // 2, (j1 + j + j4) // 2)
+    highs = ((j1 + j2 + j3 + j4) // 2, (j1 + i + j3 + j) // 2, (j2 + i + j4 + j) // 2)
+    prefactor = delta(j1, j2, i) * delta(i, j3, j4) * delta(j2, j3, j) * delta(j1, j, j4)
+    first, last = np.maximum.reduce(lows), np.minimum.reduce(highs)
+    total = np.zeros(len(keys))
+    for z in range(int(first.min()), int(last.max()) + 1):
+        # a row whose range misses z evaluates its nearest in-range term,
+        # which stays finite, and the where drops it
+        zc = np.clip(z, first, last)
+        term = fact[zc + 1]
+        term = np.where(zc % 2, -term, term)
+        for t in lows:
+            term = term / fact[zc - t]
+        for q in highs:
+            term = term / fact[q - zc]
+        total = np.where((first <= z) & (z <= last), total + term, total)
+    sign = np.where((j1 + j2 + j3 + j4) // 2 % 2, -1.0, 1.0)
+    return sign * np.sqrt(qint[i + 1] * qint[j + 1]) * (prefactor * total)
+
+
 @lru_cache(maxsize=None)
 def _q6j(k, j1, j2, j3, j4, i, j):
     if not (_triple_ok(k, j1, j2, i) and _triple_ok(k, j3, j4, i)):
@@ -148,7 +191,7 @@ class SixJTable:
     entries: MappingProxyType
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        object.__setattr__(self, "entries", MappingProxyType(self.entries))
 
     def coefficient(self, j1, j2, j3, j4, i, j):
         return self.entries.get((j1, j2, j3, j4, i, j), 0.0)
@@ -172,8 +215,9 @@ def _level_table(k):
     """Every admissible fusing coefficient of one level, packed in two arrays.
 
     keys holds the (j1, j2, j3, j4, i, j) labels in six_j_table order, which
-    lays out each outer-label quad's block row by row; values holds what the
-    scalar kernel gives for each key, so every entry keeps its bits.  Only
+    lays out each outer-label quad's block row by row; values holds the
+    array evaluation of the Racah sum over the keys, a few thousand rows at
+    a time, which gives the scalar kernel's bits for every entry.  Only
     level-wide computations read it: single entries stay on the scalar
     kernel, so one coefficient at a high level never builds a whole level.
     """
@@ -187,8 +231,11 @@ def _level_table(k):
         tail = np.argwhere(src[:, :, :, None] & tgt[:, :, None, :])
         parts.append(np.column_stack([np.full((len(tail), 2), (j1, j2)), tail]))
     keys = np.concatenate(parts).astype(np.min_scalar_type(k))
-    # the uncached kernel, so the table does not also fill _q6j's cache
-    values = np.array([_q6j.__wrapped__(k, *key) for key in keys.tolist()], dtype=float)
+    # blocks of rows keep the sum's temporaries small, so that they do not
+    # grow the heap that later level-wide computations run in
+    values = np.empty(len(keys))
+    for s in range(0, len(keys), 4096):
+        values[s : s + 4096] = _q6j_array(k, keys[s : s + 4096])
     keys.setflags(write=False)
     values.setflags(write=False)
     return keys, values
@@ -240,7 +287,6 @@ class _Lookup:
 def _lookup(k):
     keys, values = _level_table(k)
     size = k + 1
-    keys = keys.astype(np.intp)
     dense = np.zeros(size**6)
     dense[_flat(size, *keys.T)] = values
     counts = np.bincount(_flat(size, *keys.T[:4]), minlength=size**4)
@@ -454,14 +500,18 @@ def _edge_positions(graph):
     return {e: i for i, e in enumerate(_weight_edge_ids(graph))}
 
 
-def t_operator(space, e):
-    """Diagonal twist by the weight of edge e on each basis vector."""
+def _edge_labels(space, e):
+    """The weight of edge e on each basis vector."""
     graph = space.graph
     if not 0 <= e < graph.n_darts:
         raise ValueError("edge is not in the graph")
     pos = _edge_positions(graph)[graph.edge_of(e)]
-    phases = [t_phase(space.level, w.numerators[pos]) for w in space.basis]
-    return np.diag(phases)
+    return [w.numerators[pos] for w in space.basis]
+
+
+def t_operator(space, e):
+    """Diagonal twist by the weight of edge e on each basis vector."""
+    return np.diag([t_phase(space.level, n) for n in _edge_labels(space, e)])
 
 
 # ---------------------------------------------------------------------------
@@ -656,12 +706,14 @@ def genus_chain_operator(space, ops):
     if len(loops) != 2:
         raise ValueError("chain assembly needs exactly the two end circles")
     ends = {"first": loops[0], "last": loops[1]}
+    twists = np.array([t_phase(space.level, n) for n in range(space.level + 1)])
     rho = np.eye(space.dim, dtype=complex)
     for kind, arg in ops:
+        # a twist is diagonal, so it scales the rows of rho
         if kind == "T":
-            rho = t_operator(space, arg) @ rho
+            rho = twists[_edge_labels(space, arg)][:, None] * rho
         elif kind == "T-1":
-            rho = t_operator(space, arg).conj() @ rho
+            rho = twists.conj()[_edge_labels(space, arg)][:, None] * rho
         elif kind == "S":
             if arg not in ends:
                 raise ValueError("switch must act on 'first' or 'last'")

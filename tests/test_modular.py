@@ -198,7 +198,7 @@ def test_six_j_table_matches_pointwise():
         assert j in target_channels(2, j1, j2, j3, j4)
 
 
-@pytest.mark.parametrize("k", range(1, 9))
+@pytest.mark.parametrize("k", range(1, 13))
 def test_six_j_table_bits_match_scalar(k):
     table = six_j_table(k)
     admissible = [

@@ -29,6 +29,8 @@ KEEP = {
     ("modular", "same_phase_class"): "README API; the Gauss-sum comparison of "
     "Heegaard words needs it",
     ("modular", "switching_operator"): "waits for the closed-form holed S matrix",
+    ("modular", "t_operator"): "the public matrix form of one twist; "
+    "genus_chain_operator applies the same twists as row scalings",
     ("newstead", "witten_volume"): "waits for the Riemann-Roch route tying "
     "newstead to fusion",
     ("weights", "is_admissible"): "the Fraction reference that tests compare "
@@ -69,9 +71,9 @@ BENCH_KEEP = {
     **{
         ("modular", n): _ITEM6
         for n in (
-            "BlockSpace", "BlockSpace.dim", "BlockSpace.index_of", "_edge_positions",
-            "_end_switch", "block_space", "genus_chain_invariant", "genus_chain_operator",
-            "t_operator",
+            "BlockSpace", "BlockSpace.dim", "BlockSpace.index_of", "_edge_labels",
+            "_edge_positions", "_end_switch", "block_space", "genus_chain_invariant",
+            "genus_chain_operator",
         )
     },
     **{

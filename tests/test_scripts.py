@@ -36,3 +36,20 @@ def test_script_runs(name, args):
     assert proc.stdout
     assert proc.stderr == ""
 
+
+@pytest.mark.parametrize(
+    ("name", "args"),
+    [
+        ("count_growth.py", ["--kmax", "0"]),
+        ("count_growth.py", ["--kmax", "-2"]),
+        ("residual_sweep.py", ["--kmax", "0"]),
+        ("residual_sweep.py", ["--kmax", "-1"]),
+        ("heegaard_table.py", ["--kmax", "0"]),
+        ("heegaard_table.py", ["--nmax", "-1"]),
+    ],
+)
+def test_script_rejects_empty_level_range(name, args):
+    proc = run_script(name, *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "must be at least" in proc.stderr
