@@ -17,6 +17,8 @@ def main():
     ap.add_argument("--genus", type=int, default=2)
     ap.add_argument("--kmax", type=int, default=10)
     args = ap.parse_args()
+    if args.genus < 2:
+        ap.error("--genus must be at least 2")
     if args.kmax < 1:
         ap.error("--kmax must be at least 1")
 

@@ -11,12 +11,18 @@ against a product irrep, and the Omega-weighted invariant Laplacian acts on
 that block by an explicit matrix.  The graph's theta value is the block
 flowed for time 1/k and traced at a Schottky point.
 
+The lattice sums run one sup-norm shell at a time.  Each shell's quadratic
+and linear forms are computed as arrays whose stacked (N, 1, g) rows make
+the BLAS call that the one-row product makes, so every term has the bits it
+has when computed alone; the terms are then exponentiated with cmath and
+summed in lattice order, as a one-term-at-a-time loop sums them.
+
 Residues and Fourier indices are integers (numpy ints pass), and irrep
 labels are Python ints; a float or a bool is refused, never truncated.
 """
 
 import cmath
-import itertools
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -28,6 +34,7 @@ from .graphs import chord_edges, genus
 from .su2reps import AdmissibilityError, _check_label, casimir, check_level, omega, rep_matrix
 
 _MAX_RADIUS = 60
+_CACHED_CUBE = 4096
 _OUT_OF_RANGE = "theta value lies outside the float range at this point"
 
 
@@ -118,22 +125,66 @@ def _point(z, g):
     return zv
 
 
-def _sup_shell(g, s):
-    """Lattice points of sup norm exactly s."""
+def _slabs(g, s):
+    """Lattice points of sup norm exactly s >= 1 as float rows, in the order
+    of itertools.product over [-s, s]^g.
+
+    One slab per value of the first coordinate, at most (2s+1)^(g-1) rows,
+    so no (2s+1)^g cube is held.
+    """
+    width = 2 * s + 1
+    # the last g-1 coordinates over their whole cube, and the rows of it that
+    # already have sup norm s, which are all a slab with |first| < s can use
+    rest = (np.indices((width,) * (g - 1)).reshape(g - 1, width ** (g - 1)).T - s).astype(float)
+    inner = rest[(np.abs(rest) == s).any(axis=1)]
+    for c in range(-s, s + 1):
+        tail = rest if abs(c) == s else inner
+        if len(tail):
+            yield np.column_stack((np.full(len(tail), float(c)), tail))
+
+
+@functools.cache
+def _small_shell(g, s):
+    pts = np.concatenate(list(_slabs(g, s)))
+    pts.flags.writeable = False
+    return pts
+
+
+def _shell(g, s):
+    """Blocks of the sup-norm-s shell, in order (see `_slabs`).
+
+    A shell inside a cube of at most _CACHED_CUBE points is one cached
+    read-only block; per genus those cached shells add up to one such cube,
+    and no genus above 7 has any, so the cache stays under a megabyte.
+    """
     if s == 0:
-        yield (0,) * g
-        return
-    for pt in itertools.product(range(-s, s + 1), repeat=g):
-        if max(abs(c) for c in pt) == s:
-            yield pt
+        return [np.zeros((1, g))]
+    if (2 * s + 1) ** g <= _CACHED_CUBE:
+        return [_small_shell(g, s)]
+    return _slabs(g, s)
+
+
+def _quad(m, mat):
+    """m_i . mat . m_i for each row m_i, as `m_i @ mat @ m_i` computes it.
+
+    The stacked (N, 1, g) operands make one BLAS call per row, the call the
+    one-row product makes, so the bits are the same; a single (N, g) @ (g, g)
+    product or einsum rounds differently on some BLAS builds.
+    """
+    return np.matmul(np.matmul(m[:, None, :], mat), m[:, :, None])[:, 0, 0]
 
 
 def theta_char(char, om, z, tol=1e-12):
     """Level-k theta series sum over l + k Z^g, truncated below tol.
 
     Each summand is exp(i pi m.(Omega/k).m + 2 pi i m.z) with m = l + k n.
-    The lattice radius adapts to tol.
+    The lattice radius adapts to tol, which must be finite and positive.
+    Each sup-norm shell of n is evaluated as arrays (see `_quad`), then
+    summed term by term in lattice order, so the bits are those of the
+    one-term-at-a-time sum.
     """
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tolerance must be finite and positive")
     pm = _period(om)
     if pm.genus != char.genus:
         raise ValueError("characteristic and period matrix genus differ")
@@ -148,15 +199,16 @@ def theta_char(char, om, z, tol=1e-12):
     small = 0
     for s in range(_MAX_RADIUS + 1):
         mag = 0.0
-        for n in _sup_shell(pm.genus, s):
-            m = l + k * np.asarray(n, dtype=float)
-            quad = m @ pm.matrix @ m / k
-            try:
-                term = cmath.exp(1j * math.pi * quad + 2j * math.pi * (m @ zv))
-            except OverflowError:
-                raise ValueError(_OUT_OF_RANGE) from None
-            total += term
-            mag += abs(term)
+        for pts in _shell(pm.genus, s):
+            m = l + k * pts
+            quads = (_quad(m, pm.matrix) / k).tolist()
+            for quad, mz in zip(quads, np.matmul(m[:, None, :], zv)[:, 0].tolist()):
+                try:
+                    term = cmath.exp(1j * math.pi * quad + 2j * math.pi * mz)
+                except OverflowError:
+                    raise ValueError(_OUT_OF_RANGE) from None
+                total += term
+                mag += abs(term)
         if s >= s_min:
             small = small + 1 if mag < tol / 20 else 0
             if small >= 2:
@@ -211,13 +263,18 @@ def delta_distribution(l, k):
 
 
 def evaluate_series(series, z):
-    """Pointwise sum of a finite series, coefficients times exp(2 pi i n.z)."""
+    """Pointwise sum of a finite series, coefficients times exp(2 pi i n.z).
+
+    Every n.z comes from one stacked product, one BLAS call per index as
+    `n @ z` makes it; the sum then runs in coefficient order.
+    """
     if series.coefficients is None:
         raise ValueError("only finite series evaluate pointwise")
     zv = _point(z, series.genus)
+    idx = np.array(list(series.coefficients), dtype=float).reshape(-1, series.genus)
     total = 0j
-    for n, a in series.coefficients.items():
-        total += a * cmath.exp(2j * math.pi * (np.asarray(n, float) @ zv))
+    for a, nz in zip(series.coefficients.values(), np.matmul(idx[:, None, :], zv)[:, 0].tolist()):
+        total += a * cmath.exp(2j * math.pi * nz)
     return total
 
 
@@ -226,7 +283,9 @@ def abelian_cst(series, om, t):
 
     Coset distributions come out as finite series, materialized out to where
     the damped coefficients stop mattering on the strip |Im z_i| <= 1; off
-    that strip the finite series does not approximate the transform.
+    that strip the finite series does not approximate the transform.  Each
+    shell's quadratic forms are arrays with the bits of the one-term form
+    (see `_quad`), and the coefficients are stored in lattice order.
     """
     pm = _period(om)
     if pm.genus != series.genus:
@@ -248,19 +307,19 @@ def abelian_cst(series, om, t):
     small = 0
     for s in range(_MAX_RADIUS + 1):
         largest = 0.0
-        for n in _sup_shell(series.genus, s):
-            m = lv + k * np.asarray(n, dtype=float)
-            coeffs[tuple(int(v) for v in m)] = cmath.exp(
-                1j * math.pi * t * (m @ pm.matrix @ m)
-            )
-            # decay against a unit strip of imaginary displacement, so the
-            # result still evaluates accurately at moderately complex points;
-            # a positive exponent never falls below the cutoff, so capping it
-            # at 0 keeps exp from overflowing on nearly real period matrices
-            weight = math.exp(
-                min(0.0, -math.pi * t * (m @ im @ m) + 2 * math.pi * np.abs(m).sum())
-            )
-            largest = max(largest, weight)
+        for pts in _shell(series.genus, s):
+            m = lv + k * pts
+            # the entries of m are integers, so each row's |m| sum is exact
+            rows = zip(m.tolist(), _quad(m, pm.matrix).tolist(), _quad(m, im).tolist(),
+                       np.abs(m).sum(axis=1).tolist())
+            for row, quad, decay, size in rows:
+                coeffs[tuple(map(int, row))] = cmath.exp(1j * math.pi * t * quad)
+                # decay against a unit strip of imaginary displacement, so the
+                # result still evaluates accurately at moderately complex points;
+                # a positive exponent never falls below the cutoff, so capping it
+                # at 0 keeps exp from overflowing on nearly real period matrices
+                weight = math.exp(min(0.0, -math.pi * t * decay + 2 * math.pi * size))
+                largest = max(largest, weight)
         small = small + 1 if largest < 1e-15 else 0
         if small >= 2:
             return FourierSeries(series.genus, coeffs)

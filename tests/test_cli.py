@@ -174,6 +174,34 @@ def test_zero_tolerance_is_usage_error(capsys):
     assert "tolerance" in err
 
 
+def test_infinite_tolerance_is_usage_error(capsys):
+    argv = ["theta", "eval", "--level", "1", "--char", "0", "--omega", "i", "--z", "0", "--tol", "inf"]
+    code, out, err = capture(capsys, argv)
+    assert (code, out) == (1, "")
+    assert "tolerance must be finite and positive" in err
+
+
+def test_unconverged_genus_three_series_stays_small():
+    # a nearly flat Omega runs the series out to the radius cap; the shells
+    # are held a slab at a time, so memory does not grow with the radius.
+    # A child's ru_maxrss starts at the RSS of the process it was forked
+    # from, so the command runs under a small launcher, not under pytest.
+    omega = json.dumps([[[0, 0.001 if i == j else 0] for j in range(3)] for i in range(3)])
+    cmd = [sys.executable, "-m", "verlinde", "theta", "eval", "--level", "1", "--char", "0,0,0",
+           "--omega", omega, "--z", "0,0,0"]
+    launcher = (
+        "import json, resource, subprocess, sys\n"
+        f"proc = subprocess.run({cmd!r}, capture_output=True, text=True)\n"
+        "peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "print(json.dumps([proc.returncode, proc.stdout, proc.stderr, peak_kb]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", launcher], capture_output=True, text=True, timeout=120)
+    code, out, err, peak_kb = json.loads(proc.stdout)
+    assert (code, out) == (1, "")
+    assert err == "error: theta series not converged within lattice radius 60\n"
+    assert peak_kb < 64 * 1024
+
+
 def test_negative_seed_is_usage_error(capsys):
     code, _, err = capture(capsys, ["gauge", "check", "--graph", "theta", "--seed", "-1"])
     assert code == 1

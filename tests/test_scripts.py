@@ -46,6 +46,9 @@ def test_script_runs(name, args):
         ("residual_sweep.py", ["--kmax", "-1"]),
         ("heegaard_table.py", ["--kmax", "0"]),
         ("heegaard_table.py", ["--nmax", "-1"]),
+        ("count_growth.py", ["--genus", "1"]),
+        ("count_growth.py", ["--genus", "0"]),
+        ("count_growth.py", ["--genus", "-1"]),
     ],
 )
 def test_script_rejects_empty_level_range(name, args):

@@ -1,6 +1,7 @@
 """Theta functions with characteristics and the coherent state transforms."""
 
 import cmath
+import itertools
 import math
 
 import mpmath
@@ -12,9 +13,11 @@ from verlinde.gauge import Connection, haar_su2, spin_network, spin_network_valu
 from verlinde.graphs import dumbbell_graph, theta_graph
 from verlinde.su2reps import casimir, rep_matrix
 from verlinde.thetacst import (
+    _MAX_RADIUS,
     FourierSeries,
     PeriodMatrix,
     ThetaCharacteristic,
+    _point,
     abelian_cst,
     chord_edges,
     delta_distribution,
@@ -337,6 +340,120 @@ def test_abelian_cst_unitarity_monte_carlo():
     estimate = float(np.mean(np.abs(total) ** 2))
     exact = sum(abs(a) ** 2 for a in coeffs.values())
     assert abs(estimate / exact - 1) < 0.02
+
+
+# -- shell arrays against the per-term loops ----------------------------------
+# Reference loops: theta_char, abelian_cst and evaluate_series one lattice
+# point at a time.  The shell arrays must give their bits exactly; both run
+# on the same BLAS, so the pin holds on any build.
+
+
+def _per_term_shell(g, s):
+    if s == 0:
+        yield (0,) * g
+        return
+    for pt in itertools.product(range(-s, s + 1), repeat=g):
+        if max(abs(c) for c in pt) == s:
+            yield pt
+
+
+def _per_term_theta_char(char, om, z, tol=1e-12):
+    zv = _point(z, om.genus)
+    k = char.level
+    l = np.asarray(char.vector, dtype=float)
+    drift = np.linalg.solve(om.matrix.imag, zv.imag)
+    s_min = int(np.ceil(np.abs(drift).max())) + 1
+    total = 0j
+    small = 0
+    for s in range(_MAX_RADIUS + 1):
+        mag = 0.0
+        for n in _per_term_shell(om.genus, s):
+            m = l + k * np.asarray(n, dtype=float)
+            quad = m @ om.matrix @ m / k
+            term = cmath.exp(1j * math.pi * quad + 2j * math.pi * (m @ zv))
+            total += term
+            mag += abs(term)
+        if s >= s_min:
+            small = small + 1 if mag < tol / 20 else 0
+            if small >= 2:
+                return total
+    raise AssertionError("per-term theta series not converged")
+
+
+def _per_term_abelian_cst(l, k, om, t):
+    lv = np.asarray(l, dtype=float)
+    im = om.matrix.imag
+    coeffs = {}
+    small = 0
+    for s in range(_MAX_RADIUS + 1):
+        largest = 0.0
+        for n in _per_term_shell(om.genus, s):
+            m = lv + k * np.asarray(n, dtype=float)
+            coeffs[tuple(int(v) for v in m)] = cmath.exp(1j * math.pi * t * (m @ om.matrix @ m))
+            weight = math.exp(min(0.0, -math.pi * t * (m @ im @ m) + 2 * math.pi * np.abs(m).sum()))
+            largest = max(largest, weight)
+        small = small + 1 if largest < 1e-15 else 0
+        if small >= 2:
+            return coeffs
+    raise AssertionError("per-term coset series not converged")
+
+
+def _per_term_evaluate_series(coeffs, z):
+    zv = _point(z, len(next(iter(coeffs))))
+    total = 0j
+    for n, a in coeffs.items():
+        total += a * cmath.exp(2j * math.pi * (np.asarray(n, float) @ zv))
+    return total
+
+
+def _hex(c):
+    return complex(c).real.hex(), complex(c).imag.hex()
+
+
+_BIT_OMEGA = {
+    "diag": np.diag([0.2 + 0.9j, -0.1 + 1.3j, 0.15 + 1.0j]),
+    "full": np.array([
+        [0.3 + 0.9j, 0.1 + 0.1j, -0.2 + 0.1j],
+        [0.1 + 0.1j, -0.2 + 0.9j, 0.25 + 0.1j],
+        [-0.2 + 0.1j, 0.25 + 0.1j, 0.1 + 0.9j],
+    ]),
+    "unit": 1j * np.eye(3),
+}
+# the first point has every Re z_i outside [0, 1)
+_BIT_POINTS = ([1.7 - 0.1j, -2.3 + 0.05j, 3.4 + 0.2j], [0.2 + 0.3j, 0.45 - 0.2j, -0.35 + 0.1j])
+_BIT_CASES = [
+    (g, k, kind)
+    for g, levels in ((1, (1, 2, 3, 4)), (2, (1, 2, 3, 4)), (3, (1, 2)))
+    for k in levels
+    for kind in (("diag",) if g == 1 else ("diag", "full"))
+] + [(1, 1, "unit")]
+
+
+@pytest.mark.parametrize("g,k,kind", _BIT_CASES)
+def test_shell_arrays_match_per_term_bits(g, k, kind):
+    om = PeriodMatrix(_BIT_OMEGA[kind][:g, :g])
+    points = [p[:g] for p in _BIT_POINTS]
+    # at z = 15i the genus-1 unit series peaks within a few bits of the float limit
+    theta_points = points + ([[15j]] if kind == "unit" else [])
+    for l in sorted({(0,) * g, tuple((i + 1) % k for i in range(g))}):
+        char = ThetaCharacteristic(k, l)
+        for z in theta_points:
+            assert _hex(theta_char(char, om, z)) == _hex(_per_term_theta_char(char, om, z))
+        for t in (1 / k, 0.37):
+            got = abelian_cst(delta_distribution(l, k), om, t)
+            want = _per_term_abelian_cst(l, k, om, t)
+            assert list(got.coefficients) == list(want)
+            assert [_hex(a) for a in got.coefficients.values()] == [_hex(a) for a in want.values()]
+            for z in points:
+                assert _hex(evaluate_series(got, z)) == _hex(_per_term_evaluate_series(want, z))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+def test_theta_refuses_tolerance_not_finite_and_positive(tol):
+    # no shell's magnitude falls below a zero, negative or NaN cutoff, so the
+    # series would run to the radius cap; every shell passes an infinite one
+    with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+        theta_char(ThetaCharacteristic(1, (0,)), PeriodMatrix([[1j]]), [0.0], tol)
 
 
 # -- invariant Laplacian blocks ------------------------------------------------
