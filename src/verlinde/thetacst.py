@@ -22,7 +22,7 @@ labels are Python ints; a float or a bool is refused, never truncated.
 """
 
 import cmath
-import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -34,7 +34,10 @@ from .graphs import chord_edges, genus
 from .su2reps import AdmissibilityError, _check_label, casimir, check_level, omega, rep_matrix
 
 _MAX_RADIUS = 60
-_CACHED_CUBE = 4096
+# rows per array block of lattice points or coefficients: a block's arrays
+# and .tolist() lists stay near 100 kB, and its NumPy calls cost little
+# beside the cmath loop over its rows
+_BLOCK_ROWS = 1 << 10
 _OUT_OF_RANGE = "theta value lies outside the float range at this point"
 
 
@@ -125,43 +128,41 @@ def _point(z, g):
     return zv
 
 
-def _slabs(g, s):
-    """Lattice points of sup norm exactly s >= 1 as float rows, in the order
-    of itertools.product over [-s, s]^g.
+def _shell(g, s, full=False):
+    """Lattice points of sup norm exactly s as float rows (every point of
+    [-s, s]^g if full), in the order of itertools.product over [-s, s]^g.
 
-    One slab per value of the first coordinate, at most (2s+1)^(g-1) rows,
-    so no (2s+1)^g cube is held.
+    Rows come in blocks of whole slabs, one slab per value of the first
+    coordinate, with at most _BLOCK_ROWS rows; where one slab could pass
+    that, each slab is split over the next coordinate.  So a small shell is
+    one block, and no array has more than _BLOCK_ROWS rows, whatever s and g.
     """
     width = 2 * s + 1
+    if width ** (g - 1) > _BLOCK_ROWS:
+        for c in range(-s, s + 1):
+            for tail in _shell(g - 1, s, full or abs(c) == s):
+                yield _stack([c], [tail])
+        return
     # the last g-1 coordinates over their whole cube, and the rows of it that
     # already have sup norm s, which are all a slab with |first| < s can use
     rest = (np.indices((width,) * (g - 1)).reshape(g - 1, width ** (g - 1)).T - s).astype(float)
     inner = rest[(np.abs(rest) == s).any(axis=1)]
+    firsts, tails, rows = [], [], 0
     for c in range(-s, s + 1):
-        tail = rest if abs(c) == s else inner
-        if len(tail):
-            yield np.column_stack((np.full(len(tail), float(c)), tail))
+        tail = rest if full or abs(c) == s else inner
+        if rows + len(tail) > _BLOCK_ROWS:
+            yield _stack(firsts, tails)
+            firsts, tails, rows = [], [], 0
+        firsts.append(c)
+        tails.append(tail)
+        rows += len(tail)
+    yield _stack(firsts, tails)
 
 
-@functools.cache
-def _small_shell(g, s):
-    pts = np.concatenate(list(_slabs(g, s)))
-    pts.flags.writeable = False
-    return pts
-
-
-def _shell(g, s):
-    """Blocks of the sup-norm-s shell, in order (see `_slabs`).
-
-    A shell inside a cube of at most _CACHED_CUBE points is one cached
-    read-only block; per genus those cached shells add up to one such cube,
-    and no genus above 7 has any, so the cache stays under a megabyte.
-    """
-    if s == 0:
-        return [np.zeros((1, g))]
-    if (2 * s + 1) ** g <= _CACHED_CUBE:
-        return [_small_shell(g, s)]
-    return _slabs(g, s)
+def _stack(firsts, tails):
+    """The rows (c, t) for each first coordinate c and each row t of its tail."""
+    first = np.repeat(np.array(firsts, dtype=float), [len(t) for t in tails])
+    return np.column_stack((first, np.concatenate(tails)))
 
 
 def _quad(m, mat):
@@ -265,16 +266,19 @@ def delta_distribution(l, k):
 def evaluate_series(series, z):
     """Pointwise sum of a finite series, coefficients times exp(2 pi i n.z).
 
-    Every n.z comes from one stacked product, one BLAS call per index as
-    `n @ z` makes it; the sum then runs in coefficient order.
+    The n.z come from stacked products over blocks of _BLOCK_ROWS indices,
+    one BLAS call per index as `n @ z` makes it; the sum then runs in
+    coefficient order.
     """
     if series.coefficients is None:
         raise ValueError("only finite series evaluate pointwise")
     zv = _point(z, series.genus)
-    idx = np.array(list(series.coefficients), dtype=float).reshape(-1, series.genus)
     total = 0j
-    for a, nz in zip(series.coefficients.values(), np.matmul(idx[:, None, :], zv)[:, 0].tolist()):
-        total += a * cmath.exp(2j * math.pi * nz)
+    items = iter(series.coefficients.items())
+    while block := list(itertools.islice(items, _BLOCK_ROWS)):
+        idx = np.array([n for n, _ in block], dtype=float)
+        for (_, a), nz in zip(block, np.matmul(idx[:, None, :], zv)[:, 0].tolist()):
+            total += a * cmath.exp(2j * math.pi * nz)
     return total
 
 

@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -13,11 +14,13 @@ from verlinde.gauge import Connection, haar_su2, spin_network, spin_network_valu
 from verlinde.graphs import dumbbell_graph, theta_graph
 from verlinde.su2reps import casimir, rep_matrix
 from verlinde.thetacst import (
+    _BLOCK_ROWS,
     _MAX_RADIUS,
     FourierSeries,
     PeriodMatrix,
     ThetaCharacteristic,
     _point,
+    _shell,
     abelian_cst,
     chord_edges,
     delta_distribution,
@@ -446,6 +449,34 @@ def test_shell_arrays_match_per_term_bits(g, k, kind):
             assert [_hex(a) for a in got.coefficients.values()] == [_hex(a) for a in want.values()]
             for z in points:
                 assert _hex(evaluate_series(got, z)) == _hex(_per_term_evaluate_series(want, z))
+
+
+@pytest.mark.parametrize("cap", [1, 5, 30, _BLOCK_ROWS])
+def test_shell_blocks_follow_product_order(cap, monkeypatch):
+    # small caps split slabs over later coordinates, larger ones merge slabs
+    monkeypatch.setattr("verlinde.thetacst._BLOCK_ROWS", cap)
+    for g, radius in ((1, 5), (2, 5), (3, 4), (4, 2)):
+        for s in range(radius):
+            blocks = list(_shell(g, s))
+            assert all(b.dtype == float and b.shape[1] == g and 0 < len(b) <= cap for b in blocks)
+            rows = [tuple(int(v) for v in row) for b in blocks for row in b.tolist()]
+            assert rows == list(_per_term_shell(g, s))
+
+
+def test_shell_memory_stays_flat_at_genus_four():
+    # blocks of whole genus-4 slabs would each hold a 41^3 cube of the other
+    # three coordinates, 1.6 MB of floats; split slabs stay far below that
+    radius = 20
+    tracemalloc.start()
+    try:
+        sizes = [len(b) for b in _shell(4, radius)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    width = 2 * radius + 1
+    assert sum(sizes) == width**4 - (width - 2) ** 4
+    assert max(sizes) <= _BLOCK_ROWS
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
