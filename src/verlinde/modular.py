@@ -35,7 +35,6 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .fusion import fuse
 from .graphs import chain_graph
 from .su2reps import _check_int, _check_label, admissible_triple, casimir, check_labels, check_level
 from .weights import InvariantViolation, _weight_edge_ids, enumerate_weights
@@ -370,7 +369,7 @@ def braiding(k, j1, j2, j3, j4, inverse=False):
     if not rows:
         return rows, np.zeros((0, 0), dtype=complex)
     d = np.array([braid_phase(k, j2, j3, j, inverse) for j in cols])
-    return rows, np.linalg.inv(f) @ (d[:, None] * f)
+    return rows, _braid_stack(f[None], d[None])[0]
 
 
 def braiding_relation_residual(k):
@@ -558,7 +557,7 @@ def _slide_data(k, n1, n2):
     if not pairs:
         return None
     index = {pair: i for i, pair in enumerate(pairs)}
-    chans = sorted(fuse(k, n1, n2))
+    chans = _channels(k, n1, n2)
     fused = [(j, m) for j in chans for m in _loop_labels(k, j)]
     dim = len(pairs)
     iso = np.zeros((dim, dim))
@@ -631,8 +630,6 @@ def switching_operator(k, j):
     check_level(k)
     if _check_int(j, "hole label") % 2 or j > k:
         raise ValueError("hole label must be an even integer in 0..k")
-    if j > 0 and k > 3:
-        raise ValueError("holed switching blocks are solved only for k <= 3")
     return _switching_block(k, j).copy()
 
 
@@ -648,8 +645,6 @@ def _slide_residual(k, n1, n2):
 def switching_residuals(k):
     """Residuals of the defining relations of every switching block."""
     check_level(k)
-    if k > 3:
-        raise ValueError("holed switching blocks are solved only for k <= 3")
     report = {}
     for j in range(0, k + 1, 2):
         s = _switching_block(k, j)

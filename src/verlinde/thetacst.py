@@ -128,41 +128,24 @@ def _point(z, g):
     return zv
 
 
-def _shell(g, s, full=False):
-    """Lattice points of sup norm exactly s as float rows (every point of
-    [-s, s]^g if full), in the order of itertools.product over [-s, s]^g.
+def _shell(g, s):
+    """Lattice points of sup norm exactly s as float rows, in the order of
+    itertools.product over [-s, s]^g.
 
-    Rows come in blocks of whole slabs, one slab per value of the first
-    coordinate, with at most _BLOCK_ROWS rows; where one slab could pass
-    that, each slab is split over the next coordinate.  So a small shell is
-    one block, and no array has more than _BLOCK_ROWS rows, whatever s and g.
+    The walk runs over the flat C-order indices of the cube [-s, s]^g, which
+    is product order, in runs of at most _BLOCK_ROWS indices; each run keeps
+    its rows of sup norm s, and a run that keeps none yields nothing.  So no
+    array has more than _BLOCK_ROWS rows, whatever s and g.  The NumPy work
+    grows with the cube, not the shell; at the radii a well-conditioned Omega
+    needs it is small beside the callers' per-row cmath loop.
     """
     width = 2 * s + 1
-    if width ** (g - 1) > _BLOCK_ROWS:
-        for c in range(-s, s + 1):
-            for tail in _shell(g - 1, s, full or abs(c) == s):
-                yield _stack([c], [tail])
-        return
-    # the last g-1 coordinates over their whole cube, and the rows of it that
-    # already have sup norm s, which are all a slab with |first| < s can use
-    rest = (np.indices((width,) * (g - 1)).reshape(g - 1, width ** (g - 1)).T - s).astype(float)
-    inner = rest[(np.abs(rest) == s).any(axis=1)]
-    firsts, tails, rows = [], [], 0
-    for c in range(-s, s + 1):
-        tail = rest if full or abs(c) == s else inner
-        if rows + len(tail) > _BLOCK_ROWS:
-            yield _stack(firsts, tails)
-            firsts, tails, rows = [], [], 0
-        firsts.append(c)
-        tails.append(tail)
-        rows += len(tail)
-    yield _stack(firsts, tails)
-
-
-def _stack(firsts, tails):
-    """The rows (c, t) for each first coordinate c and each row t of its tail."""
-    first = np.repeat(np.array(firsts, dtype=float), [len(t) for t in tails])
-    return np.column_stack((first, np.concatenate(tails)))
+    for start in range(0, width**g, _BLOCK_ROWS):
+        flat = np.arange(start, min(start + _BLOCK_ROWS, width**g))
+        pts = np.column_stack(np.unravel_index(flat, (width,) * g)) - s
+        pts = pts[np.abs(pts).max(axis=1) == s]
+        if len(pts):
+            yield pts.astype(float)
 
 
 def _quad(m, mat):
@@ -225,42 +208,29 @@ def theta_char(char, om, z, tol=1e-12):
 
 @dataclass(frozen=True, eq=False)
 class FourierSeries:
-    """Fourier coefficients on R^g/Z^g.
-
-    Finite series carry an explicit coefficient dict.  Coset distributions
-    (unit coefficients on l + k Z^g) carry `coset=(l, k)` with coefficients
-    None.
-    """
+    """Finite Fourier series on R^g/Z^g: a dict from integer index tuples to
+    coefficients.  A coset distribution is its `ThetaCharacteristic` (see
+    `delta_distribution`)."""
 
     genus: int
-    coefficients: dict | None
-    coset: tuple | None = None
+    coefficients: dict
 
     def __post_init__(self):
         if self.genus < 1:
             raise ValueError("genus must be at least 1")
-        if (self.coefficients is None) == (self.coset is None):
-            raise ValueError("exactly one of coefficients and coset is required")
-        if self.coefficients is not None:
-            coeffs = {}
-            for n, a in self.coefficients.items():
-                key = _indices(n, "coefficient indices")
-                if len(key) != self.genus:
-                    raise ValueError("coefficient index has the wrong length")
-                coeffs[key] = complex(a)
-            object.__setattr__(self, "coefficients", coeffs)
-        else:
-            l, k = self.coset
-            check_level(k)
-            l = _indices(l, "coset residues")
-            if len(l) != self.genus or any(v < 0 or v >= k for v in l):
-                raise ValueError("coset needs residues in [0, k)")
-            object.__setattr__(self, "coset", (l, k))
+        coeffs = {}
+        for n, a in self.coefficients.items():
+            key = _indices(n, "coefficient indices")
+            if len(key) != self.genus:
+                raise ValueError("coefficient index has the wrong length")
+            coeffs[key] = complex(a)
+        object.__setattr__(self, "coefficients", coeffs)
 
 
 def delta_distribution(l, k):
-    """Unit Fourier coefficients on the coset l + k Z^g."""
-    return FourierSeries(len(tuple(l)), None, coset=(tuple(l), k))
+    """Unit Fourier coefficients on the coset l + k Z^g, named by its
+    characteristic l at level k."""
+    return ThetaCharacteristic(k, tuple(l))
 
 
 def evaluate_series(series, z):
@@ -270,7 +240,7 @@ def evaluate_series(series, z):
     one BLAS call per index as `n @ z` makes it; the sum then runs in
     coefficient order.
     """
-    if series.coefficients is None:
+    if not isinstance(series, FourierSeries):
         raise ValueError("only finite series evaluate pointwise")
     zv = _point(z, series.genus)
     total = 0j
@@ -285,9 +255,10 @@ def evaluate_series(series, z):
 def abelian_cst(series, om, t):
     """Time-t transform: the coefficient at n picks up exp(t i pi n.Omega.n).
 
-    Coset distributions come out as finite series, materialized out to where
-    the damped coefficients stop mattering on the strip |Im z_i| <= 1; off
-    that strip the finite series does not approximate the transform.  Each
+    A coset distribution, given as its `ThetaCharacteristic`, comes out as a
+    finite series, materialized out to where the damped coefficients stop
+    mattering on the strip |Im z_i| <= 1; off that strip the finite series
+    does not approximate the transform.  Each
     shell's quadratic forms are arrays with the bits of the one-term form
     (see `_quad`), and the coefficients are stored in lattice order.
     """
@@ -298,14 +269,14 @@ def abelian_cst(series, om, t):
         raise ValueError("transform time must be finite and nonnegative")
     if t == 0:
         return series
-    if series.coefficients is not None:
+    if isinstance(series, FourierSeries):
         damped = {
             n: a * cmath.exp(1j * math.pi * t * (np.asarray(n, float) @ pm.matrix @ n))
             for n, a in series.coefficients.items()
         }
         return FourierSeries(series.genus, damped)
-    l, k = series.coset
-    lv = np.asarray(l, dtype=float)
+    k = series.level
+    lv = np.asarray(series.vector, dtype=float)
     im = pm.matrix.imag
     coeffs = {}
     small = 0

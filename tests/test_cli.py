@@ -183,7 +183,8 @@ def test_infinite_tolerance_is_usage_error(capsys):
 
 def test_unconverged_genus_three_series_stays_small():
     # a nearly flat Omega runs the series out to the radius cap; the shells
-    # are held a slab at a time, so memory does not grow with the radius.
+    # are walked one capped run of the cube at a time, so memory does not
+    # grow with the radius.
     # A child's ru_maxrss starts at the RSS of the process it was forked
     # from, so the command runs under a small launcher, not under pytest.
     omega = json.dumps([[[0, 0.001 if i == j else 0] for j in range(3)] for i in range(3)])
@@ -533,6 +534,15 @@ def test_integer_argument_prints_the_value_at_zero(capsys, command):
     assert at_zero == "[0.4157606026, 0.0]\n"
     for z in ("1e15", "1e300"):
         assert capture(capsys, argv + [z]) == (0, at_zero, "")
+
+
+@pytest.mark.parametrize("char", ["2", "-1"])
+def test_out_of_range_characteristic_is_one_error(capsys, char):
+    # a coset distribution is its characteristic, so both commands refuse it alike
+    argv = ["eval", "--level", "2", "--char", char, "--omega", "1i", "--z", "0.1"]
+    theta = capture(capsys, ["theta"] + argv)
+    assert theta == (1, "", "error: characteristic entries must lie in [0, level)\n")
+    assert capture(capsys, ["cst"] + argv) == theta
 
 
 def test_weights_list(capsys):

@@ -550,6 +550,8 @@ def test_switching_out_of_range():
         switching_operator(2, 1)
     with pytest.raises(ValueError):
         switching_operator(2, 4)
+    with pytest.raises(ValueError):
+        switching_residuals(4)
 
 
 # ---------------------------------------------------------------------------

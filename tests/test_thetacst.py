@@ -453,7 +453,9 @@ def test_shell_arrays_match_per_term_bits(g, k, kind):
 
 @pytest.mark.parametrize("cap", [1, 5, 30, _BLOCK_ROWS])
 def test_shell_blocks_follow_product_order(cap, monkeypatch):
-    # small caps split slabs over later coordinates, larger ones merge slabs
+    # each cap cuts the cube into runs at different places, so some runs keep
+    # no row and others stop inside a line of the cube; the kept rows must
+    # still come in product order
     monkeypatch.setattr("verlinde.thetacst._BLOCK_ROWS", cap)
     for g, radius in ((1, 5), (2, 5), (3, 4), (4, 2)):
         for s in range(radius):
@@ -464,8 +466,8 @@ def test_shell_blocks_follow_product_order(cap, monkeypatch):
 
 
 def test_shell_memory_stays_flat_at_genus_four():
-    # blocks of whole genus-4 slabs would each hold a 41^3 cube of the other
-    # three coordinates, 1.6 MB of floats; split slabs stay far below that
+    # the walk visits all 41^4 points of the cube, 2.8 million, but in runs
+    # of at most _BLOCK_ROWS indices, so no array it makes outgrows one run
     radius = 20
     tracemalloc.start()
     try:
