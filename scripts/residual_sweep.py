@@ -8,7 +8,7 @@ residual near 1e-9 would already signal a convention drift.
 
 import argparse
 
-from verlinde.modular import residual_report
+from verlinde.modular import MAX_REPORT_LEVEL, residual_report
 
 COLUMNS = (
     "orthogonality",
@@ -28,8 +28,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--kmax", type=int, default=6)
     args = ap.parse_args()
-    if args.kmax < 1:
-        ap.error("--kmax must be at least 1")
+    if not 1 <= args.kmax <= MAX_REPORT_LEVEL:
+        ap.error(f"--kmax must be at least 1 and at most {MAX_REPORT_LEVEL}")
 
     header = " ".join(f"{c[:12]:>12}" for c in COLUMNS)
     print(f"{'k':>3} {header}")

@@ -152,19 +152,11 @@ def theta_quasiperiodicity(quick):
 def cst_pipeline(quick):
     rng = np.random.default_rng(11)
     points = 3 if quick else 10
-    worst = 0.0
-    for k in (1, 2):
-        for om in (thetacst.PeriodMatrix([[1j]]), thetacst.PeriodMatrix([[0.25 + 0.8j]])):
-            for ch in range(k):
-                series = thetacst.abelian_cst(
-                    thetacst.delta_distribution((ch,), k), om, 1.0 / k
-                )
-                char = thetacst.ThetaCharacteristic(k, (ch,))
-                for _ in range(points):
-                    z = [complex(rng.uniform(-1, 1), rng.uniform(-0.2, 0.2))]
-                    got = thetacst.evaluate_series(series, z)
-                    ref = thetacst.theta_char(char, om, z)
-                    worst = max(worst, abs(got - ref))
+    worst = max(
+        thetacst.transform_residual(om, k, points, rng)
+        for k in (1, 2)
+        for om in (thetacst.PeriodMatrix([[1j]]), thetacst.PeriodMatrix([[0.25 + 0.8j]]))
+    )
     _check(worst < 1e-10, f"transform residual {worst}")
     return "transform of the delta series matches the theta series"
 

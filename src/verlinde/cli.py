@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import itertools
 import json
 import os
 import re
@@ -308,22 +307,11 @@ def _cmd_cst_eval(args):
 
 
 def _cmd_cst_check(args):
-    check_level(args.level)
     _check_int(args.points, "--points", 1)
     om = _parse_omega(args.omega)
-    g, k = om.genus, args.level
     rng = np.random.default_rng(args.seed)
-    transformed = {
-        ch: thetacst.abelian_cst(thetacst.delta_distribution(ch, k), om, 1.0 / k)
-        for ch in itertools.product(range(k), repeat=g)
-    }
-    worst = 0.0
-    for _ in range(args.points):
-        z = rng.uniform(-1.0, 1.0, size=g) + 1j * rng.uniform(-0.2, 0.2, size=g)
-        for ch, series in transformed.items():
-            ref = thetacst.theta_char(thetacst.ThetaCharacteristic(k, ch), om, z)
-            worst = max(worst, abs(thetacst.evaluate_series(series, z) - ref))
-    _jprint({"points": args.points, "characteristics": k**g, "residual": _sci(worst)})
+    worst = thetacst.transform_residual(om, args.level, args.points, rng)
+    _jprint({"points": args.points, "characteristics": args.level**om.genus, "residual": _sci(worst)})
     if worst > args.tol:
         raise InvariantViolation(f"transform disagrees with the theta series by {worst}")
     return 0
@@ -383,8 +371,8 @@ def _cmd_selftest(args):
 # -- parser assembly -------------------------------------------------------------
 
 
-def _add_level(p, required=True):
-    p.add_argument("--level", type=int, required=required, help="level k")
+def _add_level(p):
+    p.add_argument("--level", type=int, required=True, help="level k")
 
 
 def _add_graph(p):

@@ -198,7 +198,8 @@ def verlinde_route(g, k, via):
 
     Both: pow multiplies the relative error by g-1 and adds 1 ulp, and
     fsum rounds the total once (u).  Against positive terms this sums to
-    the bound above.
+    the bound above.  A power or sum past the float range keeps no digit
+    of the rank: value and bound are then both inf.
     """
     check_level(k)
     _check_int(g, "genus", 1)
@@ -206,17 +207,20 @@ def verlinde_route(g, k, via):
         if g < 2:
             raise ValueError("the weights route needs genus >= 2")
         return count_weights(multi_theta(g), k), 0.0
-    if via == "characters":
-        terms = [
-            math.fsum(character(k, n, m) ** 2 for m in range(k + 1)) ** (g - 1)
-            for n in range(1, k + 2)
-        ]
-    elif via == "closed":
-        terms = [chi_c(k, n) ** (g - 1) for n in range(1, k + 2)]
-    else:
-        raise ValueError("via must be one of characters, closed, weights")
-    # the terms are positive, so their sum is also sum_n |T_n|
-    value = math.fsum(terms)
+    try:
+        if via == "characters":
+            terms = [
+                math.fsum(character(k, n, m) ** 2 for m in range(k + 1)) ** (g - 1)
+                for n in range(1, k + 2)
+            ]
+        elif via == "closed":
+            terms = [chi_c(k, n) ** (g - 1) for n in range(1, k + 2)]
+        else:
+            raise ValueError("via must be one of characters, closed, weights")
+        # the terms are positive, so their sum is also sum_n |T_n|
+        value = math.fsum(terms)
+    except OverflowError:
+        return math.inf, math.inf
     scale = (g - 1) * _ERROR_SLOPE[via] * (k + 2) + 1.5
     return value, sys.float_info.epsilon * scale * value
 
@@ -232,7 +236,9 @@ def verlinde(g, k, via="characters"):
     value, bound = verlinde_route(g, k, via)
     exact = rk(g, (), k)
     witness = RouteWitness(g, k, via, value, exact, bound)
-    err = abs(Fraction(value) - exact)
+    # an overflowed route has no Fraction, and its infinite bound leaves it
+    # unresolved below
+    err = abs(Fraction(value) - exact) if math.isfinite(value) else 0
     if err > bound:
         raise InvariantViolation(
             f"verlinde({g},{k}) via {via} is off the exact rank by {float(err):.3g},"

@@ -283,7 +283,15 @@ class _Lookup:
         return np.unravel_index(quads, (self.size,) * 4)
 
 
+# the highest level whose level-wide reports run here: the pentagon's joins
+# grow about as k^8, and residual_report(14) took 19 s and 352 MB where
+# k = 16 took 64 s and 829 MB
+MAX_REPORT_LEVEL = 14
+
+
 def _lookup(k):
+    if k > MAX_REPORT_LEVEL:
+        raise ValueError(f"level-wide reports stop at level {MAX_REPORT_LEVEL}, got level {k}")
     keys, values = _level_table(k)
     size = k + 1
     dense = np.zeros(size**6)

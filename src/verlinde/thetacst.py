@@ -3,7 +3,7 @@
 The abelian half works with Fourier series on R^g/Z^g relative to a period
 matrix Omega: the level-k theta series with characteristic, coset delta
 distributions, and the time-t transform that damps the coefficient at n by
-exp(t i pi n.Omega.n), turning distributions into holomorphic sums.
+exp(t i pi n.Omega.n), turning coset distributions into finite series.
 
 The nonabelian half replaces the torus by SU(2)^g up to simultaneous
 conjugation.  A colored trivalent graph reduces to one matrix block traced
@@ -17,8 +17,8 @@ the BLAS call that the one-row product makes, so every term has the bits it
 has when computed alone; the terms are then exponentiated with cmath and
 summed in lattice order, as a one-term-at-a-time loop sums them.
 
-Residues and Fourier indices are integers (numpy ints pass), and irrep
-labels are Python ints; a float or a bool is refused, never truncated.
+Residues are integers (numpy ints pass), and irrep labels are Python
+ints; a float or a bool is refused, never truncated.
 """
 
 import cmath
@@ -208,23 +208,12 @@ def theta_char(char, om, z, tol=1e-12):
 
 @dataclass(frozen=True, eq=False)
 class FourierSeries:
-    """Finite Fourier series on R^g/Z^g: a dict from integer index tuples to
-    coefficients.  A coset distribution is its `ThetaCharacteristic` (see
-    `delta_distribution`)."""
+    """Finite Fourier series on R^g/Z^g, as `abelian_cst` returns it: a dict
+    from index tuples of Python ints to complex coefficients.  A coset
+    distribution is its `ThetaCharacteristic` (see `delta_distribution`)."""
 
     genus: int
     coefficients: dict
-
-    def __post_init__(self):
-        if self.genus < 1:
-            raise ValueError("genus must be at least 1")
-        coeffs = {}
-        for n, a in self.coefficients.items():
-            key = _indices(n, "coefficient indices")
-            if len(key) != self.genus:
-                raise ValueError("coefficient index has the wrong length")
-            coeffs[key] = complex(a)
-        object.__setattr__(self, "coefficients", coeffs)
 
 
 def delta_distribution(l, k):
@@ -252,37 +241,32 @@ def evaluate_series(series, z):
     return total
 
 
-def abelian_cst(series, om, t):
-    """Time-t transform: the coefficient at n picks up exp(t i pi n.Omega.n).
+def abelian_cst(char, om, t):
+    """Time-t transform of a coset distribution, given as its
+    `ThetaCharacteristic`: the coefficient at m in l + k Z^g picks up
+    exp(t i pi m.Omega.m), and t must be finite and positive.
 
-    A coset distribution, given as its `ThetaCharacteristic`, comes out as a
-    finite series, materialized out to where the damped coefficients stop
-    mattering on the strip |Im z_i| <= 1; off that strip the finite series
-    does not approximate the transform.  Each
-    shell's quadratic forms are arrays with the bits of the one-term form
-    (see `_quad`), and the coefficients are stored in lattice order.
+    The result is a finite series, materialized out to where the damped
+    coefficients stop mattering on the strip |Im z_i| <= 1; off that strip
+    the finite series does not approximate the transform.  Each shell's
+    quadratic forms are arrays with the bits of the one-term form (see
+    `_quad`), and the coefficients are stored in lattice order.
     """
+    if not isinstance(char, ThetaCharacteristic):
+        raise ValueError("the transform takes a coset distribution (see delta_distribution)")
     pm = _period(om)
-    if pm.genus != series.genus:
-        raise ValueError("series and period matrix genus differ")
-    if not math.isfinite(t) or t < 0:
-        raise ValueError("transform time must be finite and nonnegative")
-    if t == 0:
-        return series
-    if isinstance(series, FourierSeries):
-        damped = {
-            n: a * cmath.exp(1j * math.pi * t * (np.asarray(n, float) @ pm.matrix @ n))
-            for n, a in series.coefficients.items()
-        }
-        return FourierSeries(series.genus, damped)
-    k = series.level
-    lv = np.asarray(series.vector, dtype=float)
+    if pm.genus != char.genus:
+        raise ValueError("characteristic and period matrix genus differ")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError("transform time must be finite and positive")
+    k = char.level
+    lv = np.asarray(char.vector, dtype=float)
     im = pm.matrix.imag
     coeffs = {}
     small = 0
     for s in range(_MAX_RADIUS + 1):
         largest = 0.0
-        for pts in _shell(series.genus, s):
+        for pts in _shell(char.genus, s):
             m = lv + k * pts
             # the entries of m are integers, so each row's |m| sum is exact
             rows = zip(m.tolist(), _quad(m, pm.matrix).tolist(), _quad(m, im).tolist(),
@@ -297,10 +281,29 @@ def abelian_cst(series, om, t):
                 largest = max(largest, weight)
         small = small + 1 if largest < 1e-15 else 0
         if small >= 2:
-            return FourierSeries(series.genus, coeffs)
+            return FourierSeries(char.genus, coeffs)
     raise ValueError(
         f"damped coset series not converged within lattice radius {_MAX_RADIUS}"
     )
+
+
+def transform_residual(om, k, points, rng):
+    """Largest |evaluate_series - theta_char| over every characteristic in
+    (Z/k)^g, each transformed once at time 1/k, at `points` random z.
+
+    Each z has Re z_i uniform in [-1, 1) and Im z_i in [-0.2, 0.2), drawn
+    from `rng` real parts first; every characteristic is compared at each z.
+    """
+    check_level(k)
+    pm = _period(om)
+    chars = [delta_distribution(ch, k) for ch in itertools.product(range(k), repeat=pm.genus)]
+    transformed = [(char, abelian_cst(char, pm, 1.0 / k)) for char in chars]
+    worst = 0.0
+    for _ in range(points):
+        z = rng.uniform(-1.0, 1.0, size=pm.genus) + 1j * rng.uniform(-0.2, 0.2, size=pm.genus)
+        for char, series in transformed:
+            worst = max(worst, abs(evaluate_series(series, z) - theta_char(char, pm, z)))
+    return worst
 
 
 # -- the invariant Laplacian on one block ---------------------------------------------

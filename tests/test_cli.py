@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from verlinde import claims, fusion, graphs, modular
+from verlinde import claims, fusion, graphs, modular, thetacst
 from verlinde.cli import run
 from verlinde.weights import InvariantViolation
 
@@ -290,6 +290,16 @@ def test_verlinde_unresolved_route(capsys):
     assert code == 0
     assert out == "92509204759936\n"
     assert err.startswith("note: verlinde(8,10) via characters")
+
+
+@pytest.mark.parametrize("via", ["closed", "characters"])
+def test_verlinde_overflowing_route_is_unresolved(capsys, via):
+    # at k = 3 both float routes leave the float range from genus 360 on
+    code, out, err = capture(capsys, ["verlinde", "--genus", "400", "--level", "3", "--via", via])
+    assert code == 0
+    assert out == f"{fusion.rk(400, (), 3)}\n"
+    assert err.startswith(f"note: verlinde(400,3) via {via}")
+    assert "cannot resolve" in err
 
 
 def test_invariant_violation_prints_witness(capsys, monkeypatch):
@@ -633,6 +643,26 @@ def test_cst_check(capsys):
     assert data["residual"] < 1e-10
 
 
+def test_cst_check_catches_a_perturbed_transform(capsys, monkeypatch):
+    exact = thetacst.evaluate_series
+    monkeypatch.setattr(thetacst, "evaluate_series", lambda s, z: exact(s, z) * (1 + 1e-8))
+    argv = ["cst", "check", "--level", "2", "--omega", "0.3+0.9i", "--points", "4"]
+    code, _, err = capture(capsys, argv)
+    assert code == 2
+    assert err.startswith("invariant violation: transform disagrees")
+    with pytest.raises(InvariantViolation):
+        claims.cst_pipeline(True)
+
+
+@pytest.mark.parametrize("time", ["0", "-1"])
+def test_cst_eval_refuses_time_not_positive(capsys, time):
+    argv = ["cst", "eval", "--level", "2", "--char", "1", "--omega", "i", "--z", "0.1"]
+    code, out, err = capture(capsys, argv + ["--time", time])
+    assert code == 1
+    assert out == ""
+    assert "positive" in err
+
+
 @pytest.mark.parametrize("level", ["0", "-2"])
 @pytest.mark.parametrize(
     "action",
@@ -712,6 +742,17 @@ def test_modular_check_skips_unsolved_ranges(capsys):
     assert data["braid_phase_relation"] is None
     assert data["switching"] is None
     assert data["pentagon"] < 1e-9
+
+
+def test_modular_check_refuses_levels_above_cap(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(modular, "_level_table", built.append)
+    code, out, err = capture(capsys, ["modular", "check", "--level", "15"])
+    assert (code, out, built) == (1, "", [])
+    assert "level 14" in err
+    with pytest.raises(ValueError, match="level 14"):
+        modular.pentagon_check(15)
+    assert built == []
 
 
 def test_invariant_word(capsys):

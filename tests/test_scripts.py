@@ -49,6 +49,7 @@ def test_script_runs(name, args):
         ("count_growth.py", ["--genus", "1"]),
         ("count_growth.py", ["--genus", "0"]),
         ("count_growth.py", ["--genus", "-1"]),
+        ("residual_sweep.py", ["--kmax", "15"]),
     ],
 )
 def test_script_rejects_empty_level_range(name, args):

@@ -385,7 +385,7 @@ def test_check_int_rule():
 
 # (module, function) pairs allowed their own bool test, with the reason
 BOOL_TEST_EXCEPTIONS = {
-    ("thetacst", "_indices"): "residues and Fourier indices accept numpy ints, "
+    ("thetacst", "_indices"): "characteristic residues accept numpy ints, "
     "which are not Python ints, so _check_int would refuse them",
 }
 

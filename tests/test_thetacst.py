@@ -89,15 +89,13 @@ def test_numpy_int_residues_pass():
         lambda: ThetaCharacteristic(3, (True,)),
         lambda: delta_distribution((1.5,), 3),
         lambda: delta_distribution((0,), 2.5),
-        lambda: FourierSeries(1, {(0.5,): 1}),
-        lambda: FourierSeries(1, {(True,): 1}),
         lambda: su2_laplacian_block((1.5,), [[1j]]),
         lambda: pw_evaluate((1.9,), np.eye(2), [np.eye(2)]),
         lambda: pw_evaluate((True,), np.eye(2), [np.eye(2)]),
     ],
     ids=[
-        "char-float", "char-bool", "coset-residue", "coset-modulus", "fourier-float",
-        "fourier-bool", "laplacian-block", "pw-float", "pw-bool",
+        "char-float", "char-bool", "coset-residue", "coset-modulus", "laplacian-block",
+        "pw-float", "pw-bool",
     ],
 )
 def test_float_and_bool_indices_are_refused(build):
@@ -274,28 +272,17 @@ def test_evaluate_rejects_distribution():
         evaluate_series(delta_distribution((0,), 1), [0.0])
 
 
-def test_abelian_cst_zero_time_is_identity():
-    f = FourierSeries(1, {(1,): 2.0, (-3,): 1j})
-    out = abelian_cst(f, PeriodMatrix([[1j]]), 0.0)
-    assert out.coefficients == f.coefficients
-    d = delta_distribution((1,), 2)
-    assert abelian_cst(d, PeriodMatrix([[1j]]), 0.0) is d
-
-
 def test_abelian_cst_negative_time_rejected():
-    f = FourierSeries(1, {(0,): 1.0})
-    for bad in (-0.1, float("nan"), float("inf")):
-        with pytest.raises(ValueError):
-            abelian_cst(f, PeriodMatrix([[1j]]), bad)
+    # at t = 0 nothing decays, so the coset series would never end
+    d = delta_distribution((1,), 2)
+    for bad in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            abelian_cst(d, PeriodMatrix([[1j]]), bad)
 
 
-def test_abelian_cst_damps_coefficients():
-    om = PeriodMatrix([[0.4 + 1.3j]])
-    f = FourierSeries(1, {(0,): 1.0, (1,): 2.0, (-2,): 3.0})
-    out = abelian_cst(f, om, 0.7)
-    for n, a in f.coefficients.items():
-        expect = a * cmath.exp(0.7j * math.pi * n[0] * n[0] * om.matrix[0, 0])
-        assert abs(out.coefficients[n] - expect) < 1e-14
+def test_abelian_cst_refuses_finite_series():
+    with pytest.raises(ValueError, match="coset distribution"):
+        abelian_cst(FourierSeries(1, {(0,): 1.0}), PeriodMatrix([[1j]]), 0.5)
 
 
 def test_abelian_cst_of_delta_is_theta_termwise():
@@ -321,28 +308,6 @@ def test_abelian_cst_pipeline_matches_theta_char():
         series = abelian_cst(delta_distribution(l, k), om, 1 / k)
         direct = theta_char(ThetaCharacteristic(k, l), om, z)
         assert abs(evaluate_series(series, z) - direct) < 1e-10
-
-
-def test_abelian_cst_unitarity_monte_carlo():
-    # || C_t f ||^2 over the averaged heat measure equals sum |a_n|^2; keep
-    # t Im(Omega) small so the lognormal factors have tame Monte Carlo tails
-    om = PeriodMatrix([[0.4 + 0.8j]])
-    t = 0.02
-    coeffs = {(-2,): 0.5j, (0,): 1.2, (1,): -0.7, (3,): 0.3}
-    f = FourierSeries(1, coeffs)
-    big = abelian_cst(f, om, t)
-    rng = np.random.default_rng(7)
-    n_samples = 250_000
-    x = rng.random(n_samples)
-    sigma = math.sqrt(t * om.matrix[0, 0].imag / (4 * math.pi))
-    y = rng.normal(0.0, sigma, n_samples)
-    total = 0.0
-    for n, a in big.coefficients.items():
-        total_n = a * np.exp(2j * np.pi * n[0] * (x + 1j * y))
-        total = total + total_n
-    estimate = float(np.mean(np.abs(total) ** 2))
-    exact = sum(abs(a) ** 2 for a in coeffs.values())
-    assert abs(estimate / exact - 1) < 0.02
 
 
 # -- shell arrays against the per-term loops ----------------------------------
