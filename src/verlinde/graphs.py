@@ -242,6 +242,61 @@ def _vertex_profile(graph, v):
     return (loops, tuple(sorted(neigh.values())), len(graph.star(v)))
 
 
+def _least_encoding(graph, seeds, bound=None):
+    """Least (inv_t, vert_t) over the BFS relabelings from `seeds`, all in
+    one component (see canonical_form); with a bound, the first encoding
+    found strictly below it, or the bound itself if there is none."""
+    best = bound
+    order, new_id, inv_t = [], {}, []
+
+    def rec(t, tied):
+        nonlocal best
+        # tied: inv_t[:t] equals the best's prefix.  Returns whether a
+        # new best was recorded below, which ties every open frame again.
+        if t == len(order):
+            vert_t = _vertex_encoding(graph, order)
+            if best is not None and tied and vert_t >= best[1]:
+                return False
+            best = (tuple(inv_t), vert_t)
+            return True
+        p = graph.involution[order[t]]
+        x = new_id.get(p, len(order))
+        if tied and best is not None:
+            b = best[0][t]
+            if x > b:
+                return False
+            tied = x == b
+        inv_t.append(x)
+        if p in new_id:
+            found = rec(t + 1, tied)
+        else:
+            found = False
+            rest = [y for y in graph.star(graph.vertex_of[p]) if y != p]
+            for tail in itertools.permutations(rest):
+                group = (p,) + tail
+                for y in group:
+                    new_id[y] = len(order)
+                    order.append(y)
+                if rec(t + 1, tied):
+                    found = tied = True
+                for y in reversed(group):
+                    del new_id[y]
+                    order.pop()
+                if found and bound is not None:
+                    break
+        inv_t.pop()
+        return found
+
+    for seed in seeds:
+        for perm in itertools.permutations(graph.star(seed)):
+            order[:] = perm
+            new_id.clear()
+            new_id.update((d, i) for i, d in enumerate(perm))
+            if rec(0, True) and bound is not None:
+                return best
+    return best
+
+
 def canonical_form(graph):
     """Relabeling-invariant encoding; equal iff graphs are isomorphic.
 
@@ -262,52 +317,7 @@ def canonical_form(graph):
     for comp in _components(graph):
         profiles = {v: _vertex_profile(graph, v) for v in comp}
         seed_class = min(profiles.values())
-        best = None
-        order, new_id, inv_t = [], {}, []
-
-        def rec(t, tied):
-            nonlocal best
-            # tied: inv_t[:t] equals the best's prefix.  Returns whether a
-            # new best was recorded below, which ties every open frame again.
-            if t == len(order):
-                vert_t = _vertex_encoding(graph, order)
-                if best is not None and tied and vert_t >= best[1]:
-                    return False
-                best = (tuple(inv_t), vert_t)
-                return True
-            p = graph.involution[order[t]]
-            x = new_id.get(p, len(order))
-            if tied and best is not None:
-                b = best[0][t]
-                if x > b:
-                    return False
-                tied = x == b
-            inv_t.append(x)
-            if p in new_id:
-                found = rec(t + 1, tied)
-            else:
-                found = False
-                rest = [y for y in graph.star(graph.vertex_of[p]) if y != p]
-                for tail in itertools.permutations(rest):
-                    group = (p,) + tail
-                    for y in group:
-                        new_id[y] = len(order)
-                        order.append(y)
-                    if rec(t + 1, tied):
-                        found = tied = True
-                    for y in reversed(group):
-                        del new_id[y]
-                        order.pop()
-            inv_t.pop()
-            return found
-
-        for seed in [v for v in comp if profiles[v] == seed_class]:
-            for perm in itertools.permutations(graph.star(seed)):
-                order[:] = perm
-                new_id.clear()
-                new_id.update((d, i) for i, d in enumerate(perm))
-                rec(0, True)
-        out.append(best)
+        out.append(_least_encoding(graph, [v for v in comp if profiles[v] == seed_class]))
     return tuple(sorted(out))
 
 
@@ -323,9 +333,10 @@ def enumerate_trivalent(g):
 
     Exhausts perfect matchings on the 3(2g-2) darts of 2g-2 stars with a
     symmetry cut (untouched stars are interchangeable, as are the unpaired
-    darts within a star), then dedups by canonical form.  The class list is
-    computed once per genus and cached for the life of the process; each
-    call returns a fresh list of the same (immutable) graphs.
+    darts within a star) and keeps each class's least labeling, sorted by
+    canonical form.  The class list is computed once per genus and cached
+    for the life of the process; each call returns a fresh list of the
+    same (immutable) graphs.
     """
     if not 2 <= _check_int(g, "genus") <= 5:
         raise ValueError("supported genus range is 2..5")
@@ -346,10 +357,19 @@ def _trivalent_classes(g):
             graph = TrivalentGraph(
                 tuple(inv), tuple(x // 3 for x in range(n_darts))
             )
-            if graph.is_connected():
+            # Keep a leaf only if no BFS relabeling encodes below it.  The
+            # DFS meets matchings in lexicographic order of inv and its cut
+            # never drops a class's least labeling, so the kept leaf is the
+            # one a first-found dedup would keep.  That least labeling is a
+            # BFS one: each newly reached star takes the next free block,
+            # entering dart first.  Its vert_t, t // 3, is every BFS
+            # relabeling's here, so only inv_t decides.
+            own = (graph.involution, graph.vertex_of)
+            if graph.is_connected() and _least_encoding(graph, range(n), own) == own:
                 key = canonical_form(graph)
-                if key not in found:
-                    found[key] = graph
+                if key in found:
+                    raise RuntimeError(f"class {key} has two least labelings")
+                found[key] = graph
             return
         cands = []
         untouched_taken = False

@@ -1,5 +1,6 @@
 """Command-line front end: dispatch, output formats, exit codes."""
 
+import hashlib
 import json
 import shlex
 import subprocess
@@ -427,6 +428,26 @@ def test_graph_enumerate_streams_then_counts(capsys):
     reps = [graphs.graph_from_json(line) for line in lines[:-1]]
     assert len(reps) == 2
     assert not graphs.is_isomorphic(reps[0], reps[1])
+
+
+# sha256 of stdout.  The representatives and their order are those of
+# first_found_enumerate in tests/test_graphs.py and must not change.
+ENUMERATION_STDOUT_SHA256 = {
+    "graph enumerate --genus 2": "e2c51fdc9cb36277bd856c2df52dba48a6cc6581343dd38dd793d3c718d0b576",
+    "graph enumerate --genus 3": "caf0473d293bbbcdd483c25b0cc4083b318ed6a8238aa9c38298320b358ec447",
+    "graph enumerate --genus 4": "d59fa1e816faa185a4822ffc4bdb640c7d5db601474a1d53e31bf87e81ebb085",
+    "graph enumerate --genus 5": "1bd60ff6e4321925dcdc910a431c8f2d23d6a43a39ddad08f5f82984f3811be8",
+    "weights count --genus 4 --level 3 --format csv": (
+        "7e274155d341fb1f4f404b94f2b216cbdcc60ec9beed430ec41c2a09e6b5c2d4"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ENUMERATION_STDOUT_SHA256))
+def test_enumeration_stdout_bytes_are_pinned(capsys, command):
+    code, out, _ = capture(capsys, command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATION_STDOUT_SHA256[command]
 
 
 def test_graph_faces_planar_theta(capsys):

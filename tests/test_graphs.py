@@ -4,6 +4,7 @@ Enumeration counts are checked against an independent oracle: a direct
 degree-constrained multigraph search deduplicated with networkx isomorphism.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -13,10 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from verlinde import graphs as graphs_module
 from verlinde.graphs import (
     RibbonStructure,
     TrivalentGraph,
     _components,
+    _least_encoding,
+    _trivalent_classes,
     _vertex_profile,
     canonical_form,
     chain_graph,
@@ -298,9 +302,103 @@ def test_enumeration_matches_oracle(gg):
     assert len(matched) == len(oracle)
 
 
-@pytest.mark.slow
+def first_found_enumerate(g):
+    """The same matching search and symmetry cut as enumerate_trivalent,
+    keyed by canonical_form at every connected leaf; the first leaf found
+    in a class is its representative."""
+    n = 2 * g - 2
+    n_darts = 3 * n
+    inv = [-1] * n_darts
+    found = {}
+
+    def rec(d):
+        while d < n_darts and inv[d] != -1:
+            d += 1
+        if d == n_darts:
+            graph = TrivalentGraph(tuple(inv), tuple(x // 3 for x in range(n_darts)))
+            if graph.is_connected():
+                found.setdefault(canonical_form(graph), graph)
+            return
+        cands = []
+        untouched_taken = False
+        for w in range(n):
+            un = [x for x in (3 * w, 3 * w + 1, 3 * w + 2) if inv[x] == -1 and x != d]
+            if len(un) == 3:
+                if not untouched_taken:
+                    cands.append(un[0])
+                    untouched_taken = True
+            elif un:
+                cands.append(un[0])
+        for p in cands:
+            inv[d], inv[p] = p, d
+            rec(d + 1)
+            inv[d] = inv[p] = -1
+
+    rec(0)
+    return [found[k] for k in sorted(found)]
+
+
+@pytest.mark.parametrize("gg", [2, 3, 4])
+def test_enumeration_keeps_first_found_representatives(gg):
+    assert enumerate_trivalent(gg) == first_found_enumerate(gg)
+
+
+# sha256 of repr([(involution, vertex_of), ...]) of the genus-5 classes, as
+# the first-found dedup above returns them.
+G5_DIGEST = "ad4f059c0b92a218bdca1e4eff5d608969ba4bcfc74d26c4561595cb7f2f9cf4"
+
+
 def test_enumeration_g5_count():
-    assert len(enumerate_trivalent(5)) == EXPECTED_CLASS_COUNTS[5]
+    reps = enumerate_trivalent(5)
+    assert len(reps) == EXPECTED_CLASS_COUNTS[5]
+    blob = repr([(r.involution, r.vertex_of) for r in reps]).encode()
+    assert hashlib.sha256(blob).hexdigest() == G5_DIGEST
+
+
+@pytest.mark.parametrize("gg", [2, 3, 4])
+def test_enumeration_canonicalizes_each_class_once(monkeypatch, gg):
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return canonical_form(graph)
+
+    monkeypatch.setattr(graphs_module, "canonical_form", counted)
+    _trivalent_classes.cache_clear()
+    assert len(enumerate_trivalent(gg)) == EXPECTED_CLASS_COUNTS[gg]
+    assert len(calls) == EXPECTED_CLASS_COUNTS[gg]
+
+
+def test_enumeration_refuses_two_least_labelings_of_one_class(monkeypatch):
+    # a leaf test that keeps every leaf must trip the duplicate check
+    def keep_all(graph, seeds, bound=None):
+        return bound if bound is not None else _least_encoding(graph, seeds)
+
+    monkeypatch.setattr(graphs_module, "_least_encoding", keep_all)
+    with pytest.raises(RuntimeError, match="two least labelings"):
+        _trivalent_classes.__wrapped__(2)
+
+
+def _own_encoding(graph):
+    return graph.involution, graph.vertex_of
+
+
+@pytest.mark.parametrize("gg", [3, 4])
+def test_representatives_are_their_own_least_labelings(gg):
+    for graph in enumerate_trivalent(gg):
+        n = graph.n_vertices
+        own = _own_encoding(graph)
+        assert _least_encoding(graph, range(n), own) == own
+        for sigma in itertools.permutations(range(n)):
+            # move star i to block sigma[i], keeping the order inside it
+            dart = [3 * sigma[d // 3] + d % 3 for d in range(3 * n)]
+            inv = [0] * (3 * n)
+            for d, p in enumerate(graph.involution):
+                inv[dart[d]] = dart[p]
+            other = TrivalentGraph(tuple(inv), graph.vertex_of)
+            if other.involution != graph.involution:
+                own = _own_encoding(other)
+                assert _least_encoding(other, range(n), own) < own
 
 
 def test_enumeration_bad_genus():
