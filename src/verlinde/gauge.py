@@ -5,7 +5,9 @@ stored at the edge id dart; the reversed orientation is the exact
 adjugate inverse.  Dart d is read as the oriented edge leaving
 vertex_of[d].  Spin networks contract one invariant tensor per vertex
 against a kernel omega . rho(a) per edge; the pairing makes gauge
-invariance an identity, not a tolerance.
+invariance an identity, not a tolerance.  Since omega is antidiagonal,
+the kernel is rho with its rows reversed and signed, and a batch of
+connections is evaluated in row blocks, one einsum per block.
 
 Monte Carlo probes draw Haar samples from seeded per-chunk streams and
 reduce in chunk order.
@@ -23,6 +25,7 @@ import numpy as np
 from .su2reps import AdmissibilityError, _check_int, admissible_triple, omega, rep_matrix, wigner_3j
 
 _CHUNK = 16384
+_BLOCK = 2048
 
 
 def _as_matrix(m, what):
@@ -53,12 +56,7 @@ def _haar_batch(rng, m):
     q = rng.standard_normal((m, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
     a, b = q[:, 0] + 1j * q[:, 1], q[:, 2] + 1j * q[:, 3]
-    out = np.empty((m, 2, 2), dtype=complex)
-    out[:, 0, 0] = a
-    out[:, 0, 1] = b
-    out[:, 1, 0] = -b.conj()
-    out[:, 1, 1] = a.conj()
-    return out
+    return np.stack([a, b, -b.conj(), a.conj()], axis=1).reshape(m, 2, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,24 +183,35 @@ def admissible_colorings(graph, cap):
 
 
 def _values_batch(snf, batch):
-    """Evaluate the network on a (N, E, 2, 2) batch of connections."""
+    """Evaluate the network on a (N, E, 2, 2) batch of connections.
+
+    Rows go through in near-equal blocks of at most _BLOCK, so only one
+    block's irrep matrices and einsum intermediates are live; a wide batch
+    never leaves a one-row block, which einsum would sum in another order.
+    The kernel omega . rho is a signed row reversal, row i being
+    omega[i, n-i] times row n-i of rho; adding zero turns -0 into +0 as the
+    einsum against omega did.  Kernels stay C-contiguous, because einsum
+    sums in the order of its operands' strides.
+    """
     graph = snf.graph
     bax = graph.n_darts  # einsum axis label for the batch dimension
-    operands = []
+    tensors = []
     for v in range(graph.n_vertices):
-        operands += [snf.vertex_tensors[v], list(graph.star(v))]
-    for k, (d, p) in enumerate(graph.edges()):
-        n = snf.coloring[d]
-        rep = rep_matrix(n, batch[:, k])
-        kernel = np.einsum("ij,bjk->bik", omega(n).astype(complex), rep)
-        operands += [kernel, [bax, d, p]]
-    subscripts = tuple(tuple(sub) for sub in operands[1::2]) + ((bax,),)
+        tensors += [snf.vertex_tensors[v], list(graph.star(v))]
+    edges = [(d, p, snf.coloring[d]) for d, p in graph.edges()]
+    subscripts = tuple(map(tuple, tensors[1::2])) + tuple((bax, d, p) for d, p, _ in edges)
     # search as for a batch of one: greedy caps intermediates at the largest
     # operand, so a wide batch would force a one-shot contraction
-    shapes = [t.shape for t in operands[::2]]
-    shapes[graph.n_vertices:] = [(1,) + s[1:] for s in shapes[graph.n_vertices:]]
-    path = _contraction_path(subscripts, tuple(shapes))
-    return np.einsum(*operands, [bax], optimize=path)
+    shapes = tuple(t.shape for t in tensors[::2]) + tuple((1, n + 1, n + 1) for *_, n in edges)
+    path = _contraction_path(subscripts + ((bax,),), shapes)
+    signs = [np.diag(omega(n)[:, ::-1])[:, None] for *_, n in edges]
+    values = []
+    for block in np.array_split(batch, max(1, -(-len(batch) // _BLOCK))):
+        operands = list(tensors)
+        for k, ((d, p, n), sign) in enumerate(zip(edges, signs)):
+            operands += [rep_matrix(n, block[:, k])[:, ::-1] * sign + 0, [bax, d, p]]
+        values.append(np.einsum(*operands, [bax], optimize=path))
+    return np.concatenate(values)
 
 
 @lru_cache(maxsize=None)
@@ -268,6 +277,7 @@ def distinguishability_probe(snf1, snf2, sample_count=1000, seed=0):
     """Probabilistic separation witness: max |f1 - f2| over random connections."""
     if snf1.graph != snf2.graph:
         raise ValueError("probe needs both networks on the same graph")
+    _check_int(sample_count, "sample count", 1)
     n_edges = len(snf1.graph.edge_ids())
     best, where = 0.0, 0
     offset = 0
@@ -298,6 +308,9 @@ def peter_weyl_probe(graph, colorings, samples=100_000, seed=0):
     Distinct colorings are orthogonal (matrix coefficient orthogonality),
     so off-diagonal entries must vanish within a few standard errors.
     """
+    _check_int(samples, "sample count", 1)
+    if not colorings:
+        raise ValueError("peter_weyl_probe needs at least one coloring")
     snfs = [spin_network(graph, c) for c in colorings]
     n_edges = len(graph.edge_ids())
     n = len(snfs)

@@ -222,13 +222,13 @@ def _level_table(k):
     """
     cube = _admissibility_cube(k)
     parts = []
-    for j1, j2 in product(range(k + 1), repeat=2):
-        # src[j3, j4, i]: i couples (j1 j2) and (j3 j4); tgt[j3, j4, j]: j
-        # couples (j2 j3) and (j4 j1)
-        src = cube[j1, j2][None, None, :] & cube
-        tgt = cube[j2][:, None, :] & cube[:, j1][None, :, :]
-        tail = np.argwhere(src[:, :, :, None] & tgt[:, :, None, :])
-        parts.append(np.column_stack([np.full((len(tail), 2), (j1, j2)), tail]))
+    for j1 in range(k + 1):
+        # src[j2, j3, j4, i]: i couples (j1 j2) and (j3 j4); tgt[j2, j3, j4,
+        # j]: j couples (j2 j3) and (j4 j1)
+        src = cube[j1][:, None, None, :] & cube[None]
+        tgt = cube[:, :, None, :] & cube[:, j1][None, None]
+        tail = np.argwhere(src[..., None] & tgt[..., None, :])
+        parts.append(np.column_stack([np.full(len(tail), j1), tail]))
     keys = np.concatenate(parts).astype(np.min_scalar_type(k))
     # blocks of rows keep the sum's temporaries small, so that they do not
     # grow the heap that later level-wide computations run in

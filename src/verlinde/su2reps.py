@@ -6,7 +6,9 @@ the group element and continue to SL(2,C) without branch choices.  The
 orthonormalized basis u_m = sqrt(C(n,m)) x^(n-m) y^m makes the action
 unitary on SU(2); rep_matrix returns that version, for one group element
 or an (N, 2, 2) batch of them, and rep_matrix_exact the plain monomial
-one.  Both expand the same symmetric-power core.  Invariant 3j tensors are
+one.  One element and rep_matrix_exact expand the symmetric power term by
+term; a batch runs the same terms in the same order as a few array calls
+from a plan cached per label.  Invariant 3j tensors are
 written down, not solved for: each is the bracket product [12]^a [23]^b
 [31]^c of classical invariant theory, [ij] = x_i y_j - x_j y_i.
 """
@@ -67,18 +69,14 @@ def _check_det(a, b, c, d):
         raise ValueError(f"matrix must be unimodular, det = {det}")
 
 
-def _binomial_power(u, v, p):
-    # coefficients of (u*x + v*y)^p in y-degree order
-    return [comb(p, s) * u ** (p - s) * v**s for s in range(p + 1)]
-
-
 def _sym_power(n, a, b, c, d):
-    # rep_matrix_exact's matrix; a, b, c, d may be ints, Fractions, complex
-    # scalars or numpy arrays
+    # rep_matrix_exact's matrix; a, b, c, d may be ints, Fractions or complex
+    # scalars, and numpy's scalar rounding here is pinned by the tests
     cols = []
     for j in range(n + 1):
-        left = _binomial_power(a, c, n - j)
-        right = _binomial_power(b, d, j)
+        # (a x + c y)^(n-j) and (b x + d y)^j, coefficients in y-degree order
+        left = [comb(n - j, s) * a ** (n - j - s) * c**s for s in range(n - j + 1)]
+        right = [comb(j, t) * b ** (j - t) * d**t for t in range(j + 1)]
         out = [0] * (n + 1)
         for s, ls in enumerate(left):
             for t, rt in enumerate(right):
@@ -99,21 +97,58 @@ def rep_matrix_exact(n, g):
     return _sym_power(n, a, b, c, d)
 
 
+@lru_cache(maxsize=None)
+def _batch_plan(n):
+    """Index tables that run _sym_power's array arithmetic in a few calls.
+
+    Entry (i, j) sums, over ascending s, the products of comb(n-j, s)
+    a^(n-j-s) c^s and comb(j, t) b^(j-t) d^t with s + t = i, each power p of
+    (a, b, c, d)[r] being row 4p + r of a stacked table.  Entries run by
+    falling term count, so each rank's terms, rows ends[r-1]:ends[r], fall
+    on a prefix of them; spots holds their row-major positions.
+    """
+    terms = {(i, j): range(max(0, i - j), min(i, n - j) + 1) for i in range(n + 1) for j in range(n + 1)}
+    order = sorted(terms, key=lambda e: -len(terms[e]))
+    ranks = range(len(terms[order[0]]))
+    rows = [
+        (comb(n - j, s), 4 * (n - j - s), 4 * s + 2, comb(j, i - s), 4 * (j - i + s) + 1, 4 * (i - s) + 3)
+        for r in ranks
+        for i, j in order
+        if r < len(terms[i, j])
+        for s in [terms[i, j][r]]
+    ]
+    cl, pa, pc, cr, pb, pd = (np.array(col) for col in zip(*rows))
+    ends = np.cumsum([sum(r < len(t) for t in terms.values()) for r in ranks])
+    scale = np.array([sqrt(comb(n, j) / comb(n, i)) for i, j in order], dtype=complex)
+    spots = [i * (n + 1) + j for i, j in order]
+    return cl.astype(complex)[:, None], pa, pc, cr.astype(complex)[:, None], pb, pd, ends, scale[:, None], spots
+
+
 def rep_matrix(n, g):
     """Irrep matrix in the orthonormal basis; unitary on SU(2).
 
     g is one 2x2 matrix, or an (N, 2, 2) batch whose determinants the
-    caller has already checked; a batch gives an (N, n+1, n+1) array.
+    caller has already checked; a batch gives a C-contiguous (N, n+1, n+1)
+    array, with the bits _sym_power gives on arrays: numpy's array
+    arithmetic rounds alike at any length or stride, unlike its scalars.
     """
     _check_label(n)
     g = np.asarray(g, dtype=complex)
     if g.ndim == 3 and g.shape[1:] == (2, 2):
-        a, b, c, d = g[:, 0, 0], g[:, 0, 1], g[:, 1, 0], g[:, 1, 1]
-    else:
-        a, b, c, d = _entries(g)
-        _check_det(a, b, c, d)
+        cl, pa, pc, cr, pb, pd, ends, scale, spots = _batch_plan(n)
+        x = g.reshape(len(g), 4).T
+        powers = np.concatenate([x**p for p in range(n + 1)])
+        prods = cl * powers[pa] * powers[pc] * (cr * powers[pb] * powers[pd])
+        acc = 0 + prods[: ends[0]]
+        for lo, hi in zip(ends, ends[1:]):
+            acc[: hi - lo] += prods[lo:hi]
+        out = np.empty((len(g), (n + 1) ** 2), dtype=complex)
+        out[:, spots] = (acc * scale).T
+        return out.reshape(len(g), n + 1, n + 1)
+    a, b, c, d = _entries(g)
+    _check_det(a, b, c, d)
     raw = _sym_power(n, a, b, c, d)
-    out = np.empty(g.shape[:-2] + (n + 1, n + 1), dtype=complex)
+    out = np.empty((n + 1, n + 1), dtype=complex)
     for i in range(n + 1):
         for j in range(n + 1):
             out[..., i, j] = raw[i][j] * sqrt(comb(n, j) / comb(n, i))

@@ -1,5 +1,8 @@
 """Holonomy, gauge action, and spin network evaluation on trivalent graphs."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ from verlinde.gauge import (
     spin_network_value,
 )
 from verlinde.graphs import TrivalentGraph, dumbbell_graph, multi_theta, theta_graph
-from verlinde.su2reps import AdmissibilityError
+from verlinde.su2reps import AdmissibilityError, omega, rep_matrix
 
 I2 = np.eye(2)
 
@@ -241,6 +244,101 @@ def test_cached_contraction_path_keeps_bits(graph, monkeypatch):
     ]
 
 
+def _per_entry_rep(n, mats):
+    # the batch expansion as the package first wrote it: one array call per
+    # term of each entry, every entry summed from zero in ascending s
+    a, b, c, d = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 0], mats[:, 1, 1]
+    cols = []
+    for j in range(n + 1):
+        left = [math.comb(n - j, s) * a ** (n - j - s) * c**s for s in range(n - j + 1)]
+        right = [math.comb(j, t) * b ** (j - t) * d**t for t in range(j + 1)]
+        col = [0] * (n + 1)
+        for s, ls in enumerate(left):
+            for t, rt in enumerate(right):
+                col[s + t] += ls * rt
+        cols.append(col)
+    out = np.empty((len(mats), n + 1, n + 1), dtype=complex)
+    for i in range(n + 1):
+        for j in range(n + 1):
+            out[:, i, j] = cols[j][i] * math.sqrt(math.comb(n, j) / math.comb(n, i))
+    return out
+
+
+def _oracle_values_batch(snf, batch):
+    # whole-batch evaluation with per-entry reps and the kernel einsum against
+    # omega, on the same cached contraction path
+    graph = snf.graph
+    bax = graph.n_darts
+    operands = []
+    for v in range(graph.n_vertices):
+        operands += [snf.vertex_tensors[v], list(graph.star(v))]
+    for k, (d, p) in enumerate(graph.edges()):
+        n = snf.coloring[d]
+        kernel = np.einsum("ij,bjk->bik", omega(n).astype(complex), _per_entry_rep(n, batch[:, k]))
+        operands += [kernel, [bax, d, p]]
+    subscripts = tuple(tuple(sub) for sub in operands[1::2]) + ((bax,),)
+    shapes = [t.shape for t in operands[::2]]
+    shapes[graph.n_vertices :] = [(1,) + s[1:] for s in shapes[graph.n_vertices :]]
+    path = gauge._contraction_path(subscripts, tuple(shapes))
+    return np.einsum(*operands, [bax], optimize=path)
+
+
+NETWORK_CASES = [(theta_graph(), 4), (dumbbell_graph(), 3), (multi_theta(3), 2)]
+
+
+@pytest.mark.parametrize("graph,cap", NETWORK_CASES)
+def test_values_batch_matches_whole_batch_oracle_bitwise(graph, cap):
+    rng = np.random.default_rng(23)
+    colorings = admissible_colorings(graph, cap)
+    n_edges = len(graph.edge_ids())
+    for rows in (1, 7, gauge._BLOCK, gauge._BLOCK + 1, 16384):
+        batch = gauge._haar_batch(rng, rows * n_edges).reshape(rows, n_edges, 2, 2)
+        # every coloring on short batches; the largest labels and a spread on
+        # long ones, which cross block boundaries
+        picked = colorings if rows < 100 else colorings[-1:] + colorings[1 :: len(colorings) // 3]
+        for coloring in picked:
+            snf = spin_network(graph, coloring)
+            got = gauge._values_batch(snf, batch)
+            assert got.tobytes() == _oracle_values_batch(snf, batch).tobytes(), (rows, coloring)
+
+
+def test_probe_reports_match_whole_batch_oracle(monkeypatch):
+    graph = theta_graph()
+    colorings = admissible_colorings(graph, 4)[:4]
+    a, b = (spin_network(graph, c) for c in admissible_colorings(graph, 4)[1:3])
+
+    def reports():
+        pw = peter_weyl_probe(graph, colorings, 20000, seed=5)
+        return pw.gram.tobytes(), pw.stderr.tobytes(), distinguishability_probe(a, b, 20000, seed=6)
+
+    blocked = reports()
+    monkeypatch.setattr(gauge, "_values_batch", _oracle_values_batch)
+    assert blocked == reports()
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_rep_matrix_batch_is_c_contiguous(n):
+    mats = gauge._haar_batch(np.random.default_rng(n), 10)
+    for batch in (mats, mats[::2], mats[:1]):
+        rho = rep_matrix(n, batch)
+        assert rho.flags.c_contiguous
+        assert rho.tobytes() == _per_entry_rep(n, batch).tobytes()
+
+
+def test_peter_weyl_memory_stays_within_one_block():
+    # a 16384-sample chunk is evaluated in blocks of _BLOCK rows, so the
+    # irrep matrices and einsum intermediates of one block are live at a time
+    graph = theta_graph()
+    colorings = admissible_colorings(graph, 4)[:4]
+    tracemalloc.start()
+    try:
+        peter_weyl_probe(graph, colorings, 16384, seed=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
 @pytest.mark.parametrize("graph,coloring", GAUGE_CASES)
 def test_spin_network_gauge_invariance(graph, coloring):
     if coloring is None:
@@ -317,7 +415,26 @@ def test_probe_separates_trivial_from_nontrivial():
     assert report.separated
 
 
+@pytest.mark.parametrize("count", [0, -3, 2.5, True])
+def test_probe_refuses_sample_count_not_a_positive_int(count):
+    snf = spin_network(theta_graph(), {0: 1, 2: 1, 4: 0})
+    with pytest.raises(ValueError, match="sample count must be a positive integer"):
+        distinguishability_probe(snf, snf, count)
+
+
 # -- Peter-Weyl orthogonality -------------------------------------------------
+
+
+@pytest.mark.parametrize("count", [0, -5, 2.5, True])
+def test_peter_weyl_refuses_sample_count_not_a_positive_int(count):
+    with pytest.raises(ValueError, match="sample count must be a positive integer"):
+        peter_weyl_probe(theta_graph(), [{0: 0, 2: 0, 4: 0}], count)
+
+
+def test_peter_weyl_refuses_no_colorings():
+    with pytest.raises(ValueError, match="needs at least one coloring"):
+        peter_weyl_probe(theta_graph(), [], 100)
+
 
 
 def test_peter_weyl_orthogonality_monte_carlo():

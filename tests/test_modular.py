@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from verlinde import modular
 from verlinde.fusion import fuse, verlinde
 from verlinde.graphs import TrivalentGraph, chain_graph, dumbbell_graph, theta_graph
 from verlinde.modular import (
@@ -211,6 +212,26 @@ def test_six_j_table_bits_match_scalar(k):
     for key, val in table.entries.items():
         assert type(val) is float
         assert val.hex() == q6j(k, *key).hex()
+
+
+def _pair_loop_keys(k):
+    # the key builder as first written: one argwhere per (j1, j2) pair
+    cube = modular._admissibility_cube(k)
+    parts = []
+    for j1, j2 in itertools.product(range(k + 1), repeat=2):
+        src = cube[j1, j2][None, None, :] & cube
+        tgt = cube[j2][:, None, :] & cube[:, j1][None, :, :]
+        tail = np.argwhere(src[:, :, :, None] & tgt[:, :, None, :])
+        parts.append(np.column_stack([np.full((len(tail), 2), (j1, j2)), tail]))
+    return np.concatenate(parts).astype(np.min_scalar_type(k))
+
+
+@pytest.mark.parametrize("k", range(1, 15))
+def test_level_table_keys_match_pair_loop(k):
+    keys = modular._level_table(k)[0]
+    want = _pair_loop_keys(k)
+    assert keys.dtype == want.dtype and keys.shape == want.shape
+    assert keys.tobytes() == want.tobytes()
 
 
 def test_six_j_table_is_immutable():
