@@ -33,7 +33,7 @@ def _as_matrix(m, what):
     if arr.shape != (2, 2):
         raise ValueError(f"{what} must be a 2x2 matrix")
     det = arr[0, 0] * arr[1, 1] - arr[0, 1] * arr[1, 0]
-    if abs(det - 1) > 1e-10:
+    if not abs(det - 1) <= 1e-10:  # a NaN determinant fails too
         raise ValueError(f"{what} must be unimodular, det = {det:.6g}")
     arr.setflags(write=False)
     return arr

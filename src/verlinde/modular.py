@@ -200,7 +200,7 @@ def six_j_table(k):
     """Tabulate every fusing coefficient with both channels admissible."""
     check_level(k)
     keys, values = _level_table(k)
-    return SixJTable(k, dict(zip(map(tuple, keys.tolist()), values.tolist())))
+    return SixJTable(k, dict(zip(zip(*keys.T.tolist()), values.tolist())))
 
 
 def _admissibility_cube(k):
@@ -221,15 +221,13 @@ def _level_table(k):
     kernel, so one coefficient at a high level never builds a whole level.
     """
     cube = _admissibility_cube(k)
-    parts = []
-    for j1 in range(k + 1):
-        # src[j2, j3, j4, i]: i couples (j1 j2) and (j3 j4); tgt[j2, j3, j4,
-        # j]: j couples (j2 j3) and (j4 j1)
-        src = cube[j1][:, None, None, :] & cube[None]
-        tgt = cube[:, :, None, :] & cube[:, j1][None, None]
-        tail = np.argwhere(src[..., None] & tgt[..., None, :])
-        parts.append(np.column_stack([np.full(len(tail), j1), tail]))
-    keys = np.concatenate(parts).astype(np.min_scalar_type(k))
+    # join the channels onto every outer-label quad in lexicographic order:
+    # i couples (j1 j2) and (j3 j4), j couples (j2 j3) and (j4 j1)
+    j1, j2, j3, j4 = np.indices((k + 1,) * 4).reshape(4, -1)
+    r, i = np.nonzero(cube[j1, j2] & cube[j3, j4])
+    s, j = np.nonzero((cube[j2, j3] & cube[j4, j1])[r])
+    r, i = r[s], i[s]
+    keys = np.column_stack([j1[r], j2[r], j3[r], j4[r], i, j]).astype(np.min_scalar_type(k))
     # blocks of rows keep the sum's temporaries small, so that they do not
     # grow the heap that later level-wide computations run in
     values = np.empty(len(keys))
@@ -283,9 +281,9 @@ class _Lookup:
         return np.unravel_index(quads, (self.size,) * 4)
 
 
-# the highest level whose level-wide reports run here: the pentagon's joins
-# grow about as k^8, and residual_report(14) took 19 s and 352 MB where
-# k = 16 took 64 s and 829 MB
+# the highest level whose level-wide reports run here: residual_report(14)
+# takes about 5 s and 185 MB, and at k = 16 the dense table of _lookup
+# alone holds 17^6 floats (193 MB)
 MAX_REPORT_LEVEL = 14
 
 
@@ -318,29 +316,28 @@ def _pentagon_residual(k, dense):
     size = k + 1
     cube = _admissibility_cube(k)
     worst = 0.0
-    for a, b in product(range(size), repeat=2):
+    for b, c in product(range(size), repeat=2):
         # join the loop labels one at a time: f in (a b), g in (f c), e in
         # (g d), l in (c d), m in (b l); row r of every array is one tuple
-        f = np.flatnonzero(cube[a, b])
-        r, c, g = np.nonzero(cube[f])
-        f = f[r]
+        a, f = np.nonzero(cube[:, b])
+        r, g = np.nonzero(cube[f, c])
+        a, f = a[r], f[r]
         r, d, e = np.nonzero(cube[g])
-        f, c, g = f[r], c[r], g[r]
+        a, f, g = a[r], f[r], g[r]
         r, l = np.nonzero(cube[c, d])
-        f, c, g, d, e = f[r], c[r], g[r], d[r], e[r]
+        a, f, g, d, e = a[r], f[r], g[r], d[r], e[r]
         r, m = np.nonzero(cube[b, l])
-        f, c, g, d, e, l = f[r], c[r], g[r], d[r], e[r], l[r]
+        a, f, g, d, e, l = a[r], f[r], g[r], d[r], e[r], l[r]
         lhs = dense[_flat(size, f, c, d, e, g, l)] * dense[_flat(size, a, b, l, e, f, m)]
-        # nonzero lists h ascending within each row and bincount adds in
-        # array order, so each sum over h runs in the order sum() would
-        r, h = np.nonzero(cube[b, c])
-        c, d, e, f, g, l, m = c[r], d[r], e[r], f[r], g[r], l[r], m[r]
-        terms = (
-            dense[_flat(size, a, b, c, g, f, h)]
-            * dense[_flat(size, a, h, d, e, g, m)]
-            * dense[_flat(size, b, c, d, m, h, l)]
-        )
-        rhs = np.bincount(r, weights=terms, minlength=len(lhs))
+        # the three coefficients of channel h sit at h times a fixed stride
+        # past their h = 0 positions; the sum over h runs ascending from 0,
+        # in the order sum() would
+        f1 = _flat(size, a, b, c, g, f, 0)
+        f2 = _flat(size, a, 0, d, e, g, m)
+        f3 = _flat(size, b, c, d, m, 0, l)
+        rhs = 0.0
+        for h in np.flatnonzero(cube[b, c]).tolist():
+            rhs = rhs + dense[h:][f1] * dense[h * size**4 :][f2] * dense[h * size :][f3]
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 

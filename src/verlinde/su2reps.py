@@ -65,7 +65,7 @@ def _check_det(a, b, c, d):
     if isinstance(det, (int, Fraction)):
         if det != 1:
             raise ValueError(f"matrix must be unimodular, det = {det}")
-    elif abs(det - 1) > 1e-12:
+    elif not abs(det - 1) <= 1e-12:  # a NaN determinant fails too
         raise ValueError(f"matrix must be unimodular, det = {det}")
 
 

@@ -61,6 +61,16 @@ def test_connection_rejects_non_unimodular():
         Connection(graph, mats)
 
 
+def test_nan_matrices_are_rejected():
+    # a NaN determinant compares false against any tolerance
+    graph = theta_graph()
+    nan = [[math.nan, 0], [0, 1]]
+    with pytest.raises(ValueError):
+        Connection(graph, {0: nan, 2: I2, 4: I2})
+    with pytest.raises(ValueError):
+        GaugeTransform(graph, {v: np.full((2, 2), math.nan) for v in range(graph.n_vertices)})
+
+
 def test_connection_requires_exact_edge_set():
     graph = theta_graph()
     with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ import cmath
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -234,6 +235,14 @@ def test_level_table_keys_match_pair_loop(k):
     assert keys.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_six_j_table_keys_are_int_tuples_in_table_order(k):
+    keys = modular._level_table(k)[0]
+    entries = six_j_table(k).entries
+    assert list(entries) == [tuple(int(n) for n in row) for row in keys]
+    assert all(type(key) is tuple and all(type(n) is int for n in key) for key in entries)
+
+
 def test_six_j_table_is_immutable():
     table = six_j_table(1)
     with pytest.raises(TypeError):
@@ -262,6 +271,69 @@ def pentagon_deviation(k):
                     )
                     worst = max(worst, abs(lhs - rhs))
     return worst
+
+
+def _pentagon_ab_loop(k, dense):
+    # the array pentagon as first written: one join per (a, b), its RHS
+    # terms expanded over h and summed by bincount
+    size = k + 1
+    flat = modular._flat
+    cube = modular._admissibility_cube(k)
+    worst = 0.0
+    for a, b in itertools.product(range(size), repeat=2):
+        f = np.flatnonzero(cube[a, b])
+        r, c, g = np.nonzero(cube[f])
+        f = f[r]
+        r, d, e = np.nonzero(cube[g])
+        f, c, g = f[r], c[r], g[r]
+        r, l = np.nonzero(cube[c, d])
+        f, c, g, d, e = f[r], c[r], g[r], d[r], e[r]
+        r, m = np.nonzero(cube[b, l])
+        f, c, g, d, e, l = f[r], c[r], g[r], d[r], e[r], l[r]
+        lhs = dense[flat(size, f, c, d, e, g, l)] * dense[flat(size, a, b, l, e, f, m)]
+        r, h = np.nonzero(cube[b, c])
+        c, d, e, f, g, l, m = c[r], d[r], e[r], f[r], g[r], l[r], m[r]
+        terms = (
+            dense[flat(size, a, b, c, g, f, h)]
+            * dense[flat(size, a, h, d, e, g, m)]
+            * dense[flat(size, b, c, d, m, h, l)]
+        )
+        rhs = np.bincount(r, weights=terms, minlength=len(lhs))
+        worst = max(worst, float(np.abs(lhs - rhs).max()))
+    return worst
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_pentagon_matches_ab_loop(k):
+    dense = modular._lookup(k).dense
+    assert modular._pentagon_residual(k, dense).hex() == _pentagon_ab_loop(k, dense).hex()
+
+
+# float.hex of the pentagon residual above the PINNED_REPORTS range, as the
+# (a, b) loop gave it
+PINNED_PENTAGON = {
+    9: "0x1.5c00000000000p-47",
+    10: "0x1.0800000000000p-48",
+    11: "0x1.6c80000000000p-47",
+}
+
+
+@pytest.mark.parametrize("k", sorted(PINNED_PENTAGON))
+def test_pentagon_bits_above_report_pins(k):
+    assert modular._pentagon_residual(k, modular._lookup(k).dense).hex() == PINNED_PENTAGON[k]
+
+
+def test_pentagon_traced_peak():
+    # the joins for one (b, c) hold no copy of their rows per h channel:
+    # 7.5 MiB at k = 10, where the (a, b) loop's expanded RHS took 21.5 MiB
+    dense = modular._lookup(10).dense
+    tracemalloc.start()
+    try:
+        modular._pentagon_residual(10, dense)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 @pytest.mark.parametrize("k", [1, 2])

@@ -128,6 +128,12 @@ def test_rep_rejects_non_unimodular():
         rep_matrix(2, np.diag([2.0, 1.0]))
     with pytest.raises(ValueError):
         rep_matrix_exact(2, [[2, 0], [0, 1]])
+    # a NaN determinant compares false against any tolerance
+    nan = np.array([[math.nan, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        rep_matrix_exact(2, nan)
+    with pytest.raises(ValueError):
+        rep_matrix(2, nan)
 
 
 # Frozen copies of the two irrep routes that rep_matrix replaced: the
