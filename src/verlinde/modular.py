@@ -10,15 +10,16 @@ with their anomaly phase classes.
 The Racah sum has two evaluations that do the same floating-point
 operations in the same order.  Single entries and single blocks -- q6j,
 fusion_matrix, braiding and the switching data -- call the scalar kernel
-entry by entry and cache each entry.  Level-wide computations --
-six_j_table, pentagon_check and the orthogonality, symmetry, pentagon,
-Yang-Baxter and braid-inverse relations of residual_report -- read a
-per-level table instead: every admissible (j1, j2, j3, j4, i, j) as a
-small-int array, with its values computed by an array evaluation of the
-Racah sum over blocks of keys, built once per level.  They evaluate their
-relations as array operations on it that keep the scalar loops' order of
-rounding, so both ways give the same bits; tests pin the table against
-q6j entry by entry.
+entry by entry and cache each entry; the slide data behind the switching
+blocks is cached per (k, n1, n2), as the blocks are.  Level-wide
+computations -- six_j_table, pentagon_check, braiding_relation_residual and
+the orthogonality, symmetry, pentagon, Yang-Baxter, braid-inverse and
+braid-phase relations of residual_report -- read a per-level table
+instead: every admissible (j1, j2, j3, j4, i, j) as a small-int array, with
+its values computed by an array evaluation of the Racah sum over blocks of
+keys, built once per level.  They evaluate their relations as array
+operations on it that keep the scalar loops' order of rounding, so both
+ways give the same bits; tests pin the table against q6j entry by entry.
 
 All labels are twice-spin integers in 0..k.
 """
@@ -129,18 +130,21 @@ def _q6j_array(k, keys):
     highs = ((j1 + j2 + j3 + j4) // 2, (j1 + i + j3 + j) // 2, (j2 + i + j4 + j) // 2)
     prefactor = delta(j1, j2, i) * delta(i, j3, j4) * delta(j2, j3, j) * delta(j1, j, j4)
     first, last = np.maximum.reduce(lows), np.minimum.reduce(highs)
+    span = last - first
     total = np.zeros(len(keys))
-    for z in range(int(first.min()), int(last.max()) + 1):
-        # a row whose range misses z evaluates its nearest in-range term,
-        # which stays finite, and the where drops it
-        zc = np.clip(z, first, last)
-        term = fact[zc + 1]
-        term = np.where(zc % 2, -term, term)
+    # step every row through its own range at once: offset d is z = first + d,
+    # so each row still adds its terms in ascending z, starting from 0.0
+    for d in range(int(span.max()) + 1):
+        # a row whose range ends before d evaluates its last term, which
+        # stays finite, and the where drops it
+        z = first + np.minimum(d, span)
+        term = fact[z + 1]
+        term = np.where(z % 2, -term, term)
         for t in lows:
-            term = term / fact[zc - t]
+            term = term / fact[z - t]
         for q in highs:
-            term = term / fact[q - zc]
-        total = np.where((first <= z) & (z <= last), total + term, total)
+            term = term / fact[q - z]
+        total = np.where(d <= span, total + term, total)
     sign = np.where((j1 + j2 + j3 + j4) // 2 % 2, -1.0, 1.0)
     return sign * np.sqrt(qint[i + 1] * qint[j + 1]) * (prefactor * total)
 
@@ -193,6 +197,10 @@ class SixJTable:
         object.__setattr__(self, "entries", MappingProxyType(self.entries))
 
     def coefficient(self, j1, j2, j3, j4, i, j):
+        """q6j(level, j1, j2, j3, j4, i, j), read from the table."""
+        check_labels(self.level, (j1, j2, j3, j4))
+        _check_label(i)
+        _check_label(j)
         return self.entries.get((j1, j2, j3, j4, i, j), 0.0)
 
 
@@ -388,26 +396,7 @@ def braiding_relation_residual(k):
     check_level(k)
     if k > 3:
         raise ValueError("entrywise braid/fusing comparison needs k <= 3")
-    worst = 0.0
-    for j1, j2, j3, j4 in product(range(k + 1), repeat=4):
-        src, b = braiding(k, j1, j2, j3, j4)
-        if not src:
-            continue
-        rows, cols, crossed = fusion_matrix(k, j2, j1, j3, j4)
-        for j in (c for c in cols if c in src):
-            for i in src:
-                phase = (-1.0) ** ((j1 + j4 - i - j) // 2) * cmath.exp(
-                    -1j
-                    * math.pi
-                    * (i * (i + 2) + j * (j + 2) - j1 * (j1 + 2) - j4 * (j4 + 2))
-                    / (4 * (k + 2))
-                )
-                dev = abs(
-                    b[src.index(i), src.index(j)]
-                    - phase * crossed[rows.index(i), cols.index(j)]
-                )
-                worst = max(worst, dev)
-    return worst
+    return _braid_relation_residual(_lookup(k))
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +540,9 @@ def _loop_labels(k, c):
     return tuple(m for m in range(k + 1) if _triple_ok(k, m, m, c))
 
 
+# switching blocks and residuals reach this only for k <= 3, so the cache
+# holds at most 16 (n1, n2) pairs per level; its arrays are shared, so read-only
+@lru_cache(maxsize=None)
 def _slide_data(k, n1, n2):
     """Pair basis of the twice-holed torus and its slide/relabel operators."""
     pairs = [
@@ -577,7 +569,10 @@ def _slide_data(k, n1, n2):
         for n in src:
             slide[index[(l, n)], col] = bmat[src.index(n), src.index(m)]
     inv = np.linalg.inv(iso)
-    return chans, iso @ relabel @ inv, iso @ slide @ inv
+    relabeled, slid = iso @ relabel @ inv, iso @ slide @ inv
+    relabeled.setflags(write=False)
+    slid.setflags(write=False)
+    return chans, relabeled, slid
 
 
 def _assemble_blocks(k, chans, top, top_block):
@@ -783,6 +778,40 @@ def _braid_inverse_residual(look):
     return worst
 
 
+def _braid_relation_residual(look):
+    k = look.size - 1
+    cube = _admissibility_cube(k)
+    # the crossing phase at [j1, j4, i, j], each entry the scalar expression
+    crossing = np.array(
+        [
+            (-1.0) ** ((j1 + j4 - i - j) // 2)
+            * cmath.exp(
+                -1j
+                * math.pi
+                * (i * (i + 2) + j * (j + 2) - j1 * (j1 + 2) - j4 * (j4 + 2))
+                / (4 * (k + 2))
+            )
+            for j1, j4, i, j in product(range(look.size), repeat=4)
+        ]
+    ).reshape((look.size,) * 4)
+    worst = 0.0
+    for n, quads in look.by_size(np.arange(look.size**4)):
+        f, rows, cols = look.blocks(quads, n)
+        j1, j2, j3, j4 = look.outer(quads)
+        b = _braid_stack(f, look.phases[j2[:, None], j3[:, None], cols])
+        # B_ij against F_ij(j2 j1 j3 j4), for j among the source channels and
+        # the target channels of the crossed block
+        j1, j2, j3, j4 = (x[:, None, None] for x in (j1, j2, j3, j4))
+        i, j = rows[:, :, None], rows[:, None, :]
+        crossed = look.dense[_flat(look.size, j2, j1, j3, j4, i, j)]
+        d = b - crossing[j1, j4, i, j] * crossed
+        keep = np.broadcast_to(cube[j1, j3, j] & cube[j4, j2, j], d.shape)
+        # np.abs of a complex array can round differently from the scalar
+        # abs of the loop; hypot rounds as it does
+        worst = max(worst, float(np.hypot(d.real, d.imag)[keep].max()))
+    return worst
+
+
 def residual_report(k):
     """Residuals of every implemented consistency relation at level k.
 
@@ -799,7 +828,7 @@ def residual_report(k):
         "pentagon": _pentagon_residual(k, look.dense),
         "yang_baxter": _yang_baxter_residual(look),
         "braid_inverse": _braid_inverse_residual(look),
-        "braid_phase_relation": braiding_relation_residual(k) if k <= 3 else None,
+        "braid_phase_relation": _braid_relation_residual(look) if k <= 3 else None,
         "s_unitarity": float(np.abs(s @ s - np.eye(k + 1)).max()),
         "modular_relation": float(
             np.abs(np.linalg.matrix_power(s @ t, 3) - s @ s).max()

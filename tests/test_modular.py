@@ -9,6 +9,7 @@ normalization far beyond the spot values.
 """
 
 import cmath
+import hashlib
 import itertools
 import math
 import random
@@ -108,10 +109,15 @@ def test_q6j_label_range_errors():
         lambda: fusion_matrix(2, np.int64(1), 1, 1, 1),
         lambda: q6j(2, np.int64(1), 1, 1, 1, 0, 0),
         lambda: q6j(2, 1, 1, 1, 1, np.int64(0), 0),
+        lambda: six_j_table(2).coefficient(1.0, 1, 1, 1, 0, 0),
+        lambda: six_j_table(2).coefficient(True, 0, 0, 0, 0, 0),
+        lambda: six_j_table(2).coefficient(99, 0, 0, 0, 0, 0),
+        lambda: six_j_table(2).coefficient(1, 1, 1, 1, 0.0, 0),
     ],
     ids=[
         "braid_phase", "braid-channel-float", "braid-channel-range", "t_phase",
-        "fusion_matrix", "q6j-label", "q6j-channel",
+        "fusion_matrix", "q6j-label", "q6j-channel", "table-label-float",
+        "table-label-bool", "table-label-range", "table-channel-float",
     ],
 )
 def test_one_label_rule(call):
@@ -191,8 +197,9 @@ def test_six_j_table_matches_pointwise():
     table = six_j_table(2)
     assert table.level == 2
     assert table.coefficient(1, 1, 1, 1, 0, 0) == pytest.approx(-1 / RT2, abs=1e-12)
-    # absent keys fall back to the zero contract
+    # inadmissible channels fall back to the zero contract, as in q6j
     assert table.coefficient(1, 1, 1, 1, 1, 0) == 0.0
+    assert table.coefficient(1, 1, 1, 1, 0, 7) == q6j(2, 1, 1, 1, 1, 0, 7) == 0.0
     for key, val in table.entries.items():
         assert val == pytest.approx(q6j(2, *key), abs=1e-14)
         j1, j2, j3, j4, i, j = key
@@ -213,6 +220,44 @@ def test_six_j_table_bits_match_scalar(k):
     for key, val in table.entries.items():
         assert type(val) is float
         assert val.hex() == q6j(k, *key).hex()
+
+
+# sha256 of the key bytes and then the value bytes of _level_table(k), as
+# the whole-span Racah sum gave them, above the levels checked entry by entry
+PINNED_TABLES = {
+    13: "4517207357807cd58c02a7eaa57ede9fe1ac9736ff63503488a84c27203c17eb",
+    14: "8c3b51aba50e56847f5f956930081ef89ad45ad8571dc0c106fff8f82240d4d2",
+}
+
+
+@pytest.mark.parametrize("k", sorted(PINNED_TABLES))
+def test_level_table_bits_above_scalar_range(k):
+    keys, values = modular._level_table(k)
+    assert hashlib.sha256(keys.tobytes() + values.tobytes()).hexdigest() == PINNED_TABLES[k]
+
+
+def test_q6j_array_rows_of_mixed_range_match_scalar():
+    # rows whose Racah ranges z = first..last differ widely, evaluated as one
+    # block in either order of range length and one row at a time: each row
+    # sums over its own range, so no neighbour may move one of its bits
+    k = 12
+    keys = modular._level_table(k)[0]
+    j1, j2, j3, j4, i, j = keys.T.astype(int)
+    first = np.maximum.reduce(
+        [(j1 + j2 + i) // 2, (i + j3 + j4) // 2, (j2 + j3 + j) // 2, (j1 + j + j4) // 2]
+    )
+    last = np.minimum.reduce(
+        [(j1 + j2 + j3 + j4) // 2, (j1 + i + j3 + j) // 2, (j2 + i + j4 + j) // 2]
+    )
+    # the first row of each (last - first, first) pair, sorted by the pair
+    _, rows = np.unique(np.column_stack([last - first, first]), axis=0, return_index=True)
+    assert np.unique(last[rows] - first[rows]).size == 5 and np.ptp(first[rows]) == k
+    block = keys[rows]
+    want = [modular._q6j(k, *map(int, key)).hex() for key in block]
+    assert [v.hex() for v in modular._q6j_array(k, block)] == want
+    assert [v.hex() for v in modular._q6j_array(k, block[::-1])] == want[::-1]
+    for key, hexed in zip(block, want):
+        assert modular._q6j_array(k, key[None])[0].hex() == hexed
 
 
 def _pair_loop_keys(k):
@@ -437,9 +482,35 @@ def test_yang_baxter_desk_scale(k):
     assert yang_baxter_deviation(k) < 1e-9
 
 
+def braiding_relation_loop(k):
+    # braiding_relation_residual as first written: a braid block and a
+    # crossed fusing block per quad, through the public calls, entry by entry
+    worst = 0.0
+    for j1, j2, j3, j4 in itertools.product(range(k + 1), repeat=4):
+        src, b = braiding(k, j1, j2, j3, j4)
+        if not src:
+            continue
+        rows, cols, crossed = fusion_matrix(k, j2, j1, j3, j4)
+        for j in (c for c in cols if c in src):
+            for i in src:
+                phase = (-1.0) ** ((j1 + j4 - i - j) // 2) * cmath.exp(
+                    -1j
+                    * math.pi
+                    * (i * (i + 2) + j * (j + 2) - j1 * (j1 + 2) - j4 * (j4 + 2))
+                    / (4 * (k + 2))
+                )
+                dev = abs(
+                    b[src.index(i), src.index(j)]
+                    - phase * crossed[rows.index(i), cols.index(j)]
+                )
+                worst = max(worst, dev)
+    return worst
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_braiding_phase_relation(k):
     assert braiding_relation_residual(k) < 1e-9
+    assert braiding_relation_residual(k).hex() == braiding_relation_loop(k).hex()
 
 
 def test_braiding_phase_relation_out_of_range():
@@ -634,6 +705,74 @@ def test_switching_residuals_small_levels():
         report = switching_residuals(k)
         assert max(report.values()) < 1e-9
         assert ("slide", 1, 1) in report
+
+
+def slide_data_uncached(k, n1, n2):
+    # modular._slide_data as first written, built afresh on every call
+    pairs = [
+        (m, l)
+        for m in range(k + 1)
+        for l in range(k + 1)
+        if modular._triple_ok(k, m, l, n1) and modular._triple_ok(k, m, l, n2)
+    ]
+    if not pairs:
+        return None
+    index = {pair: i for i, pair in enumerate(pairs)}
+    chans = modular._channels(k, n1, n2)
+    fused = [(j, m) for j in chans for m in modular._loop_labels(k, j)]
+    dim = len(pairs)
+    iso = np.zeros((dim, dim))
+    for col, (m, l) in enumerate(pairs):
+        for row, (j, mm) in enumerate(fused):
+            if mm == m:
+                iso[row, col] = q6j(k, n1, m, m, n2, l, j)
+    relabel = np.diag([t_phase(k, l) / t_phase(k, m) for m, l in pairs])
+    slide = np.zeros((dim, dim), dtype=complex)
+    for col, (m, l) in enumerate(pairs):
+        src, bmat = braiding(k, l, n1, n2, l, inverse=True)
+        for n in src:
+            slide[index[(l, n)], col] = bmat[src.index(n), src.index(m)]
+    inv = np.linalg.inv(iso)
+    return chans, iso @ relabel @ inv, iso @ slide @ inv
+
+
+def switching_residuals_loop(k):
+    # switching_residuals as first written, on the uncached slide data
+    report = {}
+    for j in range(0, k + 1, 2):
+        s = switching_operator(k, j)
+        d = s.shape[0]
+        report[("unitarity", j)] = np.abs(s @ s.conj().T - np.eye(d)).max()
+        square = (-1.0) ** (j // 2) * cmath.exp(-1j * math.pi * j * (j + 2) / (4 * (k + 2)))
+        report[("square", j)] = np.abs(s @ s - square * np.eye(d)).max()
+        twist = np.diag([t_phase(k, m) for m in modular._loop_labels(k, j)])
+        report[("modular", j)] = np.abs(np.linalg.matrix_power(s @ twist, 3) - s @ s).max()
+    for n1, n2 in itertools.product(range(k + 1), repeat=2):
+        data = slide_data_uncached(k, n1, n2)
+        if data is not None:
+            chans, relabeled, slid = data
+            y = modular._assemble_blocks(k, chans, -1, None)
+            report[("slide", n1, n2)] = np.abs(y @ relabeled - slid @ y).max()
+    return report
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_switching_residuals_bits_match_loop(k):
+    got, want = switching_residuals(k), switching_residuals_loop(k)
+    assert list(got) == list(want)
+    assert [float(v).hex() for v in got.values()] == [float(v).hex() for v in want.values()]
+
+
+def test_slide_data_is_shared_read_only():
+    chans, relabeled, slid = modular._slide_data(2, 1, 1)
+    assert modular._slide_data(2, 1, 1)[1] is relabeled
+    for cached in (relabeled, slid):
+        with pytest.raises(ValueError):
+            cached[0, 0] = 0.0
+    # the switching operator stays the caller's own copy
+    s = switching_operator(2, 2)
+    s[0, 0] = 0.0
+    assert switching_operator(2, 2)[0, 0] != 0.0
 
 
 def test_switching_out_of_range():
@@ -842,6 +981,9 @@ def test_residual_report_equals_scalar_loops(k):
     assert report["orthogonality"] == orthogonality_deviation(k)
     assert report["symmetry"] == symmetry_deviation(k)
     assert report["pentagon"] == pentagon_deviation(k)
+    if k <= 3:
+        assert report["braid_phase_relation"].hex() == braiding_relation_loop(k).hex()
+        assert report["switching"].hex() == max(switching_residuals_loop(k).values()).hex()
 
 
 def test_residual_report_skips_out_of_range_checks():

@@ -24,6 +24,9 @@ SRC = ROOT / "src" / "verlinde"
 KEEP = {
     ("modular", "pentagon_check"): "the public single-relation pentagon "
     "check that the tests use; level-wide reports go through _pentagon_residual",
+    ("modular", "braiding_relation_residual"): "the public single-relation "
+    "braid/fusing check that the tests use; residual_report goes through "
+    "_braid_relation_residual",
     ("modular", "phase_unit"): "README API; the Gauss-sum comparison of "
     "Heegaard words needs it",
     ("modular", "same_phase_class"): "README API; the Gauss-sum comparison of "
