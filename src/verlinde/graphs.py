@@ -245,21 +245,42 @@ def _vertex_profile(graph, v):
 def _least_encoding(graph, seeds, bound=None):
     """Least (inv_t, vert_t) over the BFS relabelings from `seeds`, all in
     one component (see canonical_form); with a bound, the first encoding
-    found strictly below it, or the bound itself if there is none."""
+    found strictly below it, or the bound itself if there is none.
+
+    A BFS relabeling lists the darts star by star, so when every star of
+    the graph has one size w its vert_t is (t // w for each t) whatever
+    the relabeling, and is taken from that rule.  Stars of two sizes (a
+    4-valent vertex left by contract_edge) need _vertex_encoding at every
+    complete relabeling.
+    """
     best = bound
     order, new_id, inv_t = [], {}, []
+    involution = graph.involution
+    stars = [graph.star(v) for v in range(graph.n_vertices)]
+    # each dart's entering groups: the dart, then the rest of its star in
+    # every order
+    groups = []
+    for p, v in enumerate(graph.vertex_of):
+        rest = [y for y in stars[v] if y != p]
+        groups.append([(p,) + tail for tail in itertools.permutations(rest)])
+    sizes = {len(star) for star in stars}
+    if len(sizes) == 1:
+        (w,) = sizes
+        blocks = tuple(d // w for d in range(graph.n_darts))
+    else:
+        blocks = None
 
     def rec(t, tied):
         nonlocal best
         # tied: inv_t[:t] equals the best's prefix.  Returns whether a
         # new best was recorded below, which ties every open frame again.
         if t == len(order):
-            vert_t = _vertex_encoding(graph, order)
+            vert_t = blocks[:t] if blocks is not None else _vertex_encoding(graph, order)
             if best is not None and tied and vert_t >= best[1]:
                 return False
             best = (tuple(inv_t), vert_t)
             return True
-        p = graph.involution[order[t]]
+        p = involution[order[t]]
         x = new_id.get(p, len(order))
         if tied and best is not None:
             b = best[0][t]
@@ -271,9 +292,7 @@ def _least_encoding(graph, seeds, bound=None):
             found = rec(t + 1, tied)
         else:
             found = False
-            rest = [y for y in graph.star(graph.vertex_of[p]) if y != p]
-            for tail in itertools.permutations(rest):
-                group = (p,) + tail
+            for group in groups[p]:
                 for y in group:
                     new_id[y] = len(order)
                     order.append(y)
@@ -288,7 +307,7 @@ def _least_encoding(graph, seeds, bound=None):
         return found
 
     for seed in seeds:
-        for perm in itertools.permutations(graph.star(seed)):
+        for perm in itertools.permutations(stars[seed]):
             order[:] = perm
             new_id.clear()
             new_id.update((d, i) for i, d in enumerate(perm))
@@ -311,7 +330,8 @@ def canonical_form(graph):
     soon as its inv_t prefix exceeds the best found so far, and compares
     vert_t only at complete relabelings.  A branch whose prefix ties the
     best is never cut, so the least encoding is found as in an exhaustive
-    scan.
+    scan.  When every star has one size w (any trivalent graph, legs or
+    not), vert_t is t // w for every relabeling and is not computed.
     """
     out = []
     for comp in _components(graph):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -284,6 +285,43 @@ def _elimination_order(graph):
     return order
 
 
+def _vertex_table(k, parity, pattern, n_known, keep):
+    """Admissible values at one vertex, grouped by the known flag values.
+
+    Flag i of the vertex takes its value from slot pattern[i]; slots below
+    n_known hold the values of edges already open, the others fresh edges
+    (a loop fills two flags from one slot).  Only the triples (a, b, c)
+    with |a - b| <= c <= min(a + b, 2k - a - b), and with even sums under
+    `parity`, are generated.  Returns {known values: [the kept fresh values
+    (slots n_known + j for j in keep)]}, each list in itertools.product
+    order over the slots.
+    """
+    n_slots = max(pattern) + 1
+    first = operator.itemgetter(*(pattern.index(s) for s in range(n_slots)))
+    same = [(i, j) for i, j in itertools.combinations(range(3), 2) if pattern[i] == pattern[j]]
+    step = 2 if parity else 1
+    trips = [
+        (a, b, c)
+        for a in range(k + 1)
+        for b in range(k + 1)
+        for c in range(abs(a - b), min(a + b, 2 * k - a - b) + 1, step)
+    ]
+    if same:
+        trips = [t for t in trips if all(t[i] == t[j] for i, j in same)]
+    tail = _picker([n_known + j for j in keep])
+    table = {}
+    for row in sorted(map(first, trips)):
+        table.setdefault(row[:n_known], []).append(tail(row))
+    return table
+
+
+def _picker(idx):
+    # maps a tuple to the tuple of its entries at idx
+    if len(idx) == 1:
+        return lambda t, i=idx[0]: (t[i],)
+    return operator.itemgetter(*idx) if idx else lambda t: ()
+
+
 def count_weights(graph, k, parity=True):
     """Number of admissible level-k weights, by vertex elimination.
 
@@ -294,16 +332,25 @@ def count_weights(graph, k, parity=True):
     Parabolic legs are free coordinates.  Vertices are eliminated one at
     a time, greedily keeping few edges open; a state maps the values of
     the edges still open to the number of partial assignments behind them.
+
+    A vertex's allowed values depend only on its pattern: which flags
+    share an edge, how many of its edges are already open and which fresh
+    ones stay open.  Each pattern's table is built once per call by
+    _vertex_table, from the triangle bounds rather than by filtering all
+    (k+1)^3 value tuples.
     """
     _check_int(k, "level" if parity else "dilation", 1 if parity else 0)
+    if not graph.is_trivalent():
+        raise ValueError("weights are defined on trivalent graphs")
     processed = set()
     open_edges = []
     states = {(): 1}
+    tables = {}
     for v in _elimination_order(graph):
         flags = _vertex_flag_edges(graph, v)
         fresh = sorted({e for e in flags if e not in open_edges})
         known = [e for e in flags if e not in fresh]
-        slot = {e: i for i, e in enumerate(known + fresh)}
+        slots = known + fresh
         processed.add(v)
 
         def still_open(e):
@@ -311,24 +358,17 @@ def count_weights(graph, k, parity=True):
             return not all(u in processed for u in ends)
 
         keep = [i for i, e in enumerate(open_edges) if still_open(e)]
-        fresh_keep = [j for j, e in enumerate(fresh) if still_open(e)]
-        # the fresh values allowed depend on a state only through its known
-        # flag values, so they are listed once per distinct known tuple
-        valid = {}
-        for known_vals in itertools.product(range(k + 1), repeat=len(known)):
-            combos = []
-            for combo in itertools.product(range(k + 1), repeat=len(fresh)):
-                vals = known_vals + combo
-                a, b, c = (vals[slot[e]] for e in flags)
-                total = a + b + c
-                if total <= 2 * k and 2 * max(a, b, c) <= total and not (parity and total % 2):
-                    combos.append(tuple(combo[j] for j in fresh_keep))
-            valid[known_vals] = combos
-        known_at = [open_edges.index(e) for e in known]
+        fresh_keep = tuple(j for j, e in enumerate(fresh) if still_open(e))
+        key = (tuple(slots.index(e) for e in flags), len(known), fresh_keep)
+        if key not in tables:
+            tables[key] = _vertex_table(k, parity, *key)
+        valid = tables[key]
+        head_of = _picker(keep)
+        known_of = _picker([open_edges.index(e) for e in known])
         new_states = {}
-        for key, cnt in states.items():
-            head = tuple(key[i] for i in keep)
-            for tail in valid[tuple(key[i] for i in known_at)]:
+        for state, cnt in states.items():
+            head = head_of(state)
+            for tail in valid.get(known_of(state), ()):
                 nk = head + tail
                 new_states[nk] = new_states.get(nk, 0) + cnt
         open_edges = [open_edges[i] for i in keep] + [fresh[j] for j in fresh_keep]

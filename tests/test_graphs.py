@@ -21,6 +21,7 @@ from verlinde.graphs import (
     _components,
     _least_encoding,
     _trivalent_classes,
+    _vertex_encoding,
     _vertex_profile,
     canonical_form,
     chain_graph,
@@ -399,6 +400,118 @@ def test_representatives_are_their_own_least_labelings(gg):
             if other.involution != graph.involution:
                 own = _own_encoding(other)
                 assert _least_encoding(other, range(n), own) < own
+
+
+# Frozen reference for _least_encoding: the search as it was before vert_t
+# was taken from the one-size rule, computing every complete relabeling's
+# vertex encoding and every entering group on the spot.
+
+
+def _frozen_least_encoding(graph, seeds, bound=None):
+    best = bound
+    order, new_id, inv_t = [], {}, []
+
+    def vertex_encoding():
+        vmap = {}
+        for d in order:
+            vmap.setdefault(graph.vertex_of[d], len(vmap))
+        return tuple(vmap[graph.vertex_of[d]] for d in order)
+
+    def rec(t, tied):
+        nonlocal best
+        if t == len(order):
+            vert_t = vertex_encoding()
+            if best is not None and tied and vert_t >= best[1]:
+                return False
+            best = (tuple(inv_t), vert_t)
+            return True
+        p = graph.involution[order[t]]
+        x = new_id.get(p, len(order))
+        if tied and best is not None:
+            b = best[0][t]
+            if x > b:
+                return False
+            tied = x == b
+        inv_t.append(x)
+        if p in new_id:
+            found = rec(t + 1, tied)
+        else:
+            found = False
+            rest = [y for y in graph.star(graph.vertex_of[p]) if y != p]
+            for tail in itertools.permutations(rest):
+                group = (p,) + tail
+                for y in group:
+                    new_id[y] = len(order)
+                    order.append(y)
+                if rec(t + 1, tied):
+                    found = tied = True
+                for y in reversed(group):
+                    del new_id[y]
+                    order.pop()
+                if found and bound is not None:
+                    break
+        inv_t.pop()
+        return found
+
+    for seed in seeds:
+        for perm in itertools.permutations(graph.star(seed)):
+            order[:] = perm
+            new_id.clear()
+            new_id.update((d, i) for i, d in enumerate(perm))
+            if rec(0, True) and bound is not None:
+                return best
+    return best
+
+
+def _least_encoding_cases():
+    rng = random.Random(23)
+    cases = {}
+    for gg in (2, 3, 4):
+        for i, graph in enumerate(enumerate_trivalent(gg)):
+            cases[f"class-{gg}-{i}"] = graph
+            for j in range(3):
+                vperm = list(range(graph.n_vertices))
+                rng.shuffle(vperm)
+                cases[f"class-{gg}-{i}-relabeled-{j}"] = _relabel(graph, vperm, rng)
+    cases["two-legs"] = TrivalentGraph.from_edges(2, [(0, 1), (0, 1)], parabolic=(1, 0))
+    cases["edge-four-legs"] = TrivalentGraph.from_edges(2, [(0, 1)], parabolic=(1, 0, 0, 1))
+    cases["contracted-4valent"] = contract_edge(multi_theta(3), 0)[0]
+    cases["two-thetas"] = TrivalentGraph.from_edges(
+        4, [(0, 2), (1, 3), (0, 2), (3, 1), (2, 0), (1, 3)]
+    )
+    return cases
+
+
+_LEAST_ENCODING_CASES = _least_encoding_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_LEAST_ENCODING_CASES))
+def test_least_encoding_matches_frozen_search(name):
+    graph = _LEAST_ENCODING_CASES[name]
+    own = _own_encoding(graph)
+    for comp in _components(graph):
+        for bound in (None, own):
+            assert _least_encoding(graph, comp, bound) == _frozen_least_encoding(graph, comp, bound)
+    least = _frozen_least_encoding(graph, range(graph.n_vertices))
+    assert _least_encoding(graph, range(graph.n_vertices), least) == least
+
+
+@pytest.mark.parametrize("gg", [2, 3, 4])
+def test_enumeration_computes_no_vertex_encoding(monkeypatch, gg):
+    # every star of a matching leaf has three darts, so vert_t is t // 3
+    calls = []
+
+    def counted(graph, order):
+        calls.append(order)
+        return _vertex_encoding(graph, order)
+
+    monkeypatch.setattr(graphs_module, "_vertex_encoding", counted)
+    _trivalent_classes.cache_clear()
+    assert len(enumerate_trivalent(gg)) == EXPECTED_CLASS_COUNTS[gg]
+    assert calls == []
+    # stars of two sizes still go through the patched function
+    canonical_form(contract_edge(multi_theta(3), 0)[0])
+    assert calls
 
 
 def test_enumeration_bad_genus():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from verlinde import newstead
 from verlinde.graphs import (
     TrivalentGraph,
+    contract_edge,
     dumbbell_graph,
     enumerate_trivalent,
     multi_theta,
@@ -24,6 +25,8 @@ from verlinde.graphs import (
 from verlinde.weights import (
     InvariantViolation,
     WeightFunction,
+    _elimination_order,
+    _vertex_flag_edges,
     bs_asymptotics,
     count_weights,
     enumerate_weights,
@@ -132,6 +135,14 @@ def test_count_weights_matches_enumeration():
             assert count_weights(graph, k) == len(enumerate_weights(graph, k))
 
 
+# graphs with parabolic legs and their lattice counts at dilations 0..7
+LEGGED = {
+    (1, ((0, 0),), (0,)): [1, 2, 5, 8, 13, 18, 25, 32],
+    (2, ((0, 1), (0, 1)), (0, 1)): [1, 4, 17, 48, 113, 228, 417, 704],
+    (2, ((0, 1),), (0, 0, 1, 1)): [1, 8, 43, 160, 461, 1112, 2359, 4544],
+}
+
+
 def test_count_weights_without_parity_keeps_polytope_values():
     # lattice counts of the dilated polytopes and the exact volumes they give
     for graph in enumerate_trivalent(2):
@@ -142,14 +153,82 @@ def test_count_weights_without_parity_keeps_polytope_values():
             1, 8, 49, 224, 785, 2248,
         ]
         assert polytope_volume(graph) == Fraction(1, 1440)
-    legged = {
-        (1, ((0, 0),), (0,)): [1, 2, 5, 8, 13, 18, 25, 32],
-        (2, ((0, 1), (0, 1)), (0, 1)): [1, 4, 17, 48, 113, 228, 417, 704],
-        (2, ((0, 1),), (0, 0, 1, 1)): [1, 8, 43, 160, 461, 1112, 2359, 4544],
-    }
-    for (n, edges, legs), seq in legged.items():
+    for (n, edges, legs), seq in LEGGED.items():
         graph = TrivalentGraph.from_edges(n, list(edges), parabolic=list(legs))
         assert [count_weights(graph, t, parity=False) for t in range(8)] == seq
+
+
+def _frozen_count_weights(graph, k, parity=True):
+    """The elimination as it was before the per-pattern tables: each vertex
+    filters every value tuple of its known and fresh edges."""
+    processed = set()
+    open_edges = []
+    states = {(): 1}
+    for v in _elimination_order(graph):
+        flags = _vertex_flag_edges(graph, v)
+        fresh = sorted({e for e in flags if e not in open_edges})
+        known = [e for e in flags if e not in fresh]
+        slot = {e: i for i, e in enumerate(known + fresh)}
+        processed.add(v)
+
+        def still_open(e):
+            ends = (graph.vertex_of[e], graph.vertex_of[graph.involution[e]])
+            return not all(u in processed for u in ends)
+
+        keep = [i for i, e in enumerate(open_edges) if still_open(e)]
+        fresh_keep = [j for j, e in enumerate(fresh) if still_open(e)]
+        valid = {}
+        for known_vals in itertools.product(range(k + 1), repeat=len(known)):
+            combos = []
+            for combo in itertools.product(range(k + 1), repeat=len(fresh)):
+                vals = known_vals + combo
+                a, b, c = (vals[slot[e]] for e in flags)
+                total = a + b + c
+                if total <= 2 * k and 2 * max(a, b, c) <= total and not (parity and total % 2):
+                    combos.append(tuple(combo[j] for j in fresh_keep))
+            valid[known_vals] = combos
+        known_at = [open_edges.index(e) for e in known]
+        new_states = {}
+        for key, cnt in states.items():
+            head = tuple(key[i] for i in keep)
+            for tail in valid[tuple(key[i] for i in known_at)]:
+                nk = head + tail
+                new_states[nk] = new_states.get(nk, 0) + cnt
+        open_edges = [open_edges[i] for i in keep] + [fresh[j] for j in fresh_keep]
+        states = new_states
+    return sum(states.values())
+
+
+@pytest.mark.parametrize("gg", [2, 3, 4])
+def test_count_weights_matches_frozen_elimination(gg):
+    for graph in enumerate_trivalent(gg):
+        for k in range(1, 9):
+            assert count_weights(graph, k) == _frozen_count_weights(graph, k)
+        for t in range(8):
+            assert count_weights(graph, t, parity=False) == _frozen_count_weights(graph, t, False)
+
+
+def test_count_weights_matches_frozen_elimination_on_legs():
+    for n, edges, legs in LEGGED:
+        graph = TrivalentGraph.from_edges(n, list(edges), parabolic=list(legs))
+        for k in range(1, 9):
+            assert count_weights(graph, k) == _frozen_count_weights(graph, k)
+        for t in range(8):
+            assert count_weights(graph, t, parity=False) == _frozen_count_weights(graph, t, False)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        contract_edge(multi_theta(3), 0)[0],
+        TrivalentGraph.from_edges(2, [(0, 1), (0, 1)]),
+    ],
+    ids=["4-valent", "2-valent"],
+)
+def test_count_weights_refuses_graphs_that_are_not_trivalent(graph):
+    for parity in (True, False):
+        with pytest.raises(ValueError, match="weights are defined on trivalent graphs"):
+            count_weights(graph, 2, parity=parity)
 
 
 def test_count_weights_rejects_bad_level():
