@@ -519,18 +519,27 @@ def _orbits(perm):
     return orbits
 
 
+# the largest graph eulerian_invariant searches: its 2^V rotation choices
+# take about 1 s at 16 vertices and grow about 5x per genus
+MAX_EULERIAN_VERTICES = 16
+
+
 def eulerian_invariant(graph):
     """Minimal number of closed irreducible paths covering every oriented edge once.
 
     A system induces, at each vertex, a fixed-point-free bijection of the star
     (arrival flag to departure dart; a fixed point would be a backtrack), and
     conversely.  With 3-stars that leaves two choices per vertex, so the
-    search is exact.
+    search is exact; graphs above MAX_EULERIAN_VERTICES are refused.
     """
     if graph.parabolic_darts():
         raise ValueError("Eulerian systems are defined for closed graphs")
     if not graph.is_connected():
         raise ValueError("connected graphs only")
+    if graph.n_vertices > MAX_EULERIAN_VERTICES:
+        raise ValueError(
+            f"Eulerian systems stop at {MAX_EULERIAN_VERTICES} vertices, got {graph.n_vertices}"
+        )
     options = []
     for v in range(graph.n_vertices):
         s = graph.star(v)

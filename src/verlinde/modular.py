@@ -12,14 +12,14 @@ operations in the same order.  Single entries and single blocks -- q6j,
 fusion_matrix, braiding and the switching data -- call the scalar kernel
 entry by entry and cache each entry; the slide data behind the switching
 blocks is cached per (k, n1, n2), as the blocks are.  Level-wide
-computations -- six_j_table, pentagon_check, braiding_relation_residual and
-the orthogonality, symmetry, pentagon, Yang-Baxter, braid-inverse and
-braid-phase relations of residual_report -- read a per-level table
-instead: every admissible (j1, j2, j3, j4, i, j) as a small-int array, with
-its values computed by an array evaluation of the Racah sum over blocks of
-keys, built once per level.  They evaluate their relations as array
-operations on it that keep the scalar loops' order of rounding, so both
-ways give the same bits; tests pin the table against q6j entry by entry.
+computations -- six_j_table and the symmetry, pentagon, orthogonality,
+braid-inverse, braid-phase and Yang-Baxter relations of residual_report --
+read a per-level table instead: every admissible (j1, j2, j3, j4, i, j) as
+a small-int array, with its values computed by an array evaluation of the
+Racah sum over blocks of keys, built once per level.  They evaluate their
+relations as array operations on it that keep the scalar loops' order of
+rounding, so both ways give the same bits; tests pin the table against q6j
+entry by entry.
 
 All labels are twice-spin integers in 0..k.
 """
@@ -258,13 +258,14 @@ def _flat(size, *labels):
 class _Lookup:
     """Indexes over one level's table, built for one level-wide computation.
 
-    dense holds every coefficient at the row-major position of its six
-    labels, zero where inadmissible; starts and dims give, per outer-label
-    quad, the offset of its square block in the table and its size; phases
-    holds braid_phase(k, a, b, c) at [a, b, c].
+    cube is _admissibility_cube(k); dense holds every coefficient at the
+    row-major position of its six labels, zero where inadmissible; starts
+    and dims give, per outer-label quad, the offset of its square block in
+    the table and its size; phases holds braid_phase(k, a, b, c) at [a, b, c].
     """
 
     size: int
+    cube: np.ndarray
     keys: np.ndarray
     values: np.ndarray
     dense: np.ndarray
@@ -306,6 +307,7 @@ def _lookup(k):
     phases = [braid_phase(k, a, b, c) for a, b, c in product(range(size), repeat=3)]
     return _Lookup(
         size=size,
+        cube=_admissibility_cube(k),
         keys=keys,
         values=values,
         dense=dense,
@@ -320,9 +322,8 @@ def _lookup(k):
 # ---------------------------------------------------------------------------
 
 
-def _pentagon_residual(k, dense):
-    size = k + 1
-    cube = _admissibility_cube(k)
+def _pentagon_residual(look):
+    size, cube, dense = look.size, look.cube, look.dense
     worst = 0.0
     for b, c in product(range(size), repeat=2):
         # join the loop labels one at a time: f in (a b), g in (f c), e in
@@ -348,12 +349,6 @@ def _pentagon_residual(k, dense):
             rhs = rhs + dense[h:][f1] * dense[h * size**4 :][f2] * dense[h * size :][f3]
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
-
-
-def pentagon_check(k):
-    """Max deviation between the two recoupling routes of five labels."""
-    check_level(k)
-    return _pentagon_residual(k, _lookup(k).dense)
 
 
 # ---------------------------------------------------------------------------
@@ -383,20 +378,6 @@ def braiding(k, j1, j2, j3, j4, inverse=False):
         return rows, np.zeros((0, 0), dtype=complex)
     d = np.array([braid_phase(k, j2, j3, j, inverse) for j in cols])
     return rows, _braid_stack(f[None], d[None])[0]
-
-
-def braiding_relation_residual(k):
-    """Entrywise phase relation between B and the leg-crossed fusing block.
-
-    B_ij(j2 j3; j1 j4) equals the phase (-1)^{(j1+j4-i-j)/2} *
-    e^{-i*pi*(c_i+c_j-c_j1-c_j4)/(k+2)} times F_ij(j1 j3; j2 j4), compared on
-    the channels admissible for both sides.  The identification of the two
-    channel sets is faithful only for k <= 3, so larger levels are rejected.
-    """
-    check_level(k)
-    if k > 3:
-        raise ValueError("entrywise braid/fusing comparison needs k <= 3")
-    return _braid_relation_residual(_lookup(k))
 
 
 # ---------------------------------------------------------------------------
@@ -500,11 +481,6 @@ def _edge_labels(space, e):
         raise ValueError("edge is not in the graph")
     pos = _edge_positions(graph)[graph.edge_of(e)]
     return [w.numerators[pos] for w in space.basis]
-
-
-def t_operator(space, e):
-    """Diagonal twist by the weight of edge e on each basis vector."""
-    return np.diag([t_phase(space.level, n) for n in _edge_labels(space, e)])
 
 
 # ---------------------------------------------------------------------------
@@ -732,16 +708,6 @@ def genus_chain_invariant(k, g, ops):
 # ---------------------------------------------------------------------------
 
 
-def _orthogonality_residual(look):
-    worst = 0.0
-    for n, quads in look.by_size(np.arange(look.size**4)):
-        j1, j2, j3, j4 = look.outer(quads)
-        f1, _, _ = look.blocks(quads, n)
-        f2, _, _ = look.blocks(_flat(look.size, j2, j3, j4, j1), n)
-        worst = max(worst, float(np.abs(f1 @ f2 - np.eye(n)).max()))
-    return worst
-
-
 def _symmetry_residual(look):
     # the admissible set is closed under (j1 j2) <-> (j3 j4)
     j1, j2, j3, j4, i, j = look.keys.T
@@ -754,62 +720,59 @@ def _braid_stack(f, phases):
     return np.linalg.inv(f) @ (phases[:, :, None] * f)
 
 
-def _yang_baxter_residual(look):
-    worst = 0.0
-    j, j4 = np.divmod(np.arange(look.size**2), look.size)
-    for n, quads in look.by_size(_flat(look.size, j, j, j, j4)):
-        f, rows, cols = look.blocks(quads, n)
-        leg = look.outer(quads)[0][:, None]
-        b23 = _braid_stack(f, look.phases[leg, leg, cols])
-        b12 = np.zeros_like(b23)
-        b12[:, np.arange(n), np.arange(n)] = look.phases[leg, leg, rows]
-        worst = max(worst, float(np.abs(b12 @ b23 @ b12 - b23 @ b12 @ b23).max()))
-    return worst
+def _block_residuals(look):
+    """Orthogonality, braid-inverse, braid-phase and Yang-Baxter maxima.
 
-
-def _braid_inverse_residual(look):
-    worst = 0.0
-    for n, quads in look.by_size(np.arange(look.size**4)):
-        f, _, cols = look.blocks(quads, n)
-        _, j2, j3, _ = look.outer(quads)
-        d = look.phases[j2[:, None], j3[:, None], cols]
-        b = _braid_stack(f, d)
-        worst = max(worst, float(np.abs(b @ _braid_stack(f, d.conj()) - np.eye(n)).max()))
-    return worst
-
-
-def _braid_relation_residual(look):
-    k = look.size - 1
-    cube = _admissibility_cube(k)
-    # the crossing phase at [j1, j4, i, j], each entry the scalar expression
-    crossing = np.array(
-        [
-            (-1.0) ** ((j1 + j4 - i - j) // 2)
-            * cmath.exp(
-                -1j
-                * math.pi
-                * (i * (i + 2) + j * (j + 2) - j1 * (j1 + 2) - j4 * (j4 + 2))
-                / (4 * (k + 2))
-            )
-            for j1, j4, i, j in product(range(look.size), repeat=4)
-        ]
-    ).reshape((look.size,) * 4)
-    worst = 0.0
-    for n, quads in look.by_size(np.arange(look.size**4)):
+    One pass over the blocks, one group per block size: each group reads
+    its stacked fusing blocks F once and forms B = F^-1 D F once.  The
+    braid-phase relation is faithful only for k <= 3 and reads None above.
+    """
+    size, k = look.size, look.size - 1
+    if k <= 3:
+        # the crossing phase at [j1, j4, i, j], each entry the scalar expression
+        crossing = np.array(
+            [
+                (-1.0) ** ((j1 + j4 - i - j) // 2)
+                * cmath.exp(
+                    -1j
+                    * math.pi
+                    * (i * (i + 2) + j * (j + 2) - j1 * (j1 + 2) - j4 * (j4 + 2))
+                    / (4 * (k + 2))
+                )
+                for j1, j4, i, j in product(range(size), repeat=4)
+            ]
+        ).reshape((size,) * 4)
+    orth = inverse = yang_baxter = 0.0
+    relation = 0.0 if k <= 3 else None
+    for n, quads in look.by_size(np.arange(size**4)):
         f, rows, cols = look.blocks(quads, n)
         j1, j2, j3, j4 = look.outer(quads)
-        b = _braid_stack(f, look.phases[j2[:, None], j3[:, None], cols])
-        # B_ij against F_ij(j2 j1 j3 j4), for j among the source channels and
-        # the target channels of the crossed block
-        j1, j2, j3, j4 = (x[:, None, None] for x in (j1, j2, j3, j4))
-        i, j = rows[:, :, None], rows[:, None, :]
-        crossed = look.dense[_flat(look.size, j2, j1, j3, j4, i, j)]
-        d = b - crossing[j1, j4, i, j] * crossed
-        keep = np.broadcast_to(cube[j1, j3, j] & cube[j4, j2, j], d.shape)
-        # np.abs of a complex array can round differently from the scalar
-        # abs of the loop; hypot rounds as it does
-        worst = max(worst, float(np.hypot(d.real, d.imag)[keep].max()))
-    return worst
+        f2, _, _ = look.blocks(_flat(size, j2, j3, j4, j1), n)
+        orth = max(orth, float(np.abs(f @ f2 - np.eye(n)).max()))
+        d = look.phases[j2[:, None], j3[:, None], cols]
+        b = _braid_stack(f, d)
+        inverse = max(inverse, float(np.abs(b @ _braid_stack(f, d.conj()) - np.eye(n)).max()))
+        # on j1 = j2 = j3, b is B23 and B12 is diagonal in the row channels
+        tri = (j1 == j2) & (j2 == j3)
+        if tri.any():
+            b23 = b[tri]
+            leg = j1[tri][:, None]
+            b12 = np.zeros_like(b23)
+            b12[:, np.arange(n), np.arange(n)] = look.phases[leg, leg, rows[tri]]
+            yb = np.abs(b12 @ b23 @ b12 - b23 @ b12 @ b23)
+            yang_baxter = max(yang_baxter, float(yb.max()))
+        if relation is not None:
+            # B_ij against F_ij(j2 j1 j3 j4), for j among the source channels
+            # and the target channels of the crossed block
+            j1, j2, j3, j4 = (x[:, None, None] for x in (j1, j2, j3, j4))
+            i, j = rows[:, :, None], rows[:, None, :]
+            crossed = look.dense[_flat(size, j2, j1, j3, j4, i, j)]
+            dev = b - crossing[j1, j4, i, j] * crossed
+            keep = np.broadcast_to(look.cube[j1, j3, j] & look.cube[j4, j2, j], dev.shape)
+            # np.abs of a complex array can round differently from the scalar
+            # abs of the loop; hypot rounds as it does
+            relation = max(relation, float(np.hypot(dev.real, dev.imag)[keep].max()))
+    return orth, inverse, relation, yang_baxter
 
 
 def residual_report(k):
@@ -822,13 +785,14 @@ def residual_report(k):
     s = s_torus(k)
     t = np.diag([t_phase(k, n) for n in range(k + 1)])
     look = _lookup(k)
+    orth, inverse, relation, yang_baxter = _block_residuals(look)
     report = {
-        "orthogonality": _orthogonality_residual(look),
+        "orthogonality": orth,
         "symmetry": _symmetry_residual(look),
-        "pentagon": _pentagon_residual(k, look.dense),
-        "yang_baxter": _yang_baxter_residual(look),
-        "braid_inverse": _braid_inverse_residual(look),
-        "braid_phase_relation": _braid_relation_residual(look) if k <= 3 else None,
+        "pentagon": _pentagon_residual(look),
+        "yang_baxter": yang_baxter,
+        "braid_inverse": inverse,
+        "braid_phase_relation": relation,
         "s_unitarity": float(np.abs(s @ s - np.eye(k + 1)).max()),
         "modular_relation": float(
             np.abs(np.linalg.matrix_power(s @ t, 3) - s @ s).max()

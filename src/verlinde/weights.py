@@ -5,9 +5,9 @@ integer numerator over 2k; Fractions appear only in the `values` view.  At
 every vertex the three incident values (a loop counts twice) must satisfy
 the parity, sum and quantum triangle conditions.  This module enumerates the
 admissible set, counts it by vertex elimination without listing it,
-builds the continuous moment polytope it discretizes and computes its
-volume exactly, solves the mod-k U(1) flows, whose mod-2 supports are the
-level-1 even subgraphs, and fits the leading growth of the count in k.
+computes exactly the volume of the weight polytope whose dilations it
+counts, solves the mod-k U(1) flows, whose mod-2 supports are the level-1
+even subgraphs, and fits the leading growth of the count in k.
 """
 
 from __future__ import annotations
@@ -71,26 +71,6 @@ def _vertex_flag_edges(graph, v):
 def _weight_edge_ids(graph):
     # weights live on internal edges and parabolic legs alike
     return sorted(graph.edge_ids() + graph.parabolic_darts())
-
-
-def is_admissible(w):
-    """Check the vertex conditions; returns (ok, list of violations)."""
-    graph, k, vals = w.graph, w.level, w.values
-    problems = []
-    for v in range(graph.n_vertices):
-        trip = [vals[e] for e in _vertex_flag_edges(graph, v)]
-        total = sum(trip)
-        if total % Fraction(1, k) != 0:
-            problems.append(f"vertex {v}: parity, sum {total} not in (1/{k})Z")
-        if total > 1:
-            problems.append(f"vertex {v}: sum {total} exceeds 1")
-        for i in range(3):
-            w3 = trip[i]
-            w1, w2 = (trip[j] for j in range(3) if j != i)
-            if not abs(w1 - w2) <= w3 <= min(w1 + w2, 2 - w1 - w2):
-                problems.append(f"vertex {v}: triangle fails at flag {i}")
-                break
-    return not problems, problems
 
 
 def enumerate_weights(graph, k, boundary=None):
@@ -190,18 +170,28 @@ class U1NetworkFamily:
         return len(self.flows)
 
 
+# the largest flow family u1_networks lists: each flow costs about 650 bytes
+# and 67 us, so 10^5 flows stay near 65 MB and 7 s
+MAX_U1_FLOWS = 10**5
+
+
 def u1_networks(graph, k):
     """Mod-k edge flows with Kirchhoff condition at every vertex.
 
     Edges are oriented out of the lower dart; loops are unconstrained.
     Chord values on the complement of a spanning tree parametrize the
-    family, so the count is k**genus.
+    family, so the count is k**genus; families above MAX_U1_FLOWS flows
+    are refused before any flow is listed.
     """
     check_level(k)
     if graph.parabolic_darts():
         raise ValueError("flows are defined for graphs without legs")
-    records = spanning_tree(graph)
     chords = chord_edges(graph)
+    if k ** len(chords) > MAX_U1_FLOWS:
+        raise ValueError(
+            f"u1 flow families stop at {MAX_U1_FLOWS} flows, got {k}^{len(chords)}"
+        )
+    records = spanning_tree(graph)
     flows = []
     for combo in itertools.product(range(k), repeat=len(chords)):
         flow = dict(zip(chords, combo))
@@ -225,45 +215,6 @@ def level1_networks(graph):
         raise ValueError("even subgraphs are defined for graphs without legs")
     nets = {frozenset(e for e, v in flow.items() if v) for flow in u1_networks(graph, 2).flows}
     return sorted(nets, key=lambda s: (len(s), sorted(s)))
-
-
-# -- moment polytope ----------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class MomentPolytope:
-    """H-representation sum(coeffs * w) <= rhs over edge coordinates."""
-
-    graph: TrivalentGraph
-    inequalities: tuple
-
-    def contains(self, values):
-        for _, coeffs, rhs in self.inequalities:
-            if sum(c * values[e] for e, c in coeffs.items()) > rhs:
-                return False
-        return True
-
-
-def polytope(graph):
-    """Continuous weight polytope in [0, 1/2]^edges."""
-    ineqs = []
-    for e in _weight_edge_ids(graph):
-        ineqs.append((f"w[{e}] >= 0", {e: -1}, Fraction(0)))
-        ineqs.append((f"w[{e}] <= 1/2", {e: 1}, Fraction(1, 2)))
-    for v in range(graph.n_vertices):
-        flags = _vertex_flag_edges(graph, v)
-        total = {}
-        for e in flags:
-            total[e] = total.get(e, 0) + 1
-        ineqs.append((f"vertex {v}: sum <= 1", dict(total), Fraction(1)))
-        ineqs.append((f"vertex {v}: sum <= 2", dict(total), Fraction(2)))
-        for i in range(3):
-            coeffs = {}
-            for j, e in enumerate(flags):
-                coeffs[e] = coeffs.get(e, 0) + (1 if j == i else -1)
-            if any(coeffs.values()):
-                ineqs.append((f"vertex {v}: triangle {i}", coeffs, Fraction(0)))
-    return MomentPolytope(graph, tuple(ineqs))
 
 
 def _elimination_order(graph):
@@ -328,7 +279,7 @@ def count_weights(graph, k, parity=True):
     Counts integer tuples c_e in 0..k with 2*max <= sum <= 2k at every
     vertex and, with `parity`, an even vertex sum: the numerators of the
     weights enumerate_weights lists.  Without parity it counts the lattice
-    points of the moment polytope dilated by k/2 (k = 0 allowed).
+    points of the weight polytope dilated by k/2 (k = 0 allowed).
     Parabolic legs are free coordinates.  Vertices are eliminated one at
     a time, greedily keeping few edges open; a state maps the values of
     the edges still open to the number of partial assignments behind them.

@@ -471,6 +471,13 @@ def test_graph_file_source(capsys, tmp_path):
     assert json.loads(out)["genus"] == 2
 
 
+def test_graph_info_refuses_large_eulerian_search(capsys):
+    # multitheta-12 has 22 vertices: 2^22 rotation choices, refused unsearched
+    code, out, err = capture(capsys, ["graph", "info", "--graph", "multitheta-12"])
+    assert (code, out) == (1, "")
+    assert "stop at 16 vertices, got 22" in err
+
+
 def test_graph_unknown_source(capsys):
     code, _, err = capture(capsys, ["graph", "info", "--graph", "heptagon"])
     assert code == 1
@@ -602,6 +609,14 @@ def test_weights_u1_named_graph(capsys):
     code, out, _ = capture(capsys, ["weights", "u1", "--graph", "multitheta-3", "--level", "3"])
     assert code == 0
     assert json.loads(out) == {"genus": 3, "level": 3, "count": 27}
+
+
+def test_weights_u1_refuses_large_family(capsys):
+    # 40^5 flows would take about 66 GB; refused before any flow is listed
+    argv = ["weights", "u1", "--graph", "multitheta-5", "--level", "40"]
+    code, out, err = capture(capsys, argv)
+    assert (code, out) == (1, "")
+    assert "stop at 100000 flows, got 40^5" in err
 
 
 def test_weights_u1_inline_json_graph(capsys):
@@ -772,7 +787,7 @@ def test_modular_check_refuses_levels_above_cap(capsys, monkeypatch):
     assert (code, out, built) == (1, "", [])
     assert "level 14" in err
     with pytest.raises(ValueError, match="level 14"):
-        modular.pentagon_check(15)
+        modular.residual_report(15)
     assert built == []
 
 

@@ -29,12 +29,10 @@ from verlinde.modular import (
     block_space,
     braid_phase,
     braiding,
-    braiding_relation_residual,
     fusion_matrix,
     genus_chain_invariant,
     genus_chain_operator,
     heegaard_invariant,
-    pentagon_check,
     phase_unit,
     q6j,
     residual_report,
@@ -43,7 +41,6 @@ from verlinde.modular import (
     six_j_table,
     switching_operator,
     switching_residuals,
-    t_operator,
     t_phase,
 )
 
@@ -350,8 +347,8 @@ def _pentagon_ab_loop(k, dense):
 
 @pytest.mark.parametrize("k", range(1, 10))
 def test_pentagon_matches_ab_loop(k):
-    dense = modular._lookup(k).dense
-    assert modular._pentagon_residual(k, dense).hex() == _pentagon_ab_loop(k, dense).hex()
+    look = modular._lookup(k)
+    assert modular._pentagon_residual(look).hex() == _pentagon_ab_loop(k, look.dense).hex()
 
 
 # float.hex of the pentagon residual above the PINNED_REPORTS range, as the
@@ -365,16 +362,16 @@ PINNED_PENTAGON = {
 
 @pytest.mark.parametrize("k", sorted(PINNED_PENTAGON))
 def test_pentagon_bits_above_report_pins(k):
-    assert modular._pentagon_residual(k, modular._lookup(k).dense).hex() == PINNED_PENTAGON[k]
+    assert modular._pentagon_residual(modular._lookup(k)).hex() == PINNED_PENTAGON[k]
 
 
 def test_pentagon_traced_peak():
     # the joins for one (b, c) hold no copy of their rows per h channel:
     # 7.5 MiB at k = 10, where the (a, b) loop's expanded RHS took 21.5 MiB
-    dense = modular._lookup(10).dense
+    look = modular._lookup(10)
     tracemalloc.start()
     try:
-        modular._pentagon_residual(10, dense)
+        modular._pentagon_residual(look)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -383,17 +380,17 @@ def test_pentagon_traced_peak():
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_pentagon_small_levels(k):
-    assert pentagon_check(k) < 1e-10
+    assert residual_report(k)["pentagon"] < 1e-10
 
 
 def test_pentagon_level3():
-    assert pentagon_check(3) < 1e-9
+    assert residual_report(3)["pentagon"] < 1e-9
 
 
 @pytest.mark.slow
 def test_pentagon_desk_scale():
     for k in (6, 7, 8):
-        assert pentagon_check(k) < 1e-9
+        assert modular._pentagon_residual(modular._lookup(k)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +480,7 @@ def test_yang_baxter_desk_scale(k):
 
 
 def braiding_relation_loop(k):
-    # braiding_relation_residual as first written: a braid block and a
+    # the braid_phase_relation residual as first written: a braid block and a
     # crossed fusing block per quad, through the public calls, entry by entry
     worst = 0.0
     for j1, j2, j3, j4 in itertools.product(range(k + 1), repeat=4):
@@ -509,13 +506,13 @@ def braiding_relation_loop(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_braiding_phase_relation(k):
-    assert braiding_relation_residual(k) < 1e-9
-    assert braiding_relation_residual(k).hex() == braiding_relation_loop(k).hex()
+    residual = residual_report(k)["braid_phase_relation"]
+    assert residual < 1e-9
+    assert residual.hex() == braiding_relation_loop(k).hex()
 
 
 def test_braiding_phase_relation_out_of_range():
-    with pytest.raises(ValueError):
-        braiding_relation_residual(4)
+    assert residual_report(4)["braid_phase_relation"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +598,12 @@ def test_block_space_boundary_labels():
     assert [w.numerators for w in space.basis] == [(1, 2), (2, 2)]
     with pytest.raises(ValueError):
         block_space(graph, 3)
+
+
+def t_operator(space, e):
+    # the diagonal twist by the weight of edge e, as a matrix;
+    # genus_chain_operator applies the same twists as row scalings
+    return np.diag([t_phase(space.level, n) for n in modular._edge_labels(space, e)])
 
 
 def test_t_operator_diagonal_phases():

@@ -22,27 +22,13 @@ SRC = ROOT / "src" / "verlinde"
 # Test-only names that stay, each with its reason.  A name wired to an entry
 # point must leave this list; the test fails until it does.
 KEEP = {
-    ("modular", "pentagon_check"): "the public single-relation pentagon "
-    "check that the tests use; level-wide reports go through _pentagon_residual",
-    ("modular", "braiding_relation_residual"): "the public single-relation "
-    "braid/fusing check that the tests use; residual_report goes through "
-    "_braid_relation_residual",
     ("modular", "phase_unit"): "README API; the Gauss-sum comparison of "
     "Heegaard words needs it",
     ("modular", "same_phase_class"): "README API; the Gauss-sum comparison of "
     "Heegaard words needs it",
     ("modular", "switching_operator"): "waits for the closed-form holed S matrix",
-    ("modular", "t_operator"): "the public matrix form of one twist; "
-    "genus_chain_operator applies the same twists as row scalings",
     ("newstead", "witten_volume"): "waits for the Riemann-Roch route tying "
     "newstead to fusion",
-    ("weights", "is_admissible"): "the Fraction reference that tests compare "
-    "enumerate_weights against",
-    **{
-        ("weights", n): "the H-representation membership test that tests "
-        "compare enumerate_weights against"
-        for n in ("MomentPolytope", "MomentPolytope.contains", "polytope")
-    },
 }
 
 _ITEM2 = "ROADMAP item 2: the Riemann-Roch route and its leading-coefficient claim"

@@ -7,6 +7,7 @@ directly with math.sin (independent of the fusion module).
 import itertools
 import json
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -27,12 +28,11 @@ from verlinde.weights import (
     WeightFunction,
     _elimination_order,
     _vertex_flag_edges,
+    _weight_edge_ids,
     bs_asymptotics,
     count_weights,
     enumerate_weights,
-    is_admissible,
     level1_networks,
-    polytope,
     polytope_volume,
     u1_networks,
     verlinde_count_check,
@@ -51,6 +51,67 @@ def closed_form_count(g, k):
 def w(graph, k, numerators):
     """Weight from numerators over 2k, in edge-id order."""
     return WeightFunction(graph, k, tuple(numerators))
+
+
+# Fraction references that enumerate_weights is compared against: the vertex
+# conditions read off the values view, and the continuous weight polytope as
+# an H-representation
+
+
+def is_admissible(w):
+    """Check the vertex conditions; returns (ok, list of violations)."""
+    graph, k, vals = w.graph, w.level, w.values
+    problems = []
+    for v in range(graph.n_vertices):
+        trip = [vals[e] for e in _vertex_flag_edges(graph, v)]
+        total = sum(trip)
+        if total % Fraction(1, k) != 0:
+            problems.append(f"vertex {v}: parity, sum {total} not in (1/{k})Z")
+        if total > 1:
+            problems.append(f"vertex {v}: sum {total} exceeds 1")
+        for i in range(3):
+            w3 = trip[i]
+            w1, w2 = (trip[j] for j in range(3) if j != i)
+            if not abs(w1 - w2) <= w3 <= min(w1 + w2, 2 - w1 - w2):
+                problems.append(f"vertex {v}: triangle fails at flag {i}")
+                break
+    return not problems, problems
+
+
+@dataclass(frozen=True, eq=False)
+class MomentPolytope:
+    """H-representation sum(coeffs * w) <= rhs over edge coordinates."""
+
+    graph: TrivalentGraph
+    inequalities: tuple
+
+    def contains(self, values):
+        for _, coeffs, rhs in self.inequalities:
+            if sum(c * values[e] for e, c in coeffs.items()) > rhs:
+                return False
+        return True
+
+
+def polytope(graph):
+    """Continuous weight polytope in [0, 1/2]^edges."""
+    ineqs = []
+    for e in _weight_edge_ids(graph):
+        ineqs.append((f"w[{e}] >= 0", {e: -1}, Fraction(0)))
+        ineqs.append((f"w[{e}] <= 1/2", {e: 1}, Fraction(1, 2)))
+    for v in range(graph.n_vertices):
+        flags = _vertex_flag_edges(graph, v)
+        total = {}
+        for e in flags:
+            total[e] = total.get(e, 0) + 1
+        ineqs.append((f"vertex {v}: sum <= 1", dict(total), Fraction(1)))
+        ineqs.append((f"vertex {v}: sum <= 2", dict(total), Fraction(2)))
+        for i in range(3):
+            coeffs = {}
+            for j, e in enumerate(flags):
+                coeffs[e] = coeffs.get(e, 0) + (1 if j == i else -1)
+            if any(coeffs.values()):
+                ineqs.append((f"vertex {v}: triangle {i}", coeffs, Fraction(0)))
+    return MomentPolytope(graph, tuple(ineqs))
 
 
 # ---------------------------------------------------------------------------
