@@ -6,8 +6,10 @@ adjugate inverse.  Dart d is read as the oriented edge leaving
 vertex_of[d].  Spin networks contract one invariant tensor per vertex
 against a kernel omega . rho(a) per edge; the pairing makes gauge
 invariance an identity, not a tolerance.  Since omega is antidiagonal,
-the kernel is rho with its rows reversed and signed, and a batch of
-connections is evaluated in row blocks, one einsum per block.
+the kernel is rho with its rows reversed and signed.  Each network is
+planned once, on first use: its edge labels, one einsum subscript string
+and the contraction path.  A batch of connections then goes through in
+row blocks, each block one array pass for all edge kernels and one einsum.
 
 Monte Carlo probes draw Haar samples from seeded per-chunk streams and
 reduce in chunk order.
@@ -15,17 +17,21 @@ reduce in chunk order.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .su2reps import AdmissibilityError, _check_int, admissible_triple, omega, rep_matrix, wigner_3j
+from .su2reps import AdmissibilityError, _check_int, _rep_batch, admissible_triple, wigner_3j
 
 _CHUNK = 16384
 _BLOCK = 2048
+MAX_GAUGE_COLORINGS = 2000
+# the letter that numpy's einsum gives sublist index i, so a subscript string
+# sums as the interleaved form did (string.ascii_letters orders them otherwise
+# from index 26 on)
+_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 
 
 def _as_matrix(m, what):
@@ -143,6 +149,24 @@ class SpinNetworkFunction:
     coloring: dict
     vertex_tensors: tuple
 
+    @cached_property
+    def _plan(self):
+        """(edge labels, einsum subscripts, contraction path), found once."""
+        graph = self.graph
+        bax = graph.n_darts  # einsum index of the batch axis
+        if bax >= len(_LETTERS):
+            raise ValueError(f"spin networks stop at {len(_LETTERS) - 1} darts, got {bax}")
+        edges = graph.edges()
+        labels = tuple(self.coloring[d] for d, _ in edges)
+        subscripts = tuple(tuple(graph.star(v)) for v in range(graph.n_vertices))
+        subscripts += tuple((bax, d, p) for d, p in edges)
+        # search as for a batch of one: greedy caps intermediates at the largest
+        # operand, so a wide batch would force a one-shot contraction
+        shapes = tuple(t.shape for t in self.vertex_tensors) + tuple((1, n + 1, n + 1) for n in labels)
+        path = _contraction_path(subscripts + ((bax,),), shapes)
+        letters = ["".join(_LETTERS[i] for i in sub) for sub in subscripts]
+        return labels, ",".join(letters) + "->" + _LETTERS[bax], path
+
 
 def spin_network(graph, coloring):
     if graph.parabolic_darts():
@@ -167,50 +191,55 @@ def spin_network(graph, coloring):
 
 
 def admissible_colorings(graph, cap):
-    """Every edge coloring by twice-spins 0..cap admissible at each vertex."""
+    """Every edge coloring by twice-spins 0..cap admissible at each vertex.
+
+    Colorings come in itertools.product order over the edge ids.  Each
+    vertex is tested as soon as its last edge is colored, and a search
+    that passes MAX_GAUGE_COLORINGS colorings is refused.
+    """
     if graph.parabolic_darts() or not graph.is_trivalent():
         raise ValueError("colorings are defined on closed trivalent graphs")
     eids = graph.edge_ids()
-    stars = [
-        tuple(graph.edge_of(d) for d in graph.star(v)) for v in range(graph.n_vertices)
-    ]
-    out = []
-    for combo in itertools.product(range(cap + 1), repeat=len(eids)):
-        coloring = dict(zip(eids, combo))
-        if all(admissible_triple(*(coloring[e] for e in st)) for st in stars):
-            out.append(coloring)
-    return out
+    place = {e: i for i, e in enumerate(eids)}
+    ready = [[] for _ in eids]  # the stars whose last edge is eids[i]
+    for v in range(graph.n_vertices):
+        star = tuple(place[graph.edge_of(d)] for d in graph.star(v))
+        ready[max(star)].append(star)
+    out, combo, n = [], [], 0  # n: the next color to try at len(combo)
+    while True:
+        if len(combo) == len(eids):
+            if len(out) == MAX_GAUGE_COLORINGS:
+                raise ValueError(f"admissible colorings stop at {MAX_GAUGE_COLORINGS}, cap {cap} gives more")
+            out.append(dict(zip(eids, combo)))
+            n = cap + 1
+        if n > cap:
+            if not combo:
+                return out
+            n = combo.pop() + 1
+            continue
+        combo.append(n)
+        if all(admissible_triple(*(combo[i] for i in star)) for star in ready[len(combo) - 1]):
+            n = 0
+        else:
+            n = combo.pop() + 1
 
 
 def _values_batch(snf, batch):
     """Evaluate the network on a (N, E, 2, 2) batch of connections.
 
-    Rows go through in near-equal blocks of at most _BLOCK, so only one
-    block's irrep matrices and einsum intermediates are live; a wide batch
+    Rows go through in near-equal blocks of at most _BLOCK // E, so only
+    one block's kernels and einsum intermediates are live; a wide batch
     never leaves a one-row block, which einsum would sum in another order.
-    The kernel omega . rho is a signed row reversal, row i being
-    omega[i, n-i] times row n-i of rho; adding zero turns -0 into +0 as the
-    einsum against omega did.  Kernels stay C-contiguous, because einsum
-    sums in the order of its operands' strides.
+    Each block makes two calls: one array pass for every edge's kernel
+    omega . rho, and one einsum on the network's cached plan.  Kernels are
+    C-contiguous, because einsum sums in the order of its operands' strides.
     """
-    graph = snf.graph
-    bax = graph.n_darts  # einsum axis label for the batch dimension
-    tensors = []
-    for v in range(graph.n_vertices):
-        tensors += [snf.vertex_tensors[v], list(graph.star(v))]
-    edges = [(d, p, snf.coloring[d]) for d, p in graph.edges()]
-    subscripts = tuple(map(tuple, tensors[1::2])) + tuple((bax, d, p) for d, p, _ in edges)
-    # search as for a batch of one: greedy caps intermediates at the largest
-    # operand, so a wide batch would force a one-shot contraction
-    shapes = tuple(t.shape for t in tensors[::2]) + tuple((1, n + 1, n + 1) for *_, n in edges)
-    path = _contraction_path(subscripts + ((bax,),), shapes)
-    signs = [np.diag(omega(n)[:, ::-1])[:, None] for *_, n in edges]
-    values = []
-    for block in np.array_split(batch, max(1, -(-len(batch) // _BLOCK))):
-        operands = list(tensors)
-        for k, ((d, p, n), sign) in enumerate(zip(edges, signs)):
-            operands += [rep_matrix(n, block[:, k])[:, ::-1] * sign + 0, [bax, d, p]]
-        values.append(np.einsum(*operands, [bax], optimize=path))
+    labels, subscripts, path = snf._plan
+    rows = max(1, _BLOCK // len(labels))
+    values = [
+        np.einsum(subscripts, *snf.vertex_tensors, *_rep_batch(labels, block, paired=True), optimize=path)
+        for block in np.array_split(batch, max(1, -(-len(batch) // rows)))
+    ]
     return np.concatenate(values)
 
 

@@ -8,7 +8,9 @@ unitary on SU(2); rep_matrix returns that version, for one group element
 or an (N, 2, 2) batch of them, and rep_matrix_exact the plain monomial
 one.  One element and rep_matrix_exact expand the symmetric power term by
 term; a batch runs the same terms in the same order as a few array calls
-from a plan cached per label.  Invariant 3j tensors are
+from a plan cached per tuple of labels.  One such pass builds the matrices
+of several labels at once, or the kernels omega . rho of a spin network's
+edges, with the pairing folded into the plan.  Invariant 3j tensors are
 written down, not solved for: each is the bracket product [12]^a [23]^b
 [31]^c of classical invariant theory, [ij] = x_i y_j - x_j y_i.
 """
@@ -98,30 +100,89 @@ def rep_matrix_exact(n, g):
 
 
 @lru_cache(maxsize=None)
-def _batch_plan(n):
-    """Index tables that run _sym_power's array arithmetic in a few calls.
+def _label_terms(n, paired):
+    """_sym_power's terms for label n as arrays, entries in row-major order.
 
-    Entry (i, j) sums, over ascending s, the products of comb(n-j, s)
-    a^(n-j-s) c^s and comb(j, t) b^(j-t) d^t with s + t = i, each power p of
-    (a, b, c, d)[r] being row 4p + r of a stacked table.  Entries run by
-    falling term count, so each rank's terms, rows ends[r-1]:ends[r], fall
-    on a prefix of them; spots holds their row-major positions.
+    Term r of entry e = (n+1) i + j is comb(n-j, s) a^(n-j-s) c^s times
+    comb(j, i-s) b^(j-i+s) d^(i-s), with s = max(0, i-j) + r ascending.
+    Each entry has its orthonormal scale and its place in the matrix; with
+    paired, entry (i, j) goes to row n-i times omega[n-i, i], the one
+    nonzero of that row: the kernel omega . rho as a signed row reversal.
     """
-    terms = {(i, j): range(max(0, i - j), min(i, n - j) + 1) for i in range(n + 1) for j in range(n + 1)}
-    order = sorted(terms, key=lambda e: -len(terms[e]))
-    ranks = range(len(terms[order[0]]))
-    rows = [
-        (comb(n - j, s), 4 * (n - j - s), 4 * s + 2, comb(j, i - s), 4 * (j - i + s) + 1, 4 * (i - s) + 3)
-        for r in ranks
-        for i, j in order
-        if r < len(terms[i, j])
-        for s in [terms[i, j][r]]
+    terms = [
+        (i * (n + 1) + j, r, comb(n - j, s), n - j - s, s, comb(j, i - s), j - i + s, i - s)
+        for i in range(n + 1)
+        for j in range(n + 1)
+        for r, s in enumerate(range(max(0, i - j), min(i, n - j) + 1))
     ]
-    cl, pa, pc, cr, pb, pd = (np.array(col) for col in zip(*rows))
-    ends = np.cumsum([sum(r < len(t) for t in terms.values()) for r in ranks])
-    scale = np.array([sqrt(comb(n, j) / comb(n, i)) for i, j in order], dtype=complex)
-    spots = [i * (n + 1) + j for i, j in order]
-    return cl.astype(complex)[:, None], pa, pc, cr.astype(complex)[:, None], pb, pd, ends, scale[:, None], spots
+    pairing = omega(n)
+    scale, spots = [], []
+    for i in range(n + 1):
+        row, sign = (n - i, pairing[n - i, i]) if paired else (i, 1.0)
+        for j in range(n + 1):
+            scale.append(sign * sqrt(comb(n, j) / comb(n, i)))
+            spots.append(row * (n + 1) + j)
+    return tuple(np.array(col) for col in zip(*terms)) + (np.array(scale), np.array(spots))
+
+
+@lru_cache(maxsize=256)
+def _batch_plan(labels, paired):
+    """Index tables that run _sym_power's array arithmetic for a tuple of labels.
+
+    Matrix k has label n = labels[k] and reads (a, b, c, d) from columns
+    4k..4k+3 of its row; power p of column q is row 4Ep + q of a stacked
+    table, E = len(labels).  Entries of all matrices run by falling term
+    count, so each rank's terms, rows ends[r-1]:ends[r], fall on a prefix
+    of them, and every entry sums its terms in _sym_power's order.  For N
+    rows, matrix k fills N*lo:N*hi of a flat buffer, blocks[k] = (lo, hi,
+    n+1), one row after another, so an entry of row r sits at N*start +
+    r*size + spots.
+    """
+    tables = [_label_terms(n, paired) for n in labels]
+    sizes = np.array([(n + 1) ** 2 for n in labels])
+    lows = np.cumsum(sizes) - sizes
+    entry, rank, cl, pa, pc, cr, pb, pd, scale, spots = (np.concatenate(col) for col in zip(*tables))
+    matrix = np.repeat(np.arange(len(labels)), [len(t[0]) for t in tables])  # of each term
+    entry = entry + lows[matrix]
+    order = np.argsort(-np.bincount(entry), kind="stable")
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order))
+    terms = np.lexsort((place[entry], rank))
+    width, col = 4 * len(labels), 4 * matrix[terms]
+    owner = np.repeat(np.arange(len(labels)), sizes)[order]  # of each entry
+    blocks = [(int(lo), int(lo + m), n + 1) for lo, m, n in zip(lows, sizes, labels)]
+    return (
+        cl[terms].astype(complex)[:, None], width * pa[terms] + col, width * pc[terms] + col + 2,
+        cr[terms].astype(complex)[:, None], width * pb[terms] + col + 1, width * pd[terms] + col + 3,
+        np.cumsum(np.bincount(rank)), scale[order].astype(complex)[:, None], spots[order][:, None],
+        lows[owner][:, None], sizes[owner][:, None], blocks,
+    )
+
+
+def _rep_batch(labels, g, paired=False):
+    """Irrep matrices of labels[k] at g[:, k], for an (N, E, 2, 2) batch g
+    ((N, 2, 2) for one label).
+
+    One array pass builds every matrix, as E C-contiguous (N, n+1, n+1)
+    views of one buffer, with the bits _sym_power gives on arrays: numpy's
+    array arithmetic rounds alike at any length or stride, unlike its
+    scalars.  With paired, matrix k is the kernel omega . rho; adding zero
+    turns -0 into +0, as an einsum against omega did.
+    """
+    cl, pa, pc, cr, pb, pd, ends, scale, spots, start, size, blocks = _batch_plan(labels, paired)
+    n_rows = len(g)
+    x = g.reshape(n_rows, -1).T
+    powers = np.concatenate([x**p for p in range(max(labels) + 1)])
+    prods = cl * powers[pa] * powers[pc] * (cr * powers[pb] * powers[pd])
+    acc = 0 + prods[: ends[0]]
+    for lo, hi in zip(ends, ends[1:]):
+        acc[: hi - lo] += prods[lo:hi]
+    acc *= scale
+    acc += 0
+    where = size * np.arange(n_rows) + (n_rows * start + spots)
+    out = np.empty(n_rows * blocks[-1][1], dtype=complex)
+    out[where] = acc
+    return [out[n_rows * lo : n_rows * hi].reshape(n_rows, m, m) for lo, hi, m in blocks]
 
 
 def rep_matrix(n, g):
@@ -129,22 +190,12 @@ def rep_matrix(n, g):
 
     g is one 2x2 matrix, or an (N, 2, 2) batch whose determinants the
     caller has already checked; a batch gives a C-contiguous (N, n+1, n+1)
-    array, with the bits _sym_power gives on arrays: numpy's array
-    arithmetic rounds alike at any length or stride, unlike its scalars.
+    array from the one-label case of _rep_batch.
     """
     _check_label(n)
     g = np.asarray(g, dtype=complex)
     if g.ndim == 3 and g.shape[1:] == (2, 2):
-        cl, pa, pc, cr, pb, pd, ends, scale, spots = _batch_plan(n)
-        x = g.reshape(len(g), 4).T
-        powers = np.concatenate([x**p for p in range(n + 1)])
-        prods = cl * powers[pa] * powers[pc] * (cr * powers[pb] * powers[pd])
-        acc = 0 + prods[: ends[0]]
-        for lo, hi in zip(ends, ends[1:]):
-            acc[: hi - lo] += prods[lo:hi]
-        out = np.empty((len(g), (n + 1) ** 2), dtype=complex)
-        out[:, spots] = (acc * scale).T
-        return out.reshape(len(g), n + 1, n + 1)
+        return _rep_batch((n,), g)[0]
     a, b, c, d = _entries(g)
     _check_det(a, b, c, d)
     raw = _sym_power(n, a, b, c, d)

@@ -742,6 +742,15 @@ def test_gauge_check_rejects_vacuous_counts(capsys, flag, value):
     assert flag in err
 
 
+def test_gauge_check_refuses_too_many_colorings(capsys):
+    # chain-5 has 254,990 admissible colorings at cap 4; the search stops
+    # at the first one past the limit
+    argv = ["gauge", "check", "--graph", "chain-5", "--cap", "4"]
+    code, out, err = capture(capsys, argv)
+    assert (code, out) == (1, "")
+    assert "colorings stop at 2000, cap 4 gives more" in err
+
+
 def test_gauge_check_seed_changes_connection_not_verdict(capsys):
     argv = ["gauge", "check", "--graph", "dumbbell", "--cap", "2", "--samples", "3"]
     a = capture(capsys, argv + ["--seed", "1"])

@@ -1,5 +1,6 @@
 """Holonomy, gauge action, and spin network evaluation on trivalent graphs."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -21,8 +22,8 @@ from verlinde.gauge import (
     spin_network,
     spin_network_value,
 )
-from verlinde.graphs import TrivalentGraph, dumbbell_graph, multi_theta, theta_graph
-from verlinde.su2reps import AdmissibilityError, omega, rep_matrix
+from verlinde.graphs import TrivalentGraph, chain_graph, dumbbell_graph, multi_theta, theta_graph
+from verlinde.su2reps import AdmissibilityError, _rep_batch, admissible_triple, omega, rep_matrix
 
 I2 = np.eye(2)
 
@@ -229,6 +230,37 @@ def test_theta_110_identity_connection_is_one():
     assert abs(val - 1) < 1e-12
 
 
+def _product_colorings(graph, cap):
+    # every tuple in itertools.product order, filtered afterwards
+    eids = graph.edge_ids()
+    stars = [tuple(graph.edge_of(d) for d in graph.star(v)) for v in range(graph.n_vertices)]
+    out = []
+    for combo in itertools.product(range(cap + 1), repeat=len(eids)):
+        coloring = dict(zip(eids, combo))
+        if all(admissible_triple(*(coloring[e] for e in st)) for st in stars):
+            out.append(coloring)
+    return out
+
+
+GENERATED = [theta_graph(), dumbbell_graph(), chain_graph(2), chain_graph(3), multi_theta(2), multi_theta(3)]
+
+
+@pytest.mark.parametrize("graph", GENERATED)
+@pytest.mark.parametrize("cap", range(5))
+def test_pruned_colorings_match_product_filter(graph, cap):
+    assert admissible_colorings(graph, cap) == _product_colorings(graph, cap)
+
+
+def test_colorings_refused_past_their_cap(monkeypatch):
+    graph = multi_theta(3)
+    count = len(admissible_colorings(graph, 3))
+    monkeypatch.setattr(gauge, "MAX_GAUGE_COLORINGS", count)
+    assert len(admissible_colorings(graph, 3)) == count
+    monkeypatch.setattr(gauge, "MAX_GAUGE_COLORINGS", count - 1)
+    with pytest.raises(ValueError, match=f"stop at {count - 1}, cap 3 gives more"):
+        admissible_colorings(graph, 3)
+
+
 GAUGE_CASES = [
     (theta_graph(), {0: 1, 2: 1, 4: 0}),
     (theta_graph(), {0: 1, 2: 1, 4: 2}),
@@ -244,14 +276,47 @@ GAUGE_CASES = [
 def test_cached_contraction_path_keeps_bits(graph, monkeypatch):
     rng = np.random.default_rng(16)
     conns = [random_connection(graph, rng) for _ in range(3)]
-    networks = [spin_network(graph, c) for c in admissible_colorings(graph, 4)]
+    colorings = admissible_colorings(graph, 4)
+    networks = [spin_network(graph, c) for c in colorings]
     cached = [spin_network_value(snf, conn) for snf in networks for conn in conns]
     monkeypatch.setattr(gauge, "_contraction_path", lambda *args: True)
+    # networks built after the patch plan with it, so einsum searches itself
+    networks = [spin_network(graph, c) for c in colorings]
     searched = [spin_network_value(snf, conn) for snf in networks for conn in conns]
+    assert all(snf._plan[2] is True for snf in networks)
     assert len(cached) > 20
     assert [(z.real.hex(), z.imag.hex()) for z in cached] == [
         (z.real.hex(), z.imag.hex()) for z in searched
     ]
+
+
+def test_network_is_planned_once(monkeypatch):
+    calls = []
+    search = gauge._contraction_path
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(gauge, "_contraction_path", counted)
+    graph = dumbbell_graph()
+    snf = spin_network(graph, {0: 2, 2: 2, 4: 2})
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        spin_network_value(snf, random_connection(graph, rng))
+    n_edges = len(graph.edge_ids())
+    rows = 2 * gauge._BLOCK + 1
+    gauge._values_batch(snf, gauge._haar_batch(rng, rows * n_edges).reshape(rows, n_edges, 2, 2))
+    assert len(calls) == 1
+    spin_network_value(spin_network(graph, {0: 2, 2: 2, 4: 2}), random_connection(graph, rng))
+    assert len(calls) == 2
+
+
+def test_spin_network_refuses_more_darts_than_einsum_letters():
+    graph = multi_theta(10)  # 54 darts and the batch axis
+    snf = spin_network(graph, {e: 0 for e in graph.edge_ids()})
+    with pytest.raises(ValueError, match="spin networks stop at 51 darts, got 54"):
+        spin_network_value(snf, Connection(graph, {e: I2 for e in graph.edge_ids()}))
 
 
 def _per_entry_rep(n, mats):
@@ -335,9 +400,23 @@ def test_rep_matrix_batch_is_c_contiguous(n):
         assert rho.tobytes() == _per_entry_rep(n, batch).tobytes()
 
 
+@pytest.mark.parametrize("labels", [(0,), (4, 4, 4), (1, 3, 2), (0, 2, 2), (2,) * 9])
+@pytest.mark.parametrize("rows", [1, 2, 7, 2049])
+def test_kernel_pass_matches_signed_row_reversal_bitwise(labels, rows):
+    mats = gauge._haar_batch(np.random.default_rng(rows), rows * len(labels))
+    batch = mats.reshape(rows, len(labels), 2, 2)
+    kernels = _rep_batch(labels, batch, paired=True)
+    assert len(kernels) == len(labels)
+    for k, (n, kernel) in enumerate(zip(labels, kernels)):
+        sign = np.diag(omega(n)[:, ::-1])[:, None]
+        want = rep_matrix(n, batch[:, k])[:, ::-1] * sign + 0
+        assert kernel.flags.c_contiguous
+        assert kernel.tobytes() == want.tobytes(), (k, n)
+
+
 def test_peter_weyl_memory_stays_within_one_block():
-    # a 16384-sample chunk is evaluated in blocks of _BLOCK rows, so the
-    # irrep matrices and einsum intermediates of one block are live at a time
+    # a 16384-sample chunk is evaluated in blocks of _BLOCK // E rows, so the
+    # kernels and einsum intermediates of one block are live at a time
     graph = theta_graph()
     colorings = admissible_colorings(graph, 4)[:4]
     tracemalloc.start()
