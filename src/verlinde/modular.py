@@ -16,10 +16,13 @@ computations -- six_j_table and the symmetry, pentagon, orthogonality,
 braid-inverse, braid-phase and Yang-Baxter relations of residual_report --
 read a per-level table instead: every admissible (j1, j2, j3, j4, i, j) as
 a small-int array, with its values computed by an array evaluation of the
-Racah sum over blocks of keys, built once per level.  They evaluate their
-relations as array operations on it that keep the scalar loops' order of
+Racah sum over blocks of keys, built once per level.  six_j_table serves
+its entries from these arrays, without a per-entry copy.  The relations are
+array operations on the table that keep the scalar loops' order of
 rounding, so both ways give the same bits; tests pin the table against q6j
-entry by entry.
+entry by entry.  Admissibility at one level is a cached boolean cube over
+(a, b, c), which the table, the relations and the switching blocks' loop
+labels all read.
 
 All labels are twice-spin integers in 0..k.
 """
@@ -28,11 +31,11 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from types import MappingProxyType
 
 import numpy as np
 
@@ -186,35 +189,71 @@ def fusion_matrix(k, j1, j2, j3, j4):
     return rows, cols, mat
 
 
+class _TableEntries(Mapping):
+    """Read-only map from (j1, j2, j3, j4, i, j) to its value in a level table.
+
+    Backed by the table's (keys, values) arrays without a copy: a lookup
+    finds the row-major position of its six labels among the flat positions
+    of the keys, which ascend in table order.  Labels outside 0..k are
+    absent, so no position aliases another key's.
+    """
+
+    def __init__(self, size, keys, values):
+        self._size, self._keys, self._values = size, keys, values
+        self._flat = _flat(size, *keys.T)
+
+    def __len__(self):
+        return len(self._values)
+
+    def __iter__(self):
+        return map(tuple, self._keys.tolist())
+
+    def __getitem__(self, key):
+        size = self._size
+        if not (isinstance(key, tuple) and len(key) == 6 and all(n in range(size) for n in key)):
+            raise KeyError(key)
+        pos = 0
+        for n in key:
+            pos = pos * size + n
+        row = int(self._flat.searchsorted(pos))
+        if row == len(self._flat) or self._flat[row] != pos:
+            raise KeyError(key)
+        return float(self._values[row])
+
+
 @dataclass(frozen=True, eq=False)
 class SixJTable:
-    """Immutable map of all admissible fusing coefficients at one level."""
+    """Immutable map of all admissible fusing coefficients at one level.
+
+    entries is a read-only view of the level's cached table arrays: its keys
+    are int tuples in table order and its values floats with q6j's bits.
+    """
 
     level: int
-    entries: MappingProxyType
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", MappingProxyType(self.entries))
+    entries: Mapping
 
     def coefficient(self, j1, j2, j3, j4, i, j):
         """q6j(level, j1, j2, j3, j4, i, j), read from the table."""
         check_labels(self.level, (j1, j2, j3, j4))
         _check_label(i)
         _check_label(j)
+        # channels above the level are inadmissible, and absent from entries
         return self.entries.get((j1, j2, j3, j4, i, j), 0.0)
 
 
 def six_j_table(k):
     """Tabulate every fusing coefficient with both channels admissible."""
     check_level(k)
-    keys, values = _level_table(k)
-    return SixJTable(k, dict(zip(zip(*keys.T.tolist()), values.tolist())))
+    return SixJTable(k, _TableEntries(k + 1, *_level_table(k)))
 
 
+@lru_cache(maxsize=None)
 def _admissibility_cube(k):
-    """Boolean cube whose [a, b, c] entry is _triple_ok(k, a, b, c)."""
-    flags = [_triple_ok(k, *abc) for abc in product(range(k + 1), repeat=3)]
-    return np.array(flags).reshape((k + 1,) * 3)
+    """Read-only boolean cube whose [a, b, c] entry is _triple_ok(k, a, b, c)."""
+    a, b, c = np.indices((k + 1,) * 3)
+    cube = ((a + b + c) % 2 == 0) & (abs(a - b) <= c) & (c <= a + b) & (a + b + c <= 2 * k)
+    cube.setflags(write=False)
+    return cube
 
 
 @lru_cache(maxsize=None)
@@ -324,29 +363,36 @@ def _lookup(k):
 
 def _pentagon_residual(look):
     size, cube, dense = look.size, look.cube, look.dense
+    s1, s2, s3, s4, s5 = (size**p for p in range(1, 6))
     worst = 0.0
     for b, c in product(range(size), repeat=2):
         # join the loop labels one at a time: f in (a b), g in (f c), e in
-        # (g d), l in (c d), m in (b l); row r of every array is one tuple
+        # (g d), l in (c d), m in (b l); row r of every array is one tuple.
+        # Each label adds its row-major strides, as it joins, to the flat
+        # positions of the LHS's F[fcde]_gl (x1) and F[able]_fm (x2) and of
+        # the RHS's F[abcg]_fh (y1), F[ahde]_gm (y2) and F[bcdm]_hl (y3) at h = 0
         a, f = np.nonzero(cube[:, b])
+        x1 = f * s5 + c * s4
+        x2 = a * s5 + b * s4 + f * s1
+        y1 = a * s5 + (b * s4 + c * s3) + f * s1
+        y2 = a * s5
         r, g = np.nonzero(cube[f, c])
-        a, f = a[r], f[r]
+        x1, x2, y1, y2 = x1[r] + g * s1, x2[r], y1[r] + g * s2, y2[r] + g * s1
         r, d, e = np.nonzero(cube[g])
-        a, f, g = a[r], f[r], g[r]
+        de = d * s3 + e * s2
+        x1, x2, y1, y2 = x1[r] + de, x2[r] + e * s2, y1[r], y2[r] + de
+        y3 = d * s3 + (b * s5 + c * s4)
         r, l = np.nonzero(cube[c, d])
-        a, f, g, d, e = a[r], f[r], g[r], d[r], e[r]
+        x1, x2, y1, y2, y3 = x1[r] + l, x2[r] + l * s3, y1[r], y2[r], y3[r] + l
         r, m = np.nonzero(cube[b, l])
-        a, f, g, d, e, l = a[r], f[r], g[r], d[r], e[r], l[r]
-        lhs = dense[_flat(size, f, c, d, e, g, l)] * dense[_flat(size, a, b, l, e, f, m)]
+        x1, x2, y1, y2, y3 = x1[r], x2[r] + m, y1[r], y2[r] + m, y3[r] + m * s2
+        lhs = dense[x1] * dense[x2]
         # the three coefficients of channel h sit at h times a fixed stride
         # past their h = 0 positions; the sum over h runs ascending from 0,
         # in the order sum() would
-        f1 = _flat(size, a, b, c, g, f, 0)
-        f2 = _flat(size, a, 0, d, e, g, m)
-        f3 = _flat(size, b, c, d, m, 0, l)
         rhs = 0.0
         for h in np.flatnonzero(cube[b, c]).tolist():
-            rhs = rhs + dense[h:][f1] * dense[h * size**4 :][f2] * dense[h * size :][f3]
+            rhs = rhs + dense[h:][y1] * dense[h * s4 :][y2] * dense[h * s1 :][y3]
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 
@@ -513,7 +559,7 @@ def heegaard_invariant(word, k):
 
 
 def _loop_labels(k, c):
-    return tuple(m for m in range(k + 1) if _triple_ok(k, m, m, c))
+    return tuple(np.flatnonzero(_admissibility_cube(k)[:, :, c].diagonal()).tolist())
 
 
 # switching blocks and residuals reach this only for k <= 3, so the cache

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import spin_network
+from .gauge import _LETTERS, spin_network
 from .graphs import chord_edges, genus
 from .su2reps import AdmissibilityError, _check_label, casimir, check_level, omega, rep_matrix
 
@@ -412,6 +412,11 @@ def spin_network_blocks(graph, coloring):
     chords = chord_edges(graph)
     labels = tuple(int(coloring[e]) for e in chords)
     aux = {e: graph.n_darts + i for i, e in enumerate(chords)}
+    if graph.n_darts + len(chords) > len(_LETTERS):
+        raise ValueError(
+            f"spin network blocks stop at {len(_LETTERS)} einsum indices, "
+            f"got {graph.n_darts} darts and {len(chords)} chords"
+        )
     operands = []
     for v in range(graph.n_vertices):
         operands += [snf.vertex_tensors[v], list(graph.star(v))]

@@ -197,6 +197,10 @@ def test_six_j_table_matches_pointwise():
     # inadmissible channels fall back to the zero contract, as in q6j
     assert table.coefficient(1, 1, 1, 1, 1, 0) == 0.0
     assert table.coefficient(1, 1, 1, 1, 0, 7) == q6j(2, 1, 1, 1, 1, 0, 7) == 0.0
+    # (1, 1, 1, 1, 1, 3) has the row-major position of (1, 1, 1, 1, 2, 0), whose
+    # coefficient is 1/sqrt(2); a channel above the level must not alias it
+    assert table.coefficient(1, 1, 1, 1, 2, 0) == pytest.approx(1 / RT2, abs=1e-12)
+    assert table.coefficient(1, 1, 1, 1, 1, 3) == q6j(2, 1, 1, 1, 1, 1, 3) == 0.0
     for key, val in table.entries.items():
         assert val == pytest.approx(q6j(2, *key), abs=1e-14)
         j1, j2, j3, j4, i, j = key
@@ -291,6 +295,46 @@ def test_six_j_table_is_immutable():
         table.entries[(0, 0, 0, 0, 0, 0)] = 2.0
 
 
+def test_six_j_table_reads_the_level_arrays():
+    # entries copies nothing per entry: it holds the cached arrays themselves
+    keys, values = modular._level_table(3)
+    entries = six_j_table(3).entries
+    assert entries._keys is keys and entries._values is values
+    assert len(entries) == len(values)
+    for key, val in zip(entries, values.tolist()):
+        assert entries[key].hex() == val.hex()
+    for absent in [(0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 4), (4, 0, 0, 0, 0, 0), (0,) * 5, "key"]:
+        assert absent not in entries
+        with pytest.raises(KeyError):
+            entries[absent]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_six_j_table_coefficient_matches_q6j_on_every_channel(k):
+    table = six_j_table(k)
+    channels = range(2 * k + 3)
+    for labels in itertools.product(range(k + 1), repeat=4):
+        for i, j in itertools.product(channels, repeat=2):
+            assert table.coefficient(*labels, i, j).hex() == q6j(k, *labels, i, j).hex()
+
+
+@pytest.mark.parametrize("k", range(1, 15))
+def test_admissibility_cube_matches_triple_ok(k):
+    cube = modular._admissibility_cube(k)
+    assert cube is modular._admissibility_cube(k) and not cube.flags.writeable
+    assert cube.dtype == bool and cube.shape == (k + 1,) * 3
+    for abc in itertools.product(range(k + 1), repeat=3):
+        assert cube[abc] == modular._triple_ok(k, *abc)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6])
+def test_loop_labels_read_the_cube(k):
+    for c in range(k + 1):
+        want = tuple(m for m in range(k + 1) if modular._triple_ok(k, m, m, c))
+        got = modular._loop_labels(k, c)
+        assert got == want and all(type(m) is int for m in got)
+
+
 # ---------------------------------------------------------------------------
 # pentagon
 # ---------------------------------------------------------------------------
@@ -352,11 +396,13 @@ def test_pentagon_matches_ab_loop(k):
 
 
 # float.hex of the pentagon residual above the PINNED_REPORTS range, as the
-# (a, b) loop gave it
+# (a, b) loop gave it for k = 9..11 and the (b, c) join with Horner-built
+# flat indices for k = 12
 PINNED_PENTAGON = {
     9: "0x1.5c00000000000p-47",
     10: "0x1.0800000000000p-48",
     11: "0x1.6c80000000000p-47",
+    12: "0x1.c000000000000p-48",
 }
 
 

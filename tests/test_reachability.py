@@ -56,7 +56,7 @@ BENCH_KEEP = {
     ("su2reps", "rep_matrix"): _ITEM4,
     **{
         ("modular", n): _ITEM5
-        for n in ("SixJTable", "SixJTable.coefficient", "q6j", "six_j_table")
+        for n in ("SixJTable", "SixJTable.coefficient", "_TableEntries", "q6j", "six_j_table")
     },
     **{
         ("modular", n): _ITEM6

@@ -11,7 +11,7 @@ import pytest
 from scipy.linalg import expm
 
 from verlinde.gauge import Connection, haar_su2, spin_network, spin_network_value
-from verlinde.graphs import dumbbell_graph, theta_graph
+from verlinde.graphs import dumbbell_graph, multi_theta, theta_graph
 from verlinde.su2reps import casimir, rep_matrix
 from verlinde.thetacst import (
     _BLOCK_ROWS,
@@ -583,6 +583,17 @@ def test_spin_network_blocks_reproduce_network_function():
             direct = spin_network_value(snf, conn)
             via_block = pw_evaluate(jvec, block, ws)
             assert abs(direct - via_block) < 1e-10
+
+
+def test_spin_network_blocks_refuse_more_einsum_indices_than_letters():
+    # one einsum index per dart and one per chord: multi-theta-8 needs 42 + 8
+    # of numpy's 52 letters, multi-theta-9 needs 48 + 9
+    graph = multi_theta(8)
+    jvec, block = spin_network_blocks(graph, {e: 0 for e in graph.edge_ids()})
+    assert jvec == (0,) * 8 and block.shape == (1, 1)
+    graph = multi_theta(9)
+    with pytest.raises(ValueError, match="52 einsum indices"):
+        spin_network_blocks(graph, {e: 0 for e in graph.edge_ids()})
 
 
 def test_spin_network_block_is_intertwiner():
