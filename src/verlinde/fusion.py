@@ -33,12 +33,17 @@ def clebsch_gordan(n1, n2):
     return list(range(n1 + n2, abs(n1 - n2) - 1, -2))
 
 
+def _fuse(k, n1, n2):
+    # fuse without its checks, for callers that checked k and the labels
+    top = n1 + n2 if n1 + n2 <= k else 2 * k - n1 - n2
+    return range(top, abs(n1 - n2) - 1, -2)
+
+
 def fuse(k, n1, n2):
     """Level-k fusion product, descending label list."""
     check_level(k)
     check_labels(k, (n1, n2))
-    top = n1 + n2 if n1 + n2 <= k else 2 * k - n1 - n2
-    return list(range(top, abs(n1 - n2) - 1, -2))
+    return list(_fuse(k, n1, n2))
 
 
 @dataclass(frozen=True)
@@ -62,7 +67,7 @@ class FusionRing:
         """Rows (a, b, c1 c2 ...) of the multiplication table."""
         rows = []
         for a, b in itertools.combinations_with_replacement(self.labels, 2):
-            rows.append((a, b, " ".join(str(c) for c in fuse(self.level, a, b))))
+            rows.append((a, b, " ".join(str(c) for c in _fuse(self.level, a, b))))
         return rows
 
 
@@ -77,14 +82,14 @@ def _fusion_matrices(k):
     for a in range(n):
         m = [[0] * n for _ in range(n)]
         for b in range(n):
-            for c in fuse(k, a, b):
+            for c in _fuse(k, a, b):
                 m[b][c] = 1
         mats.append(m)
     handle = [[0] * n for _ in range(n)]
     for a in range(n):
         for i in range(n):
-            for x in fuse(k, a, i):
-                for j in fuse(k, a, x):
+            for x in _fuse(k, a, i):
+                for j in _fuse(k, a, x):
                     handle[i][j] += 1
     return mats, handle
 
@@ -98,6 +103,33 @@ def _row_times(row, m):
     return out
 
 
+# genera 0.._HANDLE_ROWS-1 of the unit row times H^g are kept per level; a
+# higher genus multiplies on from the last kept row, so memory stays bounded
+_HANDLE_ROWS = 64
+
+
+@lru_cache(maxsize=None)
+def _handle_rows(k):
+    # the exact rows e_0 H^g, g = 0, 1, ...; _unit_row appends to this list
+    return [[1] + [0] * k]
+
+
+def _unit_row(g, k):
+    """e_0 H^g as exact ints, for a checked genus and level.
+
+    The row may be the cached one, so callers must not mutate it.
+    """
+    rows = _handle_rows(k)
+    handle = _fusion_matrices(k)[1]
+    kept = min(g, _HANDLE_ROWS - 1)
+    while len(rows) <= kept:
+        rows.append(_row_times(rows[-1], handle))
+    row = rows[kept]
+    for _ in range(g - kept):
+        row = _row_times(row, handle)
+    return row
+
+
 def rk(g, N, k):
     """Rank of the conformal block space: genus g, boundary labels N.
 
@@ -109,10 +141,8 @@ def rk(g, N, k):
     _check_int(g, "genus")
     labels = tuple(N)
     check_labels(k, labels)
-    mats, handle = _fusion_matrices(k)
-    row = [1] + [0] * k
-    for _ in range(g):
-        row = _row_times(row, handle)
+    row = _unit_row(g, k)
+    mats = _fusion_matrices(k)[0]
     for n in labels:
         row = _row_times(row, mats[n])
     return row[0]
@@ -130,15 +160,6 @@ def character(k, n, m):
     check_labels(k, (m,))
     theta = n * math.pi / (k + 2)
     return math.sin((m + 1) * theta) / math.sin(theta)
-
-
-def chi_c(k, n):
-    """Casimir character value (k+2) / (2 sin^2(n pi/(k+2)))."""
-    check_level(k)
-    _check_label(n)
-    if not 1 <= n <= k + 1:
-        raise ValueError(f"character index must lie in 1..{k + 1}")
-    return (k + 2) / (2.0 * math.sin(n * math.pi / (k + 2)) ** 2)
 
 
 # -- Verlinde numbers ---------------------------------------------------------
@@ -169,8 +190,8 @@ def verlinde_route(g, k, via):
 
     `weights` counts admissible weights on the genus-g multi-theta graph:
     an exact integer, bound 0.  The float routes sum k+1 positive terms
-    T_n = S_n^(g-1), with S_n = sum_m chi_n(m)^2 (`characters`) or
-    S_n = chi_c(k, n) (`closed`); the bound is
+    T_n = S_n^(g-1), with S_n = sum_m chi_n(m)^2 (`characters`) or the
+    Casimir value S_n = (k+2) / (2 sin^2(n pi/(k+2))) (`closed`); the bound is
 
         eps * ((g-1) * c * (k+2) + 3/2) * sum_n |T_n|,
 
@@ -207,14 +228,21 @@ def verlinde_route(g, k, via):
         if g < 2:
             raise ValueError("the weights route needs genus >= 2")
         return count_weights(multi_theta(g), k), 0.0
+    # k and g are checked: each route computes its own sines, in the float
+    # operations of character(k, n, m) and of the Casimir value
     try:
         if via == "characters":
+            terms = []
+            for n in range(1, k + 2):
+                theta = n * math.pi / (k + 2)
+                sin_theta = math.sin(theta)
+                s_n = math.fsum((math.sin((m + 1) * theta) / sin_theta) ** 2 for m in range(k + 1))
+                terms.append(s_n ** (g - 1))
+        elif via == "closed":
             terms = [
-                math.fsum(character(k, n, m) ** 2 for m in range(k + 1)) ** (g - 1)
+                ((k + 2) / (2.0 * math.sin(n * math.pi / (k + 2)) ** 2)) ** (g - 1)
                 for n in range(1, k + 2)
             ]
-        elif via == "closed":
-            terms = [chi_c(k, n) ** (g - 1) for n in range(1, k + 2)]
         else:
             raise ValueError("via must be one of characters, closed, weights")
         # the terms are positive, so their sum is also sum_n |T_n|
@@ -223,6 +251,21 @@ def verlinde_route(g, k, via):
         return math.inf, math.inf
     scale = (g - 1) * _ERROR_SLOPE[via] * (k + 2) + 1.5
     return value, sys.float_info.epsilon * scale * value
+
+
+def _off_by_more(value, exact, bound):
+    """|value - exact| > bound, decided exactly in integers.
+
+    value is an int or a float and bound a float.  A non-finite value
+    counts as off by 0, and a non-finite bound compares as the Fraction
+    comparison does: NaN and inf are never exceeded, -inf always is.
+    """
+    if not (math.isfinite(value) and math.isfinite(bound)):
+        return 0 > bound
+    p, q = value.as_integer_ratio()
+    r, s = bound.as_integer_ratio()
+    # |p/q - exact| > r/s with q, s > 0
+    return abs(p - exact * q) * s > r * q
 
 
 def verlinde(g, k, via="characters"):
@@ -236,10 +279,10 @@ def verlinde(g, k, via="characters"):
     value, bound = verlinde_route(g, k, via)
     exact = rk(g, (), k)
     witness = RouteWitness(g, k, via, value, exact, bound)
-    # an overflowed route has no Fraction, and its infinite bound leaves it
-    # unresolved below
-    err = abs(Fraction(value) - exact) if math.isfinite(value) else 0
-    if err > bound:
+    # an overflowed route is never off by more than its infinite bound, which
+    # leaves it unresolved below; the Fraction is built for the message only
+    if _off_by_more(value, exact, bound):
+        err = abs(Fraction(value) - exact) if math.isfinite(value) else 0
         raise InvariantViolation(
             f"verlinde({g},{k}) via {via} is off the exact rank by {float(err):.3g},"
             f" beyond its error bound {bound:.3g}",

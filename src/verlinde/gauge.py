@@ -243,12 +243,14 @@ def _values_batch(snf, batch):
     return np.concatenate(values)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MAX_GAUGE_COLORINGS)
 def _contraction_path(subscripts, shapes):
     """Greedy einsum path, the one optimize=True finds, for interleaved operands.
 
     subscripts holds each operand's index list and, last, the output's.  The
-    search reads only the shapes, so zero-stride stand-in operands do.
+    search reads only the shapes, so zero-stride stand-in operands do.  The
+    cache is bounded, but holds a path for every coloring that one call of
+    admissible_colorings can return.
     """
     args = []
     for sub, shape in zip(subscripts, shapes):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -219,6 +219,22 @@ class _TableEntries(Mapping):
         if row == len(self._flat) or self._flat[row] != pos:
             raise KeyError(key)
         return float(self._values[row])
+
+    # the views zip the keys with the value array in table order, where
+    # Mapping's would look up each key on its own
+    class _Items(ItemsView):
+        def __iter__(self):
+            return zip(self._mapping, self._mapping._values.tolist())
+
+    class _Values(ValuesView):
+        def __iter__(self):
+            return iter(self._mapping._values.tolist())
+
+    def items(self):
+        return self._Items(self)
+
+    def values(self):
+        return self._Values(self)
 
 
 @dataclass(frozen=True, eq=False)

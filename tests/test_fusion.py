@@ -3,9 +3,13 @@
 The ideal reduction is double-checked with sympy polynomial arithmetic,
 independently of the module's own integer polynomial division.  The
 handle-operator rank is checked against a memoised recursion over label
-multisets, kept here as the oracle.
+multisets and against the uncached handle-operator loop, the float routes
+against the same sums over the checked `character` and `chi_c`, and the
+integer bound test against the Fraction comparison; all are kept here as
+oracles.
 """
 
+import hashlib
 import itertools
 import math
 import random
@@ -15,15 +19,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from verlinde import fusion
 from verlinde.fusion import (
     FusionRing,
+    RouteWitness,
     UnresolvedRoute,
     character,
-    chi_c,
     clebsch_gordan,
     fuse,
     ideal_check,
@@ -31,6 +35,7 @@ from verlinde.fusion import (
     verlinde,
     verlinde_route,
 )
+from verlinde.su2reps import _check_label, check_level
 from verlinde.weights import InvariantViolation
 
 
@@ -174,6 +179,54 @@ def test_rk_matches_recursion_oracle(k):
                 assert rk(g, labels, k) == _rk_cached(g, labels, k)
 
 
+def _row_times(row, m):
+    out = [0] * len(row)
+    for x, line in zip(row, m):
+        for j, y in enumerate(line):
+            out[j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_rk_matches_uncached_loop(k):
+    # oracle: N_a and H = sum_a N_a^2 from the checked fuse, and the unit row
+    # multiplied by H once per handle, then by N_n once per label
+    n = k + 1
+    mats = [[[int(c in fuse(k, a, b)) for c in range(n)] for b in range(n)] for a in range(n)]
+    handle = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for i in range(n):
+            for x in fuse(k, a, i):
+                for j in fuse(k, a, x):
+                    handle[i][j] += 1
+    labels = (1, k, k - 1)
+    rows = [[1] + [0] * k]
+    for _ in range(400):
+        rows.append(_row_times(rows[-1], handle))
+    fusion._handle_rows.cache_clear()
+    # a shuffled order grows the row cache both below and past its last row
+    genera = list(range(401))
+    random.Random(k).shuffle(genera)
+    for g in genera:
+        assert rk(g, (), k) == rows[g][0]
+        row = rows[g]
+        for label in labels:
+            row = _row_times(row, mats[label])
+        assert rk(g, labels, k) == row[0]
+
+
+def test_handle_row_cache_is_bounded():
+    # at k = 3 the Verlinde sum is 2 (a^(g-1) + b^(g-1)) with a, b = 5 +- sqrt 5,
+    # the roots of x^2 - 10x + 20, so a linear recurrence gives rk exactly
+    powers = [2, 10]
+    while len(powers) < 3000:
+        powers.append(10 * powers[-1] - 20 * powers[-2])
+    fusion._handle_rows.cache_clear()
+    assert rk(3000, (), 3) == 2 * powers[2999]
+    assert len(fusion._handle_rows(3)) <= fusion._HANDLE_ROWS
+    assert rk(40, (), 3) == 2 * powers[39]
+
+
 def test_rk_rejects_bad_labels():
     with pytest.raises(ValueError):
         rk(0, (5,), 2)
@@ -216,6 +269,15 @@ def test_character_unit():
 
 def test_character_level1_value():
     assert character(1, 1, 1) == pytest.approx(1.0)
+
+
+def chi_c(k, n):
+    """Casimir character value (k+2) / (2 sin^2(n pi/(k+2)))."""
+    check_level(k)
+    _check_label(n)
+    if not 1 <= n <= k + 1:
+        raise ValueError(f"character index must lie in 1..{k + 1}")
+    return (k + 2) / (2.0 * math.sin(n * math.pi / (k + 2)) ** 2)
 
 
 @pytest.mark.parametrize("n", [1.5, 2.0, True])
@@ -311,6 +373,105 @@ def test_route_bound_scales_with_value():
     assert verlinde_route(3, 3, "weights") == (rk(3, (), 3), 0.0)
 
 
+def _route_loop(g, k, via):
+    # oracle: the float routes summed over the checked character and chi_c
+    try:
+        if via == "characters":
+            terms = [
+                math.fsum(character(k, n, m) ** 2 for m in range(k + 1)) ** (g - 1)
+                for n in range(1, k + 2)
+            ]
+        else:
+            terms = [chi_c(k, n) ** (g - 1) for n in range(1, k + 2)]
+        value = math.fsum(terms)
+    except OverflowError:
+        return math.inf, math.inf
+    scale = (g - 1) * {"characters": 8, "closed": 3}[via] * (k + 2) + 1.5
+    return value, sys.float_info.epsilon * scale * value
+
+
+def test_route_bits_match_checked_loop():
+    points = [(g, k, via) for g in range(1, 12) for k in range(1, 30) for via in ("characters", "closed")]
+    got = [tuple(x.hex() for x in verlinde_route(g, k, via)) for g, k, via in points]
+    assert got == [tuple(x.hex() for x in _route_loop(g, k, via)) for g, k, via in points]
+    # the digest pins these bits, whatever the oracle's sums give
+    digest = hashlib.sha256(repr(got).encode()).hexdigest()
+    assert digest == "e5a4aee58b7f7e2a091b2b797f0f1b9f16ae13ac56c382d4c1f79818115950c6"
+    for g, k, via in ((3000, 3, "closed"), (300, 29, "characters")):
+        assert verlinde_route(g, k, via) == _route_loop(g, k, via) == (math.inf, math.inf)
+
+
+def _off_by_more_fraction(value, exact, bound):
+    # oracle: the comparison in Fractions, a non-finite value off by 0
+    err = abs(Fraction(value) - exact) if math.isfinite(value) else 0
+    return err > bound
+
+
+_BIG = 2**53
+
+
+@st.composite
+def _near_big_rank(draw):
+    # an exact rank above 2^53 and a float a few ulps from it
+    exact = draw(st.integers(_BIG, 2**70))
+    value = float(exact)
+    for _ in range(draw(st.integers(0, 3))):
+        value = math.nextafter(value, draw(st.sampled_from([math.inf, -math.inf])))
+    return value, exact
+
+
+@given(
+    st.one_of(
+        _near_big_rank(),
+        st.tuples(st.floats(), st.integers(-(2**60), 2**60)),
+        st.tuples(st.integers(-(2**60), 2**60), st.integers(-(2**60), 2**60)),
+    ),
+    st.one_of(st.floats(), st.floats(0, 4), st.just(0.0)),
+)
+@example((_BIG + 1, _BIG), 0.0)  # the weights route: an int value, bound 0
+@example((_BIG, _BIG), 0.0)
+@example((float(_BIG + 2), _BIG + 1), 0.5)
+@example((float(_BIG + 2), _BIG + 1), math.nextafter(1.0, 0.0))
+@example((math.inf, 5), math.inf)
+@example((math.nan, 5), math.nan)
+@example((-math.inf, 5), -math.inf)
+@example((3.5, 3), math.nan)
+@example((3.5, 3), -math.inf)
+def test_integer_bound_test_matches_fraction(pair, bound):
+    value, exact = pair
+    assert fusion._off_by_more(value, exact, bound) is _off_by_more_fraction(value, exact, bound)
+
+
+@pytest.mark.parametrize("via", ["characters", "closed", "weights"])
+def test_route_off_by_more_than_bound_raises(monkeypatch, via):
+    g, k = 3, 3
+    exact = rk(g, (), k)
+    off = float(exact + 1)
+    bound = verlinde_route(g, k, via)[1]
+    monkeypatch.setattr(fusion, "verlinde_route", lambda *args: (off, bound))
+    with pytest.raises(InvariantViolation) as info:
+        verlinde(g, k, via=via)
+    assert info.value.witness == RouteWitness(g, k, via, off, exact, bound)
+    assert str(info.value) == (
+        f"verlinde(3,3) via {via} is off the exact rank by 1, beyond its error bound {bound:.3g}"
+    )
+
+
+def test_bound_test_is_exact_at_one_ulp(monkeypatch):
+    # the route value one ulp above the exact rank: a bound of exactly that
+    # ulp accepts it, and the next float below the ulp refuses it
+    exact = rk(2, (), 3)
+    value = math.nextafter(float(exact), math.inf)
+    ulp = value - exact
+    for bound, raises in ((ulp, False), (math.nextafter(ulp, 0.0), True)):
+        monkeypatch.setattr(fusion, "verlinde_route", lambda *args, bound=bound: (value, bound))
+        if raises:
+            with pytest.raises(InvariantViolation):
+                verlinde(2, 3, via="closed")
+        else:
+            assert verlinde(2, 3, via="closed") == exact
+
+
 @pytest.mark.parametrize("via", ["characters", "closed", "weights"])
 @pytest.mark.parametrize("g,k", [(2, 5), (3, 3), (6, 10), (6, 12)])
 def test_perturbed_exact_value_raises(monkeypatch, g, k, via):
@@ -335,6 +496,11 @@ def test_large_values_resolve_or_report_unresolved():
         assert w.exact == 92509204759936 == rk(8, (), 10)
         assert w.bound >= 0.5
         assert abs(w.value - w.exact) <= w.bound
+        assert str(info.value) == (
+            f"verlinde(8,10) via {via}: error bound {w.bound:.3g} >= 1/2,"
+            " so the route cannot resolve the integer at this magnitude"
+        )
+    assert str(info.value).startswith("verlinde(8,10) via closed: error bound 5.21 >= 1/2,")
 
 
 def test_verlinde_genus1_convention():

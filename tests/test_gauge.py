@@ -290,6 +290,12 @@ def test_cached_contraction_path_keeps_bits(graph, monkeypatch):
     ]
 
 
+def test_contraction_path_cache_is_bounded():
+    # bounded, and wide enough for every coloring of one admissible_colorings call
+    maxsize = gauge._contraction_path.cache_info().maxsize
+    assert maxsize is not None and maxsize >= gauge.MAX_GAUGE_COLORINGS
+
+
 def test_network_is_planned_once(monkeypatch):
     calls = []
     search = gauge._contraction_path

@@ -309,6 +309,22 @@ def test_six_j_table_reads_the_level_arrays():
             entries[absent]
 
 
+@pytest.mark.parametrize("k", [1, 3, 12])
+def test_six_j_table_views_match_lookups(k):
+    # items() and values() read the value array once; each pair and value
+    # has the bits of the per-key lookup, in table order
+    entries = six_j_table(k).entries
+    items, values = entries.items(), entries.values()
+    assert len(items) == len(values) == len(entries)
+    want = [(key, entries[key]) for key in entries]
+    got = list(items)
+    assert [key for key, _ in got] == [key for key, _ in want]
+    assert [val.hex() for _, val in got] == [val.hex() for _, val in want]
+    assert [val.hex() for val in values] == [val.hex() for _, val in want]
+    assert all(type(val) is float for val in values)
+    assert want[-1] in items and (want[-1][0], want[-1][1] + 1.0) not in items
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_six_j_table_coefficient_matches_q6j_on_every_channel(k):
     table = six_j_table(k)
