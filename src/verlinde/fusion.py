@@ -104,7 +104,8 @@ def _row_times(row, m):
 
 
 # genera 0.._HANDLE_ROWS-1 of the unit row times H^g are kept per level; a
-# higher genus multiplies on from the last kept row, so memory stays bounded
+# higher genus multiplies on from the last kept row by the squarings of H,
+# so memory stays bounded by the largest genus asked for
 _HANDLE_ROWS = 64
 
 
@@ -114,10 +115,18 @@ def _handle_rows(k):
     return [[1] + [0] * k]
 
 
+@lru_cache(maxsize=None)
+def _handle_squarings(k):
+    # the exact matrices H^(2^i), i = 0, 1, ...; _unit_row appends to this list
+    return [_fusion_matrices(k)[1]]
+
+
 def _unit_row(g, k):
     """e_0 H^g as exact ints, for a checked genus and level.
 
-    The row may be the cached one, so callers must not mutate it.
+    Past the kept rows, the row takes one product per binary digit of the
+    remaining genus.  The row may be the cached one, so callers must not
+    mutate it.
     """
     rows = _handle_rows(k)
     handle = _fusion_matrices(k)[1]
@@ -125,8 +134,14 @@ def _unit_row(g, k):
     while len(rows) <= kept:
         rows.append(_row_times(rows[-1], handle))
     row = rows[kept]
-    for _ in range(g - kept):
-        row = _row_times(row, handle)
+    squarings = _handle_squarings(k)
+    rest = g - kept
+    for i in range(rest.bit_length()):
+        if i == len(squarings):
+            square = squarings[-1]
+            squarings.append([_row_times(line, square) for line in square])
+        if rest >> i & 1:
+            row = _row_times(row, squarings[i])
     return row
 
 

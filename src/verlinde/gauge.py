@@ -7,9 +7,12 @@ vertex_of[d].  Spin networks contract one invariant tensor per vertex
 against a kernel omega . rho(a) per edge; the pairing makes gauge
 invariance an identity, not a tolerance.  Since omega is antidiagonal,
 the kernel is rho with its rows reversed and signed.  Each network is
-planned once, on first use: its edge labels, one einsum subscript string
-and the contraction path.  A batch of connections then goes through in
-row blocks, each block one array pass for all edge kernels and one einsum.
+contracted along numpy's greedy einsum path, compiled once per operand
+shapes into the steps np.einsum takes on it: single-operand einsums,
+reshapes and matmuls.  A network runs its vertex-only steps once, on first
+use.  A batch of connections then goes through in row blocks, each block
+one array pass for all edge kernels and a replay of the remaining steps,
+with np.einsum's bits and none of its per-call parsing.
 
 Monte Carlo probes draw Haar samples from seeded per-chunk streams and
 reduce in chunk order.
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -151,7 +154,11 @@ class SpinNetworkFunction:
 
     @cached_property
     def _plan(self):
-        """(edge labels, einsum subscripts, contraction path), found once."""
+        """(edge labels, index lists, operand shapes at one row, programs).
+
+        programs maps a row class to the network's program, built on first
+        use by `_program`.
+        """
         graph = self.graph
         bax = graph.n_darts  # einsum index of the batch axis
         if bax >= len(_LETTERS):
@@ -159,13 +166,28 @@ class SpinNetworkFunction:
         edges = graph.edges()
         labels = tuple(self.coloring[d] for d, _ in edges)
         subscripts = tuple(tuple(graph.star(v)) for v in range(graph.n_vertices))
-        subscripts += tuple((bax, d, p) for d, p in edges)
-        # search as for a batch of one: greedy caps intermediates at the largest
-        # operand, so a wide batch would force a one-shot contraction
+        subscripts += tuple((bax, d, p) for d, p in edges) + ((bax,),)
         shapes = tuple(t.shape for t in self.vertex_tensors) + tuple((1, n + 1, n + 1) for n in labels)
-        path = _contraction_path(subscripts + ((bax,),), shapes)
-        letters = ["".join(_LETTERS[i] for i in sub) for sub in subscripts]
-        return labels, ",".join(letters) + "->" + _LETTERS[bax], path
+        return labels, subscripts, shapes, {}
+
+    def _program(self, rows):
+        """(constants, steps) for a block of rows; see _contraction_steps.
+
+        One-row blocks have their own, as einsum drops a batch axis of size
+        1.  Wider blocks share one from the largest index size up, where the
+        batch axis, which has the last letter, sorts last; below it, einsum
+        sorts the batch axis among the others, so each row count has its
+        own.  The vertex-only steps run here, once per program.
+        """
+        labels, subscripts, shapes, programs = self._plan
+        rows = min(rows, max(2, max(labels) + 1))
+        if rows not in programs:
+            fold, steps = _contraction_steps(subscripts, shapes, rows)
+            consts = list(self.vertex_tensors)
+            for ids, step in fold:
+                consts.append(step(*[consts[i] for i in ids]))
+            programs[rows] = consts, steps
+        return programs[rows]
 
 
 def spin_network(graph, coloring):
@@ -228,18 +250,26 @@ def _values_batch(snf, batch):
     """Evaluate the network on a (N, E, 2, 2) batch of connections.
 
     Rows go through in near-equal blocks of at most _BLOCK // E, so only
-    one block's kernels and einsum intermediates are live; a wide batch
-    never leaves a one-row block, which einsum would sum in another order.
-    Each block makes two calls: one array pass for every edge's kernel
-    omega . rho, and one einsum on the network's cached plan.  Kernels are
-    C-contiguous, because einsum sums in the order of its operands' strides.
+    one block's kernels and intermediates are live; a wide batch never
+    leaves a one-row block, which numpy would sum in another order.  Each
+    block makes one array pass for every edge's kernel omega . rho, then
+    replays the network's program: the matmul steps that np.einsum takes
+    on the cached path, with the same bits and without its per-call
+    parsing.  Kernels are C-contiguous, because those steps sum in the
+    order of their operands' strides.
     """
-    labels, subscripts, path = snf._plan
+    labels = snf._plan[0]
     rows = max(1, _BLOCK // len(labels))
-    values = [
-        np.einsum(subscripts, *snf.vertex_tensors, *_rep_batch(labels, block, paired=True), optimize=path)
-        for block in np.array_split(batch, max(1, -(-len(batch) // rows)))
-    ]
+    values = []
+    for block in np.array_split(batch, max(1, -(-len(batch) // rows))):
+        consts, steps = snf._program(len(block))
+        ops = [*consts, *_rep_batch(labels, block, paired=True)]
+        for ids, step in steps:
+            args = [ops[i] for i in ids]
+            for i in ids:  # each operand is read once; free it as einsum does
+                ops[i] = None
+            ops.append(step(*args))
+        values.append(ops[-1])
     return np.concatenate(values)
 
 
@@ -248,14 +278,151 @@ def _contraction_path(subscripts, shapes):
     """Greedy einsum path, the one optimize=True finds, for interleaved operands.
 
     subscripts holds each operand's index list and, last, the output's.  The
-    search reads only the shapes, so zero-stride stand-in operands do.  The
+    search reads only the shapes, so uninitialised stand-in operands do.  The
     cache is bounded, but holds a path for every coloring that one call of
     admissible_colorings can return.
     """
     args = []
     for sub, shape in zip(subscripts, shapes):
-        args += [np.broadcast_to(0.0, shape), list(sub)]
+        args += [np.empty(shape), list(sub)]
     return np.einsum_path(*args, list(subscripts[-1]), optimize="greedy")[0]
+
+
+@lru_cache(maxsize=2 * MAX_GAUGE_COLORINGS)
+def _contraction_steps(subscripts, shapes, rows):
+    """The steps np.einsum takes on the cached greedy path, as (fold, steps).
+
+    subscripts and shapes are as for _contraction_path; the output is one
+    batch axis, of size 1 in shapes, and rows is the block's row count.
+    Operands without the batch axis are constants.  Each list holds
+    (operand ids, callable) pairs, and each callable returns a new operand.
+    fold runs on the constants alone and appends to them: every step, or
+    operand preparation, that reads only constants.  steps runs per block
+    on the constants followed by the batch operands, appending, and its
+    last result is the output.
+
+    np.einsum orders an intermediate's indices by size, then letter, and
+    so does this replay, the batch axis at size rows.  Past one row, the
+    batch axis reshapes as -1, so the list serves any block whose axes sort
+    alike.
+    """
+    # search as for a batch of one: greedy caps intermediates at the largest
+    # operand, so a wide batch would force a one-shot contraction
+    path = _contraction_path(subscripts, shapes)
+    *terms, batch = ["".join(_LETTERS[i] for i in sub) for sub in subscripts]
+    size = {ix: n for term, shape in zip(terms, shapes) for ix, n in zip(term, shape)}
+    size[batch] = 1 if rows == 1 else -1  # as reshapes take it
+    order = {ix: (n, ix) for ix, n in size.items()}
+    order[batch] = (rows, batch)
+    # einsum's operand list, as (term, id): constants count up from 0 and
+    # batch operands down from -1
+    slots, n_const, n_var = [], 0, 0
+    for term in terms:
+        if batch in term:
+            n_var -= 1
+            slots.append((term, n_var))
+        else:
+            slots.append((term, n_const))
+            n_const += 1
+    fold, steps = [], []
+    for positions in path[1:]:
+        picked = [slots.pop(p) for p in sorted(positions, reverse=True)]
+        inputs = [term for term, _ in picked]
+        refs = [i for _, i in picked]
+        keep = set(batch).union(*(term for term, _ in slots))
+        result = "".join(sorted(set("".join(inputs)) & keep, key=order.__getitem__))
+        eq = ",".join(inputs) + "->" + result
+        const = min(refs) >= 0
+        if len(picked) != 2:
+            step = partial(np.einsum, eq)
+        else:
+            preps, core = _pair_rule(eq, *(tuple(map(size.__getitem__, term)) for term in inputs))
+            preps = list(preps)
+            k = refs.index(max(refs))  # the constant side, if one
+            if not const and refs[k] >= 0 and preps[k] != (None, None):
+                fold.append(((refs[k],), partial(_prep, *preps[k])))
+                refs[k], preps[k] = n_const, (None, None)
+                n_const += 1
+            step = partial(_pair, *preps, *core)
+        if const:
+            fold.append((tuple(refs), step))
+            slots.append((result, n_const))
+            n_const += 1
+        else:
+            steps.append((refs, step))
+            n_var -= 1
+            slots.append((result, n_var))
+    steps = [(tuple(i if i >= 0 else n_const + ~i for i in refs), step) for refs, step in steps]
+    return fold, steps
+
+
+@lru_cache(maxsize=2**12)
+def _pair_rule(eq, shape_a, shape_b):
+    """numpy 2.4's split of the two-operand einsum eq into matmul steps.
+
+    A size of -1 stands for a batch axis of several rows; an index has one
+    size in both operands, so nothing broadcasts.  Returns ((prep a,
+    prep b), core) for _pair, a prep being (single-operand subscripts or
+    None, shape or None).  Indices of size 1 drop out of the matmul and
+    come back in its reshape.
+    """
+    inputs, out = eq.split("->")
+    a_term, b_term = inputs.split(",")
+    size = dict(zip(a_term, shape_a))
+    size.update(zip(b_term, shape_b))
+    left = "".join([ix for ix in a_term if size[ix] != 1])
+    right = "".join([ix for ix in b_term if size[ix] != 1])
+    bat = "".join([ix for ix in left if ix in right and ix in out])
+    con = "".join([ix for ix in left if ix in right and ix not in out])
+    a_keep = "".join([ix for ix in left if ix not in right and ix in out])
+    b_keep = "".join([ix for ix in right if ix not in left and ix in out])
+    if not con:
+        # nothing summed: transpose both to out's order and multiply
+        preps = []
+        for term in (a_term, b_term):
+            want = "".join([ix for ix in out if ix in term])
+            shape = tuple([size[ix] if ix in term else 1 for ix in out])
+            preps.append((f"{term}->{want}" if want != term else None, shape))
+        return tuple(preps), (True, None, None)
+    groups = [(a_keep, con), (con, b_keep), (a_keep, b_keep)]
+    if bat:
+        groups = [(bat, *g) for g in groups]
+    preps = []
+    for term, parts in zip((a_term, b_term), groups):
+        want = "".join(parts)
+        shape = None
+        if any(len(g) != 1 for g in parts):
+            shape = tuple([_fused([size[ix] for ix in g]) for g in parts])
+        preps.append((f"{term}->{want}" if want != term else None, shape))
+    singles = "".join([ix for ix in out if size[ix] == 1])
+    shape_ab = None
+    if any(len(g) != 1 for g in groups[2]) or singles:
+        shape_ab = (1,) * len(singles) + tuple([size[ix] for ix in "".join(groups[2])])
+    made = singles + bat + a_keep + b_keep
+    perm = tuple([made.index(ix) for ix in out]) if made != out else None
+    return tuple(preps), (False, shape_ab, perm)
+
+
+def _fused(sizes):
+    # the size of axes reshaped into one; a batch axis of several rows is -1
+    return -1 if -1 in sizes else math.prod(sizes)
+
+
+def _prep(eq, shape, x):
+    if eq is not None:
+        x = np.einsum(eq, x)
+    return x if shape is None else x.reshape(shape)
+
+
+def _pair(prep_a, prep_b, multiply, shape_ab, perm, a, b):
+    """One two-operand step: prepare each side, then matmul or multiply."""
+    a, b = _prep(*prep_a, a), _prep(*prep_b, b)
+    if multiply:
+        return np.multiply(a, b)
+    ab = np.matmul(a, b)
+    if shape_ab is not None:
+        ab = ab.reshape(shape_ab)
+    return ab if perm is None else ab.transpose(perm)
 
 
 def spin_network_value(snf, conn):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import _LETTERS, spin_network
+from .gauge import _LETTERS, _contraction_path, spin_network
 from .graphs import chord_edges, genus
 from .su2reps import AdmissibilityError, _check_label, casimir, check_level, omega, rep_matrix
 
@@ -426,7 +426,9 @@ def spin_network_blocks(graph, coloring):
         # free variable is peeled off, leaving its row index open
         operands += [kernel, [d, aux[d]] if d in aux else [d, p]]
     out = [graph.involution[e] for e in chords] + [aux[e] for e in chords]
-    tensor = np.einsum(*operands, out, optimize=True)
+    subscripts = tuple(map(tuple, operands[1::2])) + (tuple(out),)
+    path = _contraction_path(subscripts, tuple(t.shape for t in operands[::2]))
+    tensor = np.einsum(*operands, out, optimize=path)
     dim = int(np.prod([n + 1 for n in labels]))
     return labels, tensor.reshape(dim, dim)
 

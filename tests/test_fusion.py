@@ -204,7 +204,9 @@ def test_rk_matches_uncached_loop(k):
     for _ in range(400):
         rows.append(_row_times(rows[-1], handle))
     fusion._handle_rows.cache_clear()
-    # a shuffled order grows the row cache both below and past its last row
+    fusion._handle_squarings.cache_clear()
+    # a shuffled order grows the row cache both below and past its last row,
+    # and the squarings of H as the genus past it grows
     genera = list(range(401))
     random.Random(k).shuffle(genera)
     for g in genera:
@@ -222,8 +224,11 @@ def test_handle_row_cache_is_bounded():
     while len(powers) < 3000:
         powers.append(10 * powers[-1] - 20 * powers[-2])
     fusion._handle_rows.cache_clear()
+    fusion._handle_squarings.cache_clear()
     assert rk(3000, (), 3) == 2 * powers[2999]
     assert len(fusion._handle_rows(3)) <= fusion._HANDLE_ROWS
+    # one squaring of H per binary digit of the genus past the kept rows
+    assert len(fusion._handle_squarings(3)) == (3000 - fusion._HANDLE_ROWS + 1).bit_length()
     assert rk(40, (), 3) == 2 * powers[39]
 
 

@@ -272,18 +272,29 @@ GAUGE_CASES = [
 ]
 
 
+def _einsum_values(snf, batch, optimize):
+    # the network as one np.einsum call on the kernels the package builds;
+    # optimize=True searches the path itself
+    labels, subscripts, _, _ = snf._plan
+    operands = []
+    for tensor, sub in zip([*snf.vertex_tensors, *_rep_batch(labels, batch, paired=True)], subscripts):
+        operands += [tensor, list(sub)]
+    return np.einsum(*operands, list(subscripts[-1]), optimize=optimize)
+
+
 @pytest.mark.parametrize("graph", [theta_graph(), dumbbell_graph()])
-def test_cached_contraction_path_keeps_bits(graph, monkeypatch):
+def test_cached_contraction_path_keeps_bits(graph):
+    # the steps replayed on the cached path against np.einsum searching its
+    # own; bit for bit with numpy 2.4.6, whose einsum split the steps follow
     rng = np.random.default_rng(16)
     conns = [random_connection(graph, rng) for _ in range(3)]
-    colorings = admissible_colorings(graph, 4)
-    networks = [spin_network(graph, c) for c in colorings]
+    networks = [spin_network(graph, c) for c in admissible_colorings(graph, 4)]
     cached = [spin_network_value(snf, conn) for snf in networks for conn in conns]
-    monkeypatch.setattr(gauge, "_contraction_path", lambda *args: True)
-    # networks built after the patch plan with it, so einsum searches itself
-    networks = [spin_network(graph, c) for c in colorings]
-    searched = [spin_network_value(snf, conn) for snf in networks for conn in conns]
-    assert all(snf._plan[2] is True for snf in networks)
+    searched = [
+        complex(_einsum_values(snf, np.stack([conn.matrices[e] for e in graph.edge_ids()])[None], True)[0])
+        for snf in networks
+        for conn in conns
+    ]
     assert len(cached) > 20
     assert [(z.real.hex(), z.imag.hex()) for z in cached] == [
         (z.real.hex(), z.imag.hex()) for z in searched
@@ -291,20 +302,23 @@ def test_cached_contraction_path_keeps_bits(graph, monkeypatch):
 
 
 def test_contraction_path_cache_is_bounded():
-    # bounded, and wide enough for every coloring of one admissible_colorings call
-    maxsize = gauge._contraction_path.cache_info().maxsize
-    assert maxsize is not None and maxsize >= gauge.MAX_GAUGE_COLORINGS
+    # bounded, and wide enough for every coloring of one admissible_colorings
+    # call, at one row and at many
+    for cache, wide in ((gauge._contraction_path, 1), (gauge._contraction_steps, 2)):
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None and maxsize >= wide * gauge.MAX_GAUGE_COLORINGS
+    assert gauge._pair_rule.cache_info().maxsize is not None
 
 
 def test_network_is_planned_once(monkeypatch):
     calls = []
-    search = gauge._contraction_path
+    plan = gauge._contraction_steps
 
     def counted(*args):
-        calls.append(args)
-        return search(*args)
+        calls.append(args[2])
+        return plan(*args)
 
-    monkeypatch.setattr(gauge, "_contraction_path", counted)
+    monkeypatch.setattr(gauge, "_contraction_steps", counted)
     graph = dumbbell_graph()
     snf = spin_network(graph, {0: 2, 2: 2, 4: 2})
     rng = np.random.default_rng(17)
@@ -313,9 +327,60 @@ def test_network_is_planned_once(monkeypatch):
     n_edges = len(graph.edge_ids())
     rows = 2 * gauge._BLOCK + 1
     gauge._values_batch(snf, gauge._haar_batch(rng, rows * n_edges).reshape(rows, n_edges, 2, 2))
-    assert len(calls) == 1
+    # one program for single rows, one shared by the three wide blocks
+    assert calls == [1, 3]
     spin_network_value(spin_network(graph, {0: 2, 2: 2, 4: 2}), random_connection(graph, rng))
-    assert len(calls) == 2
+    assert calls == [1, 3, 1]
+
+
+def _plan_kinds(snf):
+    # does the one-row program fold a step of several constants, and does it
+    # replay a step that numpy does not split into pairs?
+    fold, steps = gauge._contraction_steps(*snf._plan[1:3], 1)
+    return any(len(ids) > 1 for ids, _ in fold), any(len(ids) != 2 for ids, _ in steps)
+
+
+@pytest.mark.parametrize("graph,cap", [(chain_graph(4), 2), (multi_theta(4), 2), (multi_theta(5), 1)])
+def test_replay_matches_einsum_on_cached_path_bitwise(graph, cap):
+    # the networks whose plans fold a vertex-with-vertex step or keep a step
+    # of three operands (the all-zero colorings here), and a spread of others,
+    # whose vertex transposes fold; bit for bit with numpy 2.4.6, whose einsum
+    # split the replay follows.  Row counts below the largest index size get
+    # their own program, as einsum orders the batch axis among the others there.
+    networks = [spin_network(graph, c) for c in admissible_colorings(graph, cap)]
+    kinds = [_plan_kinds(snf) for snf in networks]
+    picked = [snf for snf, kind in zip(networks, kinds) if any(kind)] + networks[1::25]
+    assert any(folded for folded, _ in kinds) and any(odd for _, odd in kinds)
+    rng = np.random.default_rng(24)
+    n_edges = len(graph.edge_ids())
+    for rows in (1, 2, 3, 7, 100):
+        batch = gauge._haar_batch(rng, rows * n_edges).reshape(rows, n_edges, 2, 2)
+        for snf in picked:
+            want = _einsum_values(snf, batch, gauge._contraction_path(*snf._plan[1:3]))
+            assert gauge._values_batch(snf, batch).tobytes() == want.tobytes(), (rows, snf.coloring)
+
+
+@pytest.mark.parametrize("graph", [theta_graph(), dumbbell_graph(), multi_theta(3)])
+def test_warm_value_makes_no_multi_operand_einsum_call(graph, monkeypatch):
+    calls = []
+    einsum = np.einsum
+
+    def counted(*operands, **kwargs):
+        calls.append((len(operands) - 1, kwargs))
+        return einsum(*operands, **kwargs)
+
+    def no_path(*args, **kwargs):
+        raise AssertionError("einsum_path called")
+
+    snf = spin_network(graph, {e: 2 for e in graph.edge_ids()})
+    conn = random_connection(graph, np.random.default_rng(18))
+    value = spin_network_value(snf, conn)
+    monkeypatch.setattr(np, "einsum", counted)
+    monkeypatch.setattr(np, "einsum_path", no_path)
+    assert spin_network_value(snf, conn) == value
+    # these plans are all pair steps: numpy splits each into single-operand
+    # einsums, reshapes and a matmul
+    assert calls and all(call == (1, {}) for call in calls)
 
 
 def test_spin_network_refuses_more_darts_than_einsum_letters():
