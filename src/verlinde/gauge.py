@@ -259,9 +259,9 @@ def _values_batch(snf, batch):
     order of their operands' strides.
     """
     labels = snf._plan[0]
-    rows = max(1, _BLOCK // len(labels))
+    n_blocks = -(-len(batch) // max(1, _BLOCK // len(labels)))
     values = []
-    for block in np.array_split(batch, max(1, -(-len(batch) // rows))):
+    for block in np.array_split(batch, n_blocks) if n_blocks > 1 else [batch]:
         consts, steps = snf._program(len(block))
         ops = [*consts, *_rep_batch(labels, block, paired=True)]
         for ids, step in steps:
@@ -270,7 +270,7 @@ def _values_batch(snf, batch):
                 ops[i] = None
             ops.append(step(*args))
         values.append(ops[-1])
-    return np.concatenate(values)
+    return np.concatenate(values) if len(values) > 1 else values[0]
 
 
 @lru_cache(maxsize=MAX_GAUGE_COLORINGS)
