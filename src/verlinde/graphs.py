@@ -252,67 +252,104 @@ def _least_encoding(graph, seeds, bound=None):
     the relabeling, and is taken from that rule.  Stars of two sizes (a
     4-valent vertex left by contract_edge) need _vertex_encoding at every
     complete relabeling.
+
+    Twin cut: a three-dart star entered at dart p, with other darts y1 < y2,
+    is labeled in the order (p, y1, y2) alone when y1 and y2 form a loop,
+    or when their partners z1 and z2 lie on one unlabeled star other than
+    p's.  Then sigma = (y1 y2), or (y1 y2)(z1 z2), is an automorphism
+    fixing every labeled dart, so it maps the subtree of (p, y2, y1) onto
+    that of (p, y1, y2), encoding for encoding.  The explored subtree comes
+    first, so neither the least encoding nor the first one found below a
+    bound changes.  The seed star's orders (d0, y1, y2) and (d0, y2, y1)
+    are cut by the same rule, before any dart is labeled.
     """
-    best = bound
-    order, new_id, inv_t = [], {}, []
-    involution = graph.involution
+    involution, vertex_of = graph.involution, graph.vertex_of
     stars = [graph.star(v) for v in range(graph.n_vertices)]
-    # each dart's entering groups: the dart, then the rest of its star in
-    # every order
-    groups = []
-    for p, v in enumerate(graph.vertex_of):
-        rest = [y for y in stars[v] if y != p]
-        groups.append([(p,) + tail for tail in itertools.permutations(rest)])
+    most = max(map(len, stars), default=0)
+    if most > 4:
+        raise ValueError(f"canonical forms need stars of at most 4 darts, got {most}")
     sizes = {len(star) for star in stars}
     if len(sizes) == 1:
         (w,) = sizes
         blocks = tuple(d // w for d in range(graph.n_darts))
     else:
         blocks = None
+    best = bound
+    # new_id[d] is dart d's new label, -1 while unlabeled
+    order, new_id, inv_t = [], [-1] * graph.n_darts, [0] * graph.n_darts
+    groups = [None] * graph.n_darts
+
+    def entering(p):
+        # the orders in which p's star is labeled: p, then the rest of the
+        # star in every order, or in the first order alone when the twin
+        # cut applies.  Built on first use, with the dart whose being
+        # unlabeled licenses the cut.
+        if groups[p] is None:
+            v = vertex_of[p]
+            rest = [y for y in stars[v] if y != p]
+            full = [(p,) + tail for tail in itertools.permutations(rest)]
+            twin = -1
+            if len(rest) == 2:
+                y1, y2 = rest
+                z1, z2 = involution[y1], involution[y2]
+                if z1 == y2:
+                    twin = y1
+                elif vertex_of[z1] == vertex_of[z2] != v:
+                    twin = z1
+            groups[p] = (twin, full, full[:1])
+        twin, full, first = groups[p]
+        return first if twin >= 0 and new_id[twin] < 0 else full
 
     def rec(t, tied):
         nonlocal best
-        # tied: inv_t[:t] equals the best's prefix.  Returns whether a
-        # new best was recorded below, which ties every open frame again.
-        if t == len(order):
-            vert_t = blocks[:t] if blocks is not None else _vertex_encoding(graph, order)
+        # Walks steps t, t+1, ... while their partners are labeled, then
+        # enters the star of the first unlabeled one.  tied: inv_t[:t]
+        # equals the best's prefix.  Returns whether a new best was
+        # recorded below, which ties every open frame again.
+        n = len(order)
+        while t < n:
+            x = new_id[involution[order[t]]]
+            if x < 0:
+                x = n
+            if tied and best is not None:
+                b = best[0][t]
+                if x > b:
+                    return False
+                tied = x == b
+            inv_t[t] = x
+            if x == n:
+                break
+            t += 1
+        else:
+            vert_t = blocks[:n] if blocks is not None else _vertex_encoding(graph, order)
             if best is not None and tied and vert_t >= best[1]:
                 return False
-            best = (tuple(inv_t), vert_t)
+            best = (tuple(inv_t[:n]), vert_t)
             return True
-        p = involution[order[t]]
-        x = new_id.get(p, len(order))
-        if tied and best is not None:
-            b = best[0][t]
-            if x > b:
-                return False
-            tied = x == b
-        inv_t.append(x)
-        if p in new_id:
-            found = rec(t + 1, tied)
-        else:
-            found = False
-            for group in groups[p]:
-                for y in group:
-                    new_id[y] = len(order)
-                    order.append(y)
-                if rec(t + 1, tied):
-                    found = tied = True
-                for y in reversed(group):
-                    del new_id[y]
-                    order.pop()
-                if found and bound is not None:
-                    break
-        inv_t.pop()
+        found = False
+        for group in entering(involution[order[t]]):
+            for i, y in enumerate(group, n):
+                new_id[y] = i
+            order.extend(group)
+            if rec(t + 1, tied):
+                found = tied = True
+            for y in group:
+                new_id[y] = -1
+            del order[n:]
+            if found and bound is not None:
+                break
         return found
 
     for seed in seeds:
-        for perm in itertools.permutations(stars[seed]):
+        # a dartless vertex has the one empty order
+        for perm in [perm for d0 in stars[seed] for perm in entering(d0)] or [()]:
             order[:] = perm
-            new_id.clear()
-            new_id.update((d, i) for i, d in enumerate(perm))
+            for i, d in enumerate(perm):
+                new_id[d] = i
             if rec(0, True) and bound is not None:
                 return best
+            for d in perm:
+                new_id[d] = -1
     return best
 
 
@@ -328,10 +365,16 @@ def canonical_form(graph):
 
     inv_t[t] is fixed when BFS step t runs, so the search cuts a branch as
     soon as its inv_t prefix exceeds the best found so far, and compares
-    vert_t only at complete relabelings.  A branch whose prefix ties the
-    best is never cut, so the least encoding is found as in an exhaustive
-    scan.  When every star has one size w (any trivalent graph, legs or
-    not), vert_t is t // w for every relabeling and is not computed.
+    vert_t only at complete relabelings.  It also skips a branch that is
+    the automorphic twin of one it explores (the twin cut of
+    _least_encoding): a three-dart star with other darts y1 < y2 that form
+    a loop, or whose partners lie on one unlabeled star other than its
+    own, is labeled in the order y1, y2 alone.  Swapping y1 with y2 (and
+    their partners) is then an automorphism fixing every labeled dart, so
+    the skipped branch holds the same encodings, and the least encoding is
+    the one an exhaustive scan finds.  When every star has one size w (any
+    trivalent graph, legs or not), vert_t is t // w for every relabeling
+    and is not computed.  A star of more than 4 darts is a ValueError.
     """
     out = []
     for comp in _components(graph):

@@ -529,8 +529,9 @@ def test_graph_faces_malformed_ribbon_is_usage_error(capsys, ribbon):
             "graph", "faces", "--graph",
             '{"vertices": 2, "edges": [[0, 1], [0, 1], [0, 1]], "ribbon": {"0": [0, 1, 2]}}',
         ],
+        ["graph", "show", "--canonical", "--graph", '{"vertices": 1, "edges": [[0, 0]' + ', [0, 0]' * 5 + "]}"],
     ],
-    ids=["gauge-bivalent", "gauge-legs", "weights-bivalent", "faces-missing-vertex"],
+    ids=["gauge-bivalent", "gauge-legs", "weights-bivalent", "faces-missing-vertex", "show-bouquet"],
 )
 def test_graph_outside_the_command_domain_is_usage_error(capsys, argv):
     code, out, err = capture(capsys, argv)

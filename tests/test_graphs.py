@@ -271,6 +271,8 @@ def _oracle_cases():
     cases["two-components"] = TrivalentGraph.from_edges(
         4, [(2, 3), (2, 3), (2, 3), (0, 0), (1, 1), (0, 1)]
     )
+    # vertex 1 has no darts: its component's one relabeling is empty
+    cases["dartless-vertex"] = TrivalentGraph.from_edges(3, [(0, 2)])
     return cases
 
 
@@ -463,6 +465,18 @@ def _frozen_least_encoding(graph, seeds, bound=None):
     return best
 
 
+def _shuffle_darts(graph, rng):
+    """The same graph with its darts renamed by a random permutation, so
+    that stars are no longer blocks and darts no longer follow edge order."""
+    pi = list(range(graph.n_darts))
+    rng.shuffle(pi)
+    inv, vert = [0] * graph.n_darts, [0] * graph.n_darts
+    for d, p in enumerate(graph.involution):
+        inv[pi[d]] = pi[p]
+        vert[pi[d]] = graph.vertex_of[d]
+    return TrivalentGraph(tuple(inv), tuple(vert))
+
+
 def _least_encoding_cases():
     rng = random.Random(23)
     cases = {}
@@ -473,12 +487,33 @@ def _least_encoding_cases():
                 vperm = list(range(graph.n_vertices))
                 rng.shuffle(vperm)
                 cases[f"class-{gg}-{i}-relabeled-{j}"] = _relabel(graph, vperm, rng)
+            cases[f"class-{gg}-{i}-shuffled"] = _shuffle_darts(graph, rng)
+    for i, graph in enumerate(enumerate_trivalent(5)):
+        vperm = list(range(graph.n_vertices))
+        rng.shuffle(vperm)
+        cases[f"class-5-{i}-relabeled"] = _relabel(graph, vperm, rng)
+    for gg in (6, 7):
+        for name, make in (("chain", chain_graph), ("multitheta", multi_theta)):
+            graph = make(gg)
+            vperm = list(range(graph.n_vertices))
+            rng.shuffle(vperm)
+            cases[f"{name}-{gg}-relabeled"] = _relabel(graph, vperm, rng)
     cases["two-legs"] = TrivalentGraph.from_edges(2, [(0, 1), (0, 1)], parabolic=(1, 0))
     cases["edge-four-legs"] = TrivalentGraph.from_edges(2, [(0, 1)], parabolic=(1, 0, 0, 1))
     cases["contracted-4valent"] = contract_edge(multi_theta(3), 0)[0]
     cases["two-thetas"] = TrivalentGraph.from_edges(
         4, [(0, 2), (1, 3), (0, 2), (3, 1), (2, 0), (1, 3)]
     )
+    # Graphs where the twin cut must not fire.  Parallel edges into an
+    # already-labeled star: the seed's three partners on star 1 in reverse.
+    cases["theta-into-labeled-star"] = TrivalentGraph((5, 4, 3, 2, 1, 0), (0, 0, 0, 1, 1, 1))
+    # two legs on one vertex: their partners are themselves, on p's star
+    cases["two-legs-one-vertex"] = TrivalentGraph.from_edges(2, [(0, 1)], parabolic=(1, 1, 0, 0))
+    # a loop at the seed, entered at a loop dart: the other two darts'
+    # partners, that dart itself and the leg, lie on the seed
+    cases["loop-leg-seed"] = TrivalentGraph((1, 0, 2), (0, 0, 0))
+    # the same vertex twice, as two components
+    cases["two-loop-leg-components"] = TrivalentGraph((1, 0, 2, 5, 4, 3), (0, 0, 0, 1, 1, 1))
     return cases
 
 
@@ -494,6 +529,31 @@ def test_least_encoding_matches_frozen_search(name):
             assert _least_encoding(graph, comp, bound) == _frozen_least_encoding(graph, comp, bound)
     least = _frozen_least_encoding(graph, range(graph.n_vertices))
     assert _least_encoding(graph, range(graph.n_vertices), least) == least
+
+
+@pytest.mark.parametrize("make", [multi_theta, chain_graph], ids=["multitheta", "chain"])
+def test_canonical_form_of_symmetric_genus_18_graphs(make):
+    # each doubled edge and each loop doubles the automorphism group; without
+    # the twin cut, multi_theta(18) took over a minute
+    graph = make(18)
+    rng = random.Random(18)
+    forms = set()
+    for _ in range(3):
+        vperm = list(range(graph.n_vertices))
+        rng.shuffle(vperm)
+        forms.add(canonical_form(_relabel(graph, vperm, rng)))
+    assert forms == {canonical_form(graph)}
+
+
+def test_canonical_form_refuses_stars_of_more_than_four_darts(monkeypatch):
+    bouquet = TrivalentGraph.from_edges(1, [(0, 0)] * 6)
+
+    def no_permutations(*args):
+        raise AssertionError("permutations built before the refusal")
+
+    monkeypatch.setattr(itertools, "permutations", no_permutations)
+    with pytest.raises(ValueError, match="at most 4 darts"):
+        canonical_form(bouquet)
 
 
 @pytest.mark.parametrize("gg", [2, 3, 4])
