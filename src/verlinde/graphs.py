@@ -247,6 +247,19 @@ def _least_encoding(graph, seeds, bound=None):
     one component (see canonical_form); with a bound, the first encoding
     found strictly below it, or the bound itself if there is none.
 
+    `graph` is a TrivalentGraph, or a partial matching on three-dart stars:
+    a list whose entry d is dart d's partner, or -1 while d is unmatched,
+    with dart d on star d // 3.  A partial matching needs a bound; the
+    enumeration passes its identity labeling, -1 entries included.  While a
+    branch ties the bound, its walk stops at the first step whose partner is
+    unmatched, or whose bound entry is -1: the comparison is undecided
+    there.  A branch that is already below the bound at a decided step
+    records its decided prefix as the encoding found.  That relabeling
+    is a BFS relabeling of every completion of the matching, with the
+    same decided prefix, so the bound is the least labeling of no
+    completion.  A walk that closes before labeling every dart has found a
+    component that no completion joins to the rest.
+
     A BFS relabeling lists the darts star by star, so when every star of
     the graph has one size w its vert_t is (t // w for each t) whatever
     the relabeling, and is taken from that rule.  Stars of two sizes (a
@@ -261,47 +274,58 @@ def _least_encoding(graph, seeds, bound=None):
     that of (p, y1, y2), encoding for encoding.  The explored subtree comes
     first, so neither the least encoding nor the first one found below a
     bound changes.  The seed star's orders (d0, y1, y2) and (d0, y2, y1)
-    are cut by the same rule, before any dart is labeled.
-    """
-    involution, vertex_of = graph.involution, graph.vertex_of
-    stars = [graph.star(v) for v in range(graph.n_vertices)]
-    most = max(map(len, stars), default=0)
-    if most > 4:
-        raise ValueError(f"canonical forms need stars of at most 4 darts, got {most}")
-    sizes = {len(star) for star in stars}
-    if len(sizes) == 1:
-        (w,) = sizes
-        blocks = tuple(d // w for d in range(graph.n_darts))
-    else:
-        blocks = None
-    best = bound
-    # new_id[d] is dart d's new label, -1 while unlabeled
-    order, new_id, inv_t = [], [-1] * graph.n_darts, [0] * graph.n_darts
-    groups = [None] * graph.n_darts
+    are cut by the same rule, before any dart is labeled.  In a partial
+    matching the cut needs both partners matched.
 
-    def entering(p):
-        # the orders in which p's star is labeled: p, then the rest of the
-        # star in every order, or in the first order alone when the twin
-        # cut applies.  Built on first use, with the dart whose being
-        # unlabeled licenses the cut.
-        if groups[p] is None:
-            v = vertex_of[p]
-            rest = [y for y in stars[v] if y != p]
-            full = [(p,) + tail for tail in itertools.permutations(rest)]
-            twin = -1
-            if len(rest) == 2:
-                y1, y2 = rest
-                z1, z2 = involution[y1], involution[y2]
-                if z1 == y2:
-                    twin = y1
-                elif vertex_of[z1] == vertex_of[z2] != v:
-                    twin = z1
-            groups[p] = (twin, full, full[:1])
-        twin, full, first = groups[p]
-        return first if twin >= 0 and new_id[twin] < 0 else full
+    Root cut: the seed orders (roots) are searched one after another.  When
+    a complete relabeling under a root encodes exactly the best, and the
+    best came from an earlier root, mapping that relabeling onto this one
+    is an automorphism (between components, an isomorphism).  It maps the
+    earlier root's subtree onto this root's, so this root holds no
+    encoding the search has not seen, and the rest of it is skipped.  The
+    first root to tie a given bound stands for the earlier root.
+    """
+    if isinstance(graph, TrivalentGraph):
+        involution, vertex_of = graph.involution, graph.vertex_of
+        stars = [graph.star(v) for v in range(graph.n_vertices)]
+        most = max(map(len, stars), default=0)
+        if most > 4:
+            raise ValueError(f"canonical forms need stars of at most 4 darts, got {most}")
+        sizes = {len(star) for star in stars}
+        if len(sizes) == 1:
+            (w,) = sizes
+            blocks = tuple(d // w for d in range(graph.n_darts))
+        else:
+            blocks = None
+        entries = _entry_orders(stars, graph.n_darts)
+    else:
+        involution = graph
+        vertex_of, stars, entries = _matching_layout(len(graph))
+        blocks = vertex_of
+    best = bound
+    n_darts = len(involution)
+    # new_id[d] is dart d's new label, -1 while unlabeled; the last slot,
+    # -2, is read through an unmatched dart's partner -1
+    order, new_id, inv_t = [], [-1] * n_darts + [-2], [0] * n_darts
+    groups = [None] * n_darts
+
+    def star_orders(p):
+        # entries[p] with the dart whose being unlabeled licenses the twin
+        # cut at p's star, or -1.  Built on first use.
+        full, _ = entries[p]
+        twin = -1
+        if len(full) == 2:
+            _, y1, y2 = full[0]
+            z1, z2 = involution[y1], involution[y2]
+            if z1 == y2:
+                twin = y1
+            elif min(z1, z2) >= 0 and vertex_of[z1] == vertex_of[z2] != vertex_of[p]:
+                twin = z1
+        groups[p] = entry = (twin, *entries[p])
+        return entry
 
     def rec(t, tied):
-        nonlocal best
+        nonlocal best, best_root, skip_root
         # Walks steps t, t+1, ... while their partners are labeled, then
         # enters the star of the first unlabeled one.  tied: inv_t[:t]
         # equals the best's prefix.  Returns whether a new best was
@@ -310,6 +334,12 @@ def _least_encoding(graph, seeds, bound=None):
         while t < n:
             x = new_id[involution[order[t]]]
             if x < 0:
+                if x < -1:
+                    # an unmatched partner: undecided while tied
+                    if tied:
+                        return False
+                    best = (tuple(inv_t[:t]), blocks[:t])
+                    return True
                 x = n
             if tied and best is not None:
                 b = best[0][t]
@@ -323,26 +353,43 @@ def _least_encoding(graph, seeds, bound=None):
         else:
             vert_t = blocks[:n] if blocks is not None else _vertex_encoding(graph, order)
             if best is not None and tied and vert_t >= best[1]:
+                if vert_t == best[1]:
+                    if best_root is None:
+                        best_root = root
+                    skip_root = best_root != root
                 return False
             best = (tuple(inv_t[:n]), vert_t)
+            best_root = root
             return True
         found = False
-        for group in entering(involution[order[t]]):
+        p = involution[order[t]]
+        twin, full, first = groups[p] or star_orders(p)
+        for group in first if twin >= 0 and new_id[twin] < 0 else full:
             for i, y in enumerate(group, n):
                 new_id[y] = i
-            order.extend(group)
+            order[n:] = group
             if rec(t + 1, tied):
                 found = tied = True
-            for y in group:
-                new_id[y] = -1
-            del order[n:]
-            if found and bound is not None:
+                if bound is not None:
+                    break
+            elif skip_root:
                 break
+        for y in group:
+            new_id[y] = -1
+        del order[n:]
         return found
 
+    best_root = None
+    root = 0
     for seed in seeds:
         # a dartless vertex has the one empty order
-        for perm in [perm for d0 in stars[seed] for perm in entering(d0)] or [()]:
+        perms = []
+        for d0 in stars[seed]:
+            twin, full, first = groups[d0] or star_orders(d0)
+            perms += first if twin >= 0 else full
+        for perm in perms or [()]:
+            root += 1
+            skip_root = False
             order[:] = perm
             for i, d in enumerate(perm):
                 new_id[d] = i
@@ -351,6 +398,25 @@ def _least_encoding(graph, seeds, bound=None):
             for d in perm:
                 new_id[d] = -1
     return best
+
+
+def _entry_orders(stars, n_darts):
+    # for each dart p, the orders in which its star is labeled when entered
+    # at p: p, then the rest of the star in every order; and the first
+    # order alone, for when the twin cut applies
+    entries = [None] * n_darts
+    for star in stars:
+        for p in star:
+            full = [(p,) + tail for tail in itertools.permutations([y for y in star if y != p])]
+            entries[p] = (full, full[:1])
+    return entries
+
+
+@functools.lru_cache(maxsize=None)
+def _matching_layout(n_darts):
+    # vertex_of, stars and entry orders of three-dart stars in blocks
+    stars = [(d, d + 1, d + 2) for d in range(0, n_darts, 3)]
+    return tuple(d // 3 for d in range(n_darts)), stars, _entry_orders(stars, n_darts)
 
 
 def canonical_form(graph):
@@ -372,9 +438,12 @@ def canonical_form(graph):
     own, is labeled in the order y1, y2 alone.  Swapping y1 with y2 (and
     their partners) is then an automorphism fixing every labeled dart, so
     the skipped branch holds the same encodings, and the least encoding is
-    the one an exhaustive scan finds.  When every star has one size w (any
-    trivalent graph, legs or not), vert_t is t // w for every relabeling
-    and is not computed.  A star of more than 4 darts is a ValueError.
+    the one an exhaustive scan finds.  For the same reason it leaves a seed
+    order as soon as one of its relabelings encodes exactly the best found
+    under an earlier seed order (the root cut).  When every star has one
+    size w (any trivalent graph, legs or not), vert_t is t // w for every
+    relabeling and is not computed.  A star of more than 4 darts is a
+    ValueError.
     """
     out = []
     for comp in _components(graph):
@@ -397,19 +466,41 @@ def enumerate_trivalent(g):
     Exhausts perfect matchings on the 3(2g-2) darts of 2g-2 stars with a
     symmetry cut (untouched stars are interchangeable, as are the unpaired
     darts within a star) and keeps each class's least labeling, sorted by
-    canonical form.  The class list is computed once per genus and cached
-    for the life of the process; each call returns a fresh list of the
-    same (immutable) graphs.
+    canonical form.  A prefix that some BFS relabeling already encodes
+    below the identity labeling is cut, since no least labeling completes
+    it (orderly generation; see _trivalent_classes).  The class list is
+    computed once per genus and cached for the life of the process; each
+    call returns a fresh list of the same (immutable) graphs.
     """
-    if not 2 <= _check_int(g, "genus") <= 5:
-        raise ValueError("supported genus range is 2..5")
+    if not 2 <= _check_int(g, "genus") <= 6:
+        raise ValueError("supported genus range is 2..6")
     return list(_trivalent_classes(g))
 
 
 @functools.lru_cache(maxsize=None)
 def _trivalent_classes(g):
+    """The genus-g classes, by a DFS over matchings in lexicographic order
+    of the involution.
+
+    Each class keeps its least labeling, the one a first-found dedup keeps:
+    the cuts below never drop it.  That least labeling is a BFS one: each
+    newly reached star takes the next free block, entering dart first.  Its
+    vert_t, t // 3, is every BFS relabeling's here, so only inv_t decides.
+
+    Prefix cut (R. C. Read, "Every one a winner", 1978; B. D. McKay,
+    "Isomorph-free exhaustive generation", 1998): after pairing dart d, for
+    d below half the darts, the prefix is dropped when _least_encoding finds
+    a BFS relabeling of the partial matching below the identity at a
+    decided step.  That relabeling is one of every completion too, so no
+    leaf below the prefix is a least labeling.  Deeper prefixes are not
+    tested: at genus 4 and 5, testing down to two thirds of the darts cost
+    more than the leaves it saved.  A leaf is tested for connectivity on
+    the involution list, then for being least, and only a kept leaf becomes
+    a TrivalentGraph.
+    """
     n = 2 * g - 2
     n_darts = 3 * n
+    blocks = _matching_layout(n_darts)[0]
     inv = [-1] * n_darts
     found = {}
 
@@ -417,18 +508,9 @@ def _trivalent_classes(g):
         while d < n_darts and inv[d] != -1:
             d += 1
         if d == n_darts:
-            graph = TrivalentGraph(
-                tuple(inv), tuple(x // 3 for x in range(n_darts))
-            )
-            # Keep a leaf only if no BFS relabeling encodes below it.  The
-            # DFS meets matchings in lexicographic order of inv and its cut
-            # never drops a class's least labeling, so the kept leaf is the
-            # one a first-found dedup would keep.  That least labeling is a
-            # BFS one: each newly reached star takes the next free block,
-            # entering dart first.  Its vert_t, t // 3, is every BFS
-            # relabeling's here, so only inv_t decides.
-            own = (graph.involution, graph.vertex_of)
-            if graph.is_connected() and _least_encoding(graph, range(n), own) == own:
+            own = (tuple(inv), blocks)
+            if _matching_connected(inv) and _least_encoding(inv, range(n), own) is own:
+                graph = TrivalentGraph(*own)
                 key = canonical_form(graph)
                 if key in found:
                     raise RuntimeError(f"class {key} has two least labelings")
@@ -448,11 +530,19 @@ def _trivalent_classes(g):
                 cands.append(un[0])
         for p in cands:
             inv[d], inv[p] = p, d
-            rec(d + 1)
+            bound = (tuple(inv), blocks)
+            if 2 * d >= n_darts or _least_encoding(inv, range(n), bound) is bound:
+                rec(d + 1)
             inv[d] = inv[p] = -1
 
     rec(0)
     return tuple(found[k] for k in sorted(found))
+
+
+def _matching_connected(inv):
+    # a perfect matching on three-dart stars (dart d on star d // 3)
+    stars = range(len(inv) // 3)
+    return len(_walk_components(stars, lambda v: [x // 3 for x in inv[3 * v : 3 * v + 3]])) == 1
 
 
 # -- moves --------------------------------------------------------------------

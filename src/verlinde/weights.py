@@ -12,6 +12,7 @@ even subgraphs, and fits the leading growth of the count in k.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import operator
@@ -191,22 +192,28 @@ def u1_networks(graph, k):
         raise ValueError(
             f"u1 flow families stop at {MAX_U1_FLOWS} flows, got {k}^{len(chords)}"
         )
-    records = spanning_tree(graph)
-    flows = []
-    for combo in itertools.product(range(k), repeat=len(chords)):
-        flow = dict(zip(chords, combo))
-        # solve tree values from the leaves inward
-        for child, parent_v, e in reversed(records):
-            total = 0
-            for d in graph.star(child):
-                ee = graph.edge_of(d)
-                if ee == e:
-                    continue
-                total += flow[ee] if d == ee else -flow[ee]
-            sign = 1 if graph.vertex_of[e] == child else -1
-            flow[e] = (-sign * total) % k
-        flows.append(flow)
-    return U1NetworkFamily(graph, k, tuple(flows), chords)
+    # each tree edge's value as signed chord coefficients, solved from the
+    # leaves inward; a loop's two darts cancel
+    coeffs = {c: [int(c == cc) for cc in chords] for c in chords}
+    tree = []
+    for child, _, e in reversed(spanning_tree(graph)):
+        row = [0] * len(chords)
+        for d in graph.star(child):
+            ee = graph.edge_of(d)
+            if ee != e:
+                sign = 1 if d == ee else -1
+                row = [r + sign * c for r, c in zip(row, coeffs[ee])]
+        if graph.vertex_of[e] == child:
+            row = [-r for r in row]
+        coeffs[e] = row
+        tree.append(e)
+    keys = chords + tuple(tree)
+    rows = [coeffs[e] for e in tree]
+    flows = tuple(
+        dict(zip(keys, combo + tuple([sum(map(operator.mul, row, combo)) % k for row in rows])))
+        for combo in itertools.product(range(k), repeat=len(chords))
+    )
+    return U1NetworkFamily(graph, k, flows, chords)
 
 
 def level1_networks(graph):
@@ -236,6 +243,7 @@ def _elimination_order(graph):
     return order
 
 
+@functools.lru_cache(maxsize=8)
 def _vertex_table(k, parity, pattern, n_known, keep):
     """Admissible values at one vertex, grouped by the known flag values.
 
@@ -245,7 +253,8 @@ def _vertex_table(k, parity, pattern, n_known, keep):
     with |a - b| <= c <= min(a + b, 2k - a - b), and with even sums under
     `parity`, are generated.  Returns {known values: [the kept fresh values
     (slots n_known + j for j in keep)]}, each list in itertools.product
-    order over the slots.
+    order over the slots.  Tables are cached and shared, so callers only
+    read them.
     """
     n_slots = max(pattern) + 1
     first = operator.itemgetter(*(pattern.index(s) for s in range(n_slots)))
@@ -286,9 +295,10 @@ def count_weights(graph, k, parity=True):
 
     A vertex's allowed values depend only on its pattern: which flags
     share an edge, how many of its edges are already open and which fresh
-    ones stay open.  Each pattern's table is built once per call by
-    _vertex_table, from the triangle bounds rather than by filtering all
-    (k+1)^3 value tuples.
+    ones stay open.  _vertex_table builds each pattern's table from the
+    triangle bounds rather than by filtering all (k+1)^3 value tuples, and
+    keeps the last 8 for the process: the graphs of one genus at one level
+    share their patterns, six of them at each genus from 3 to 5.
     """
     _check_int(k, "level" if parity else "dilation", 1 if parity else 0)
     if not graph.is_trivalent():
@@ -296,7 +306,6 @@ def count_weights(graph, k, parity=True):
     processed = set()
     open_edges = []
     states = {(): 1}
-    tables = {}
     for v in _elimination_order(graph):
         flags = _vertex_flag_edges(graph, v)
         fresh = sorted({e for e in flags if e not in open_edges})
@@ -310,10 +319,9 @@ def count_weights(graph, k, parity=True):
 
         keep = [i for i, e in enumerate(open_edges) if still_open(e)]
         fresh_keep = tuple(j for j, e in enumerate(fresh) if still_open(e))
-        key = (tuple(slots.index(e) for e in flags), len(known), fresh_keep)
-        if key not in tables:
-            tables[key] = _vertex_table(k, parity, *key)
-        valid = tables[key]
+        valid = _vertex_table(
+            k, parity, tuple(slots.index(e) for e in flags), len(known), fresh_keep
+        )
         head_of = _picker(keep)
         known_of = _picker([open_edges.index(e) for e in known])
         new_states = {}

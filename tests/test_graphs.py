@@ -20,6 +20,7 @@ from verlinde.graphs import (
     TrivalentGraph,
     _components,
     _least_encoding,
+    _matching_connected,
     _trivalent_classes,
     _vertex_encoding,
     _vertex_profile,
@@ -358,6 +359,80 @@ def test_enumeration_g5_count():
     assert hashlib.sha256(blob).hexdigest() == G5_DIGEST
 
 
+# The same for the genus-6 classes.  Their count, 388, is OEIS A005967;
+# networkx matched each of them to exactly one class of the closure of
+# multi_theta(6) under elementary moves, deduplicated by nx.is_isomorphic,
+# which has 388 classes too.
+G6_DIGEST = "c8cf8f2ac7b0ff3b7617a80a4e8c2f110ba94ed6b27f7c1f1bfe9daa9d29fbed"
+
+
+def test_enumeration_g6_count():
+    reps = enumerate_trivalent(6)
+    assert len(reps) == 388
+    blob = repr([(r.involution, r.vertex_of) for r in reps]).encode()
+    assert hashlib.sha256(blob).hexdigest() == G6_DIGEST
+
+
+def _tested_prefixes(g):
+    """Every matching prefix at which the enumeration's prefix cut may run,
+    walked by the unpruned search of first_found_enumerate: the involution
+    (-1 for unmatched) after pairing dart d, for each d below half the
+    darts, below cut prefixes too."""
+    n_darts = 3 * (2 * g - 2)
+    inv = [-1] * n_darts
+
+    def rec(d):
+        while d < n_darts and inv[d] != -1:
+            d += 1
+        if 2 * d >= n_darts:
+            return
+        cands = []
+        untouched_taken = False
+        for w in range(n_darts // 3):
+            un = [x for x in (3 * w, 3 * w + 1, 3 * w + 2) if inv[x] == -1 and x != d]
+            if len(un) == 3:
+                if not untouched_taken:
+                    cands.append(un[0])
+                    untouched_taken = True
+            elif un:
+                cands.append(un[0])
+        for p in cands:
+            inv[d], inv[p] = p, d
+            yield list(inv)
+            yield from rec(d + 1)
+            inv[d] = inv[p] = -1
+
+    return rec(0)
+
+
+@pytest.mark.parametrize("gg", [3, 4])
+def test_prefix_cut_drops_no_kept_completion(gg):
+    kept = [r.involution for r in first_found_enumerate(gg)]
+    blocks = tuple(d // 3 for d in range(3 * (2 * gg - 2)))
+    n_cut = 0
+    for inv in _tested_prefixes(gg):
+        bound = (tuple(inv), blocks)
+        if _least_encoding(inv, range(2 * gg - 2), bound) is bound:
+            continue
+        n_cut += 1
+        matched = [d for d, p in enumerate(inv) if p >= 0]
+        assert not any(all(r[d] == inv[d] for d in matched) for r in kept)
+    assert n_cut > 0
+
+
+def test_enumeration_genus_5_reaches_few_leaves(monkeypatch):
+    # the exhaustive search reached 6,264 leaves, the prefix cut 390
+    leaves = []
+
+    def counted(inv):
+        leaves.append(1)
+        return _matching_connected(inv)
+
+    monkeypatch.setattr(graphs_module, "_matching_connected", counted)
+    assert len(_trivalent_classes.__wrapped__(5)) == EXPECTED_CLASS_COUNTS[5]
+    assert len(leaves) <= 1500
+
+
 @pytest.mark.parametrize("gg", [2, 3, 4])
 def test_enumeration_canonicalizes_each_class_once(monkeypatch, gg):
     calls = []
@@ -578,7 +653,7 @@ def test_enumeration_bad_genus():
     with pytest.raises(ValueError):
         enumerate_trivalent(1)
     with pytest.raises(ValueError):
-        enumerate_trivalent(6)
+        enumerate_trivalent(7)
 
 
 def test_enumeration_returns_fresh_lists():

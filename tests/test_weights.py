@@ -17,10 +17,13 @@ from hypothesis import strategies as st
 from verlinde import newstead
 from verlinde.graphs import (
     TrivalentGraph,
+    chain_graph,
+    chord_edges,
     contract_edge,
     dumbbell_graph,
     enumerate_trivalent,
     multi_theta,
+    spanning_tree,
     theta_graph,
 )
 from verlinde.weights import (
@@ -369,6 +372,36 @@ def test_u1_counts_are_k_pow_g(gg, k):
         fam = u1_networks(graph, k)
         assert fam.count == k**gg
         assert len(fam.flows) == k**gg
+
+
+def _u1_flows_by_tree_solve(graph, k):
+    # reference: each flow's tree values solved from the leaves inward, as
+    # u1_networks did before it solved each tree edge once per family
+    chords = chord_edges(graph)
+    flows = []
+    for combo in itertools.product(range(k), repeat=len(chords)):
+        flow = dict(zip(chords, combo))
+        for child, _, e in reversed(spanning_tree(graph)):
+            total = 0
+            for d in graph.star(child):
+                ee = graph.edge_of(d)
+                if ee != e:
+                    total += flow[ee] if d == ee else -flow[ee]
+            sign = 1 if graph.vertex_of[e] == child else -1
+            flow[e] = (-sign * total) % k
+        flows.append(flow)
+    return flows
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_u1_flows_match_per_flow_tree_solve(k):
+    graphs = [*enumerate_trivalent(2), *enumerate_trivalent(3), chain_graph(4), multi_theta(4)]
+    for graph in graphs:
+        ref = _u1_flows_by_tree_solve(graph, k)
+        # the same values under the same keys, in the same order
+        assert [list(f.items()) for f in u1_networks(graph, k).flows] == [
+            list(f.items()) for f in ref
+        ]
 
 
 def test_u1_kirchhoff():
