@@ -157,10 +157,10 @@ def _cmd_graph_info(args):
 
 
 def _cmd_graph_enumerate(args):
-    reps = graphs.enumerate_trivalent(args.genus)
-    for rep in reps:
-        print(graphs.graph_to_json(rep, canonical=True))
-    _jprint({"count": len(reps)})
+    forms = graphs.enumerate_forms(args.genus)
+    for form in forms:
+        print(graphs.graph_to_json(graphs.graph_from_form(form)))
+    _jprint({"count": len(forms)})
     return 0
 
 

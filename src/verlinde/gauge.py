@@ -6,13 +6,14 @@ adjugate inverse.  Dart d is read as the oriented edge leaving
 vertex_of[d].  Spin networks contract one invariant tensor per vertex
 against a kernel omega . rho(a) per edge; the pairing makes gauge
 invariance an identity, not a tolerance.  Since omega is antidiagonal,
-the kernel is rho with its rows reversed and signed.  Each network is
-contracted along numpy's greedy einsum path, compiled once per operand
-shapes into the steps np.einsum takes on it: single-operand einsums,
-reshapes and matmuls.  A network runs its vertex-only steps once, on first
-use.  A batch of connections then goes through in row blocks, each block
-one array pass for all edge kernels and a replay of the remaining steps,
-with np.einsum's bits and none of its per-call parsing.
+the kernel is rho with its rows reversed and signed.  Each graph gets one
+greedy pairwise contraction order, searched once whatever its labels.  A
+network compiles that order into its program on first use: every step
+lays its pair out as matrices and calls np.matmul, and the steps on
+vertex tensors alone run then, once.  A batch of connections goes through
+in row blocks, each block one array pass for all edge kernels and a run of
+the remaining steps.  The result differs from np.einsum's by rounding
+alone, within 2 gamma_n times the network on absolute values.
 
 Monte Carlo probes draw Haar samples from seeded per-chunk streams and
 reduce in chunk order.
@@ -21,7 +22,7 @@ reduce in chunk order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 
 import numpy as np
@@ -31,14 +32,11 @@ from .su2reps import AdmissibilityError, _check_int, _rep_batch, admissible_trip
 _CHUNK = 16384
 _BLOCK = 2048
 MAX_GAUGE_COLORINGS = 2000
-# the letter that numpy's einsum gives sublist index i, so a subscript string
-# sums as the interleaved form did (string.ascii_letters orders them otherwise
-# from index 26 on)
-_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+_EINSUM_INDICES = 52  # numpy's einsum takes sublist indices 0..51
 
 
 def _as_matrix(m, what):
-    arr = np.asarray(m, dtype=complex)
+    arr = np.array(m, dtype=complex)  # a copy: the caller's array stays writable
     if arr.shape != (2, 2):
         raise ValueError(f"{what} must be a 2x2 matrix")
     det = arr[0, 0] * arr[1, 1] - arr[0, 1] * arr[1, 0]
@@ -70,17 +68,21 @@ def _haar_batch(rng, m):
 
 @dataclass(frozen=True, eq=False)
 class Connection:
-    """Unimodular matrix per unoriented edge; orientation via `matrix`."""
+    """Unimodular matrix per unoriented edge, as one read-only (E, 2, 2)
+    array in edge-id order; matrices holds its views, `matrix` orients them."""
 
     graph: object
     matrices: dict
+    array: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         eids = self.graph.edge_ids()
         if sorted(self.matrices) != eids:
             raise ValueError("connection must assign exactly the edge ids")
-        mats = {e: _as_matrix(self.matrices[e], f"edge {e} matrix") for e in eids}
-        object.__setattr__(self, "matrices", mats)
+        array = np.stack([_as_matrix(self.matrices[e], f"edge {e} matrix") for e in eids])
+        array.setflags(write=False)
+        object.__setattr__(self, "array", array)
+        object.__setattr__(self, "matrices", dict(zip(eids, array)))
 
     def matrix(self, dart):
         """Holonomy of the oriented edge leaving vertex_of[dart]."""
@@ -153,41 +155,19 @@ class SpinNetworkFunction:
     vertex_tensors: tuple
 
     @cached_property
-    def _plan(self):
-        """(edge labels, index lists, operand shapes at one row, programs).
-
-        programs maps a row class to the network's program, built on first
-        use by `_program`.
-        """
+    def _program(self):
+        """(edge labels, steps) of the network; see _compile."""
         graph = self.graph
-        bax = graph.n_darts  # einsum index of the batch axis
-        if bax >= len(_LETTERS):
-            raise ValueError(f"spin networks stop at {len(_LETTERS) - 1} darts, got {bax}")
-        edges = graph.edges()
-        labels = tuple(self.coloring[d] for d, _ in edges)
-        subscripts = tuple(tuple(graph.star(v)) for v in range(graph.n_vertices))
-        subscripts += tuple((bax, d, p) for d, p in edges) + ((bax,),)
-        shapes = tuple(t.shape for t in self.vertex_tensors) + tuple((1, n + 1, n + 1) for n in labels)
-        return labels, subscripts, shapes, {}
+        if graph.n_darts >= _EINSUM_INDICES:
+            raise ValueError(f"spin networks stop at {_EINSUM_INDICES - 1} darts, got {graph.n_darts}")
+        steps, _ = _compile(_subscripts(graph), self.vertex_tensors, graph.n_darts)
+        return tuple(self.coloring[d] for d, _ in graph.edges()), steps
 
-    def _program(self, rows):
-        """(constants, steps) for a block of rows; see _contraction_steps.
 
-        One-row blocks have their own, as einsum drops a batch axis of size
-        1.  Wider blocks share one from the largest index size up, where the
-        batch axis, which has the last letter, sorts last; below it, einsum
-        sorts the batch axis among the others, so each row count has its
-        own.  The vertex-only steps run here, once per program.
-        """
-        labels, subscripts, shapes, programs = self._plan
-        rows = min(rows, max(2, max(labels) + 1))
-        if rows not in programs:
-            fold, steps = _contraction_steps(subscripts, shapes, rows)
-            consts = list(self.vertex_tensors)
-            for ids, step in fold:
-                consts.append(step(*[consts[i] for i in ids]))
-            programs[rows] = consts, steps
-        return programs[rows]
+def _subscripts(graph):
+    # one index per dart; the edge kernels and the output add the batch axis
+    stars = tuple(tuple(graph.star(v)) for v in range(graph.n_vertices))
+    return stars + tuple((graph.n_darts, d, p) for d, p in graph.edges()) + ((graph.n_darts,),)
 
 
 def spin_network(graph, coloring):
@@ -250,194 +230,112 @@ def _values_batch(snf, batch):
     """Evaluate the network on a (N, E, 2, 2) batch of connections.
 
     Rows go through in near-equal blocks of at most _BLOCK // E, so only
-    one block's kernels and intermediates are live; a wide batch never
-    leaves a one-row block, which numpy would sum in another order.  Each
-    block makes one array pass for every edge's kernel omega . rho, then
-    replays the network's program: the matmul steps that np.einsum takes
-    on the cached path, with the same bits and without its per-call
-    parsing.  Kernels are C-contiguous, because those steps sum in the
-    order of their operands' strides.
+    one block's kernels and intermediates are live.  Each block makes one
+    array pass for every edge's kernel omega . rho, then runs the network's
+    steps.
     """
-    labels = snf._plan[0]
+    labels, steps = snf._program
     n_blocks = -(-len(batch) // max(1, _BLOCK // len(labels)))
     values = []
     for block in np.array_split(batch, n_blocks) if n_blocks > 1 else [batch]:
-        consts, steps = snf._program(len(block))
-        ops = [*consts, *_rep_batch(labels, block, paired=True)]
+        ops = _rep_batch(labels, block, paired=True)
         for ids, step in steps:
             args = [ops[i] for i in ids]
-            for i in ids:  # each operand is read once; free it as einsum does
+            for i in ids:  # each operand is read once; free it
                 ops[i] = None
             ops.append(step(*args))
         values.append(ops[-1])
     return np.concatenate(values) if len(values) > 1 else values[0]
 
 
-@lru_cache(maxsize=MAX_GAUGE_COLORINGS)
-def _contraction_path(subscripts, shapes):
-    """Greedy einsum path, the one optimize=True finds, for interleaved operands.
+@lru_cache(maxsize=512)
+def _contraction_path(subscripts, bax=None):
+    """Greedy pairwise contraction order for interleaved einsum operands.
 
-    subscripts holds each operand's index list and, last, the output's.  The
-    search reads only the shapes, so uninitialised stand-in operands do.  The
-    cache is bounded, but holds a path for every coloring that one call of
-    admissible_colorings can return.
+    subscripts holds each operand's index tuple and, last, the output's.
+    The search sees every index at size 3 and the batch axis bax at size 1,
+    so one search serves every coloring of a graph.  Intermediates are not
+    capped in size, as numpy's default caps would end some paths in one
+    step over many operands; so every step is a pair.
     """
     args = []
-    for sub, shape in zip(subscripts, shapes):
-        args += [np.empty(shape), list(sub)]
-    return np.einsum_path(*args, list(subscripts[-1]), optimize="greedy")[0]
+    for sub in subscripts[:-1]:
+        args += [np.empty(tuple(1 if ix == bax else 3 for ix in sub)), list(sub)]
+    return np.einsum_path(*args, list(subscripts[-1]), optimize=("greedy", 2**62))[0][1:]
 
 
-@lru_cache(maxsize=2 * MAX_GAUGE_COLORINGS)
-def _contraction_steps(subscripts, shapes, rows):
-    """The steps np.einsum takes on the cached greedy path, as (fold, steps).
+def _compile(subscripts, consts, bax=None):
+    """(steps, (term, result)): a network's program on its path.
 
-    subscripts and shapes are as for _contraction_path; the output is one
-    batch axis, of size 1 in shapes, and rows is the block's row count.
-    Operands without the batch axis are constants.  Each list holds
-    (operand ids, callable) pairs, and each callable returns a new operand.
-    fold runs on the constants alone and appends to them: every step, or
-    operand preparation, that reads only constants.  steps runs per block
-    on the constants followed by the batch operands, appending, and its
-    last result is the output.
-
-    np.einsum orders an intermediate's indices by size, then letter, and
-    so does this replay, the batch axis at size rows.  Past one row, the
-    batch axis reshapes as -1, so the list serves any block whose axes sort
-    alike.
+    subscripts holds each operand's index tuple and, last, the output's;
+    every other index lies on exactly two operands.  The first len(consts)
+    operands are the arrays consts; the rest vary per call and carry the
+    batch axis bax.  Each step transposes a pair to (batch, kept, summed)
+    and (batch, summed, kept), reshapes them and calls np.matmul, the
+    varying side on the left.  Steps on constants alone run here, as does
+    the layout of a constant side.  steps holds (operand ids, callable)
+    pairs, ids counting the varying operands, then each step's result.
+    The last result, an id or an array if nothing varies, comes back with
+    its index order term.
     """
-    # search as for a batch of one: greedy caps intermediates at the largest
-    # operand, so a wide batch would force a one-shot contraction
-    path = _contraction_path(subscripts, shapes)
-    *terms, batch = ["".join(_LETTERS[i] for i in sub) for sub in subscripts]
-    size = {ix: n for term, shape in zip(terms, shapes) for ix, n in zip(term, shape)}
-    size[batch] = 1 if rows == 1 else -1  # as reshapes take it
-    order = {ix: (n, ix) for ix, n in size.items()}
-    order[batch] = (rows, batch)
-    # einsum's operand list, as (term, id): constants count up from 0 and
-    # batch operands down from -1
-    slots, n_const, n_var = [], 0, 0
-    for term in terms:
-        if batch in term:
-            n_var -= 1
-            slots.append((term, n_var))
+    *terms, out = subscripts
+    size = {ix: n for term, x in zip(terms, consts) for ix, n in zip(term, x.shape)}
+    size[bax] = -1  # as reshapes take it
+    slots = list(zip(terms, consts)) + [(term, i) for i, term in enumerate(terms[len(consts) :])]
+    n_ops = len(terms) - len(consts)
+    steps = []
+    for pair in _contraction_path(subscripts, bax):
+        picked = [slots.pop(p) for p in sorted(pair, reverse=True)]
+        (ta, a), (tb, b) = sorted(picked, key=lambda slot: isinstance(slot[1], np.ndarray))
+        keep = set(out).union(*(term for term, _ in slots))
+        batch = [ix for ix in ta if ix in tb and ix in keep]
+        summed = [ix for ix in ta if ix in tb and ix not in keep]
+        kept_a = [ix for ix in ta if ix not in tb]
+        kept_b = [ix for ix in tb if ix not in ta]
+        head = [batch] if batch else []
+        form_a = _matrix_form(ta, head + [kept_a, summed], size)
+        form_b = _matrix_form(tb, head + [summed, kept_b], size)
+        result = tuple(batch + kept_a + kept_b)
+        shape = tuple(size[ix] for ix in result)
+        if isinstance(a, np.ndarray):  # two constants
+            slots.append((result, _pair(form_a, form_b, shape, a, b)))
+            continue
+        if isinstance(b, np.ndarray):
+            b = np.asarray(_matrix(b, *form_b), dtype=complex)
+            steps.append(((a,), partial(_pair, form_a, (None, b.shape), shape, b=b)))
         else:
-            slots.append((term, n_const))
-            n_const += 1
-    fold, steps = [], []
-    for positions in path[1:]:
-        picked = [slots.pop(p) for p in sorted(positions, reverse=True)]
-        inputs = [term for term, _ in picked]
-        refs = [i for _, i in picked]
-        keep = set(batch).union(*(term for term, _ in slots))
-        result = "".join(sorted(set("".join(inputs)) & keep, key=order.__getitem__))
-        eq = ",".join(inputs) + "->" + result
-        const = min(refs) >= 0
-        if len(picked) != 2:
-            step = partial(np.einsum, eq)
-        else:
-            preps, core = _pair_rule(eq, *(tuple(map(size.__getitem__, term)) for term in inputs))
-            preps = list(preps)
-            k = refs.index(max(refs))  # the constant side, if one
-            if not const and refs[k] >= 0 and preps[k] != (None, None):
-                fold.append(((refs[k],), partial(_prep, *preps[k])))
-                refs[k], preps[k] = n_const, (None, None)
-                n_const += 1
-            step = partial(_pair, *preps, *core)
-        if const:
-            fold.append((tuple(refs), step))
-            slots.append((result, n_const))
-            n_const += 1
-        else:
-            steps.append((refs, step))
-            n_var -= 1
-            slots.append((result, n_var))
-    steps = [(tuple(i if i >= 0 else n_const + ~i for i in refs), step) for refs, step in steps]
-    return fold, steps
+            steps.append(((a, b), partial(_pair, form_a, form_b, shape)))
+        slots.append((result, n_ops))
+        n_ops += 1
+    return steps, slots[0]
 
 
-@lru_cache(maxsize=2**12)
-def _pair_rule(eq, shape_a, shape_b):
-    """numpy 2.4's split of the two-operand einsum eq into matmul steps.
-
-    A size of -1 stands for a batch axis of several rows; an index has one
-    size in both operands, so nothing broadcasts.  Returns ((prep a,
-    prep b), core) for _pair, a prep being (single-operand subscripts or
-    None, shape or None).  Indices of size 1 drop out of the matmul and
-    come back in its reshape.
-    """
-    inputs, out = eq.split("->")
-    a_term, b_term = inputs.split(",")
-    size = dict(zip(a_term, shape_a))
-    size.update(zip(b_term, shape_b))
-    left = "".join([ix for ix in a_term if size[ix] != 1])
-    right = "".join([ix for ix in b_term if size[ix] != 1])
-    bat = "".join([ix for ix in left if ix in right and ix in out])
-    con = "".join([ix for ix in left if ix in right and ix not in out])
-    a_keep = "".join([ix for ix in left if ix not in right and ix in out])
-    b_keep = "".join([ix for ix in right if ix not in left and ix in out])
-    if not con:
-        # nothing summed: transpose both to out's order and multiply
-        preps = []
-        for term in (a_term, b_term):
-            want = "".join([ix for ix in out if ix in term])
-            shape = tuple([size[ix] if ix in term else 1 for ix in out])
-            preps.append((f"{term}->{want}" if want != term else None, shape))
-        return tuple(preps), (True, None, None)
-    groups = [(a_keep, con), (con, b_keep), (a_keep, b_keep)]
-    if bat:
-        groups = [(bat, *g) for g in groups]
-    preps = []
-    for term, parts in zip((a_term, b_term), groups):
-        want = "".join(parts)
-        shape = None
-        if any(len(g) != 1 for g in parts):
-            shape = tuple([_fused([size[ix] for ix in g]) for g in parts])
-        preps.append((f"{term}->{want}" if want != term else None, shape))
-    singles = "".join([ix for ix in out if size[ix] == 1])
-    shape_ab = None
-    if any(len(g) != 1 for g in groups[2]) or singles:
-        shape_ab = (1,) * len(singles) + tuple([size[ix] for ix in "".join(groups[2])])
-    made = singles + bat + a_keep + b_keep
-    perm = tuple([made.index(ix) for ix in out]) if made != out else None
-    return tuple(preps), (False, shape_ab, perm)
+def _matrix_form(term, groups, size):
+    # (axis order or None, shape): term as groups fused to one axis each
+    order = [ix for group in groups for ix in group]
+    perm = tuple(map(term.index, order)) if order != list(term) else None
+    sizes = [[size[ix] for ix in group] for group in groups]
+    return perm, tuple(-1 if -1 in s else math.prod(s) for s in sizes)
 
 
-def _fused(sizes):
-    # the size of axes reshaped into one; a batch axis of several rows is -1
-    return -1 if -1 in sizes else math.prod(sizes)
+def _matrix(x, perm, shape):
+    return (x if perm is None else x.transpose(perm)).reshape(shape)
 
 
-def _prep(eq, shape, x):
-    if eq is not None:
-        x = np.einsum(eq, x)
-    return x if shape is None else x.reshape(shape)
-
-
-def _pair(prep_a, prep_b, multiply, shape_ab, perm, a, b):
-    """One two-operand step: prepare each side, then matmul or multiply."""
-    a, b = _prep(*prep_a, a), _prep(*prep_b, b)
-    if multiply:
-        return np.multiply(a, b)
-    ab = np.matmul(a, b)
-    if shape_ab is not None:
-        ab = ab.reshape(shape_ab)
-    return ab if perm is None else ab.transpose(perm)
+def _pair(form_a, form_b, shape, a, b):
+    return np.matmul(_matrix(a, *form_a), _matrix(b, *form_b)).reshape(shape)
 
 
 def spin_network_value(snf, conn):
     """Contract the network tensors against the connection; gauge invariant."""
     if snf.graph != conn.graph:
         raise ValueError("network and connection live on different graphs")
-    batch = np.stack([conn.matrices[e] for e in snf.graph.edge_ids()])[None]
-    return complex(_values_batch(snf, batch)[0])
+    return complex(_values_batch(snf, conn.array[None])[0])
 
 
 def _orbit_batch(conn, transforms):
     """(1 + N, E, 2, 2) stack: the connection, then its move by each transform."""
-    eids = conn.graph.edge_ids()
-    moved = [conn] + [gauge_act(conn, gt) for gt in transforms]
-    return np.stack([[c.matrices[e] for e in eids] for c in moved])
+    return np.stack([conn.array] + [gauge_act(conn, gt).array for gt in transforms])
 
 
 def orbit_spread(conn, colorings, transforms):

@@ -472,15 +472,25 @@ def enumerate_trivalent(g):
     computed once per genus and cached for the life of the process; each
     call returns a fresh list of the same (immutable) graphs.
     """
+    return [graph for _, graph in _checked_classes(g)]
+
+
+def enumerate_forms(g):
+    """The canonical forms of the genus-g classes, in enumerate_trivalent's
+    order; the enumeration has computed them already."""
+    return [form for form, _ in _checked_classes(g)]
+
+
+def _checked_classes(g):
     if not 2 <= _check_int(g, "genus") <= 6:
         raise ValueError("supported genus range is 2..6")
-    return list(_trivalent_classes(g))
+    return _trivalent_classes(g)
 
 
 @functools.lru_cache(maxsize=None)
 def _trivalent_classes(g):
-    """The genus-g classes, by a DFS over matchings in lexicographic order
-    of the involution.
+    """The genus-g classes as (canonical form, least labeling) pairs, sorted,
+    by a DFS over matchings in lexicographic order of the involution.
 
     Each class keeps its least labeling, the one a first-found dedup keeps:
     the cuts below never drop it.  That least labeling is a BFS one: each
@@ -536,7 +546,7 @@ def _trivalent_classes(g):
             inv[d] = inv[p] = -1
 
     rec(0)
-    return tuple(found[k] for k in sorted(found))
+    return tuple(sorted(found.items()))
 
 
 def _matching_connected(inv):
@@ -743,19 +753,24 @@ def graph_to_json(graph, canonical=False):
     so equal outputs mean isomorphic graphs.
     """
     if canonical:
-        invs, verts = [], []
-        for inv_t, vert_t in canonical_form(graph):
-            doff = len(invs)
-            voff = max(verts) + 1 if verts else 0
-            invs += [d + doff for d in inv_t]
-            verts += [v + voff for v in vert_t]
-        graph = TrivalentGraph(tuple(invs), tuple(verts))
+        graph = graph_from_form(canonical_form(graph))
     data = {
         "vertices": graph.n_vertices,
         "edges": [[graph.vertex_of[d0], graph.vertex_of[d1]] for d0, d1 in graph.edges()],
         "parabolic": [graph.vertex_of[d] for d in graph.parabolic_darts()],
     }
     return json.dumps(data, sort_keys=True)
+
+
+def graph_from_form(form):
+    """The graph that a canonical form encodes, its components in order."""
+    invs, verts = [], []
+    for inv_t, vert_t in form:
+        doff = len(invs)
+        voff = max(verts) + 1 if verts else 0
+        invs += [d + doff for d in inv_t]
+        verts += [v + voff for v in vert_t]
+    return TrivalentGraph(tuple(invs), tuple(verts))
 
 
 def graph_from_json(blob, with_ribbon=False):

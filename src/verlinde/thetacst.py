@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import _LETTERS, _contraction_path, spin_network
+from .gauge import _EINSUM_INDICES, _compile, spin_network
 from .graphs import chord_edges, genus
 from .su2reps import AdmissibilityError, _check_label, casimir, check_level, omega, rep_matrix
 
@@ -412,23 +412,21 @@ def spin_network_blocks(graph, coloring):
     chords = chord_edges(graph)
     labels = tuple(int(coloring[e]) for e in chords)
     aux = {e: graph.n_darts + i for i, e in enumerate(chords)}
-    if graph.n_darts + len(chords) > len(_LETTERS):
+    if graph.n_darts + len(chords) > _EINSUM_INDICES:
         raise ValueError(
-            f"spin network blocks stop at {len(_LETTERS)} einsum indices, "
+            f"spin network blocks stop at {_EINSUM_INDICES} einsum indices, "
             f"got {graph.n_darts} darts and {len(chords)} chords"
         )
-    operands = []
-    for v in range(graph.n_vertices):
-        operands += [snf.vertex_tensors[v], list(graph.star(v))]
-    for d, p in graph.edges():
-        kernel = omega(coloring[d]).astype(complex)
-        # tree edges carry the identity holonomy; on a chord the irrep of the
-        # free variable is peeled off, leaving its row index open
-        operands += [kernel, [d, aux[d]] if d in aux else [d, p]]
-    out = [graph.involution[e] for e in chords] + [aux[e] for e in chords]
-    subscripts = tuple(map(tuple, operands[1::2])) + (tuple(out),)
-    path = _contraction_path(subscripts, tuple(t.shape for t in operands[::2]))
-    tensor = np.einsum(*operands, out, optimize=path)
+    # tree edges carry the identity holonomy; on a chord the irrep of the
+    # free variable is peeled off, leaving its row index open
+    edges = graph.edges()
+    subscripts = tuple(tuple(graph.star(v)) for v in range(graph.n_vertices))
+    subscripts += tuple((d, aux[d]) if d in aux else (d, p) for d, p in edges)
+    out = tuple(graph.involution[e] for e in chords) + tuple(aux[e] for e in chords)
+    kernels = [omega(coloring[d]).astype(complex) for d, _ in edges]
+    # every operand is a constant, so the whole program runs at compile time
+    _, (term, tensor) = _compile(subscripts + (out,), [*snf.vertex_tensors, *kernels])
+    tensor = tensor.transpose([term.index(ix) for ix in out])
     dim = int(np.prod([n + 1 for n in labels]))
     return labels, tensor.reshape(dim, dim)
 

@@ -450,6 +450,23 @@ def test_enumeration_stdout_bytes_are_pinned(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATION_STDOUT_SHA256[command]
 
 
+def test_graph_enumerate_canonicalizes_each_class_once(capsys, monkeypatch):
+    # the printed canonical forms are the keys the enumeration sorted by
+    calls = []
+    canonical_form = graphs.canonical_form
+
+    def counted(graph):
+        calls.append(graph)
+        return canonical_form(graph)
+
+    monkeypatch.setattr(graphs, "canonical_form", counted)
+    graphs._trivalent_classes.cache_clear()
+    code, out, _ = capture(capsys, ["graph", "enumerate", "--genus", "4"])
+    assert code == 0
+    assert json.loads(out.splitlines()[-1]) == {"count": 17}
+    assert len(calls) == 17
+
+
 def test_graph_faces_planar_theta(capsys):
     code, out, _ = capture(capsys, ["graph", "faces", "--graph", "theta"])
     assert code == 0

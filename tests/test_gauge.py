@@ -22,8 +22,9 @@ from verlinde.gauge import (
     spin_network,
     spin_network_value,
 )
-from verlinde.graphs import TrivalentGraph, chain_graph, dumbbell_graph, multi_theta, theta_graph
+from verlinde.graphs import TrivalentGraph, chain_graph, chord_edges, dumbbell_graph, multi_theta, theta_graph
 from verlinde.su2reps import AdmissibilityError, _rep_batch, admissible_triple, omega, rep_matrix
+from verlinde.thetacst import spin_network_blocks
 
 I2 = np.eye(2)
 
@@ -70,6 +71,17 @@ def test_nan_matrices_are_rejected():
         Connection(graph, {0: nan, 2: I2, 4: I2})
     with pytest.raises(ValueError):
         GaugeTransform(graph, {v: np.full((2, 2), math.nan) for v in range(graph.n_vertices)})
+
+
+def test_connection_stores_one_read_only_array_and_leaves_input_writable():
+    graph = theta_graph()
+    mats = {e: haar_su2(np.random.default_rng(e)) for e in graph.edge_ids()}
+    conn = Connection(graph, mats)
+    assert conn.array.shape == (3, 2, 2) and not conn.array.flags.writeable
+    for k, e in enumerate(graph.edge_ids()):
+        assert np.shares_memory(conn.matrices[e], conn.array)
+        assert conn.matrices[e].tobytes() == mats[e].tobytes() == conn.array[k].tobytes()
+        assert mats[e].flags.writeable
 
 
 def test_connection_requires_exact_edge_set():
@@ -272,115 +284,192 @@ GAUGE_CASES = [
 ]
 
 
-def _einsum_values(snf, batch, optimize):
-    # the network as one np.einsum call on the kernels the package builds;
-    # optimize=True searches the path itself
-    labels, subscripts, _, _ = snf._plan
-    operands = []
-    for tensor, sub in zip([*snf.vertex_tensors, *_rep_batch(labels, batch, paired=True)], subscripts):
-        operands += [tensor, list(sub)]
-    return np.einsum(*operands, list(subscripts[-1]), optimize=optimize)
+def _rounding_count(subscripts, path, size):
+    """n of the bound below, for an einsum contraction along path.
+
+    Each entry of a network is a sum of terms, each a product of one entry
+    per operand.  Along any path, a term meets N - 1 multiplications, N the
+    number of operands, and at a step that sums indices of total size S it
+    meets at most S - 1 additions, in whatever order the step adds.  In
+    complex arithmetic fl(x + y) = (x + y)(1 + d) with |d| <= u, and
+    fl(xy) = xy(1 + d) with |d| <= sqrt(2) gamma_2 <= gamma_3 (Higham,
+    Accuracy and Stability, lemma 3.5).  By lemma 3.3 each term reaches the
+    result times 1 + t with |t| <= gamma_n, n = 3 (N - 1) + sum (S - 1)
+    over the steps, so the rounding error is at most gamma_n times the sum
+    of the terms' absolute values: the network on entrywise absolute values.
+    """
+    *terms, out = [set(t) for t in subscripts]
+    n = 3 * (len(terms) - 1)
+    for step in path:
+        picked = set().union(*[terms.pop(p) for p in sorted(step, reverse=True)])
+        left = out.union(*terms)
+        n += math.prod(size[ix] for ix in picked - left) - 1
+        terms.append(picked & left)
+    return n
+
+
+def _assert_within_bound(got, operands, subscripts, path, program_path):
+    """|got - np.einsum| <= 2 gamma_n * (the network on |operands|).
+
+    got contracts operands along program_path, and np.einsum along path (a
+    list of steps; None contracts in one step, as optimize=False does).
+    Each side is within gamma_n * |network| of the exact value, n the
+    larger of the two counts, so they are within twice that of each other.
+    The network on absolute values sums nonnegative terms, so its computed
+    value is at least (1 - gamma_n) times the exact one.
+    """
+    size = {ix: n for x, sub in zip(operands, subscripts) for ix, n in zip(sub, np.shape(x))}
+    path = [tuple(range(len(operands)))] if path is None else list(path)
+    n = max(_rounding_count(subscripts, p, size) for p in (path, program_path))
+    gamma = n * 2.0**-53 / (1 - n * 2.0**-53)
+
+    def contract(ops):
+        args = [a for x, sub in zip(ops, subscripts) for a in (x, list(sub))]
+        return np.einsum(*args, list(subscripts[-1]), optimize=["einsum_path", *path])
+
+    want = contract(operands)
+    absolute = contract([np.abs(x) for x in operands])
+    bound = 2 * gamma * absolute / (1 - gamma)
+    assert np.all(np.abs(got - want) <= bound), float(np.max(np.abs(got - want) / bound))
+
+
+def _network_operands(snf, batch):
+    # the vertex tensors and the edge kernels the package builds, with the
+    # network's index lists and its own contraction path
+    subscripts = gauge._subscripts(snf.graph)
+    kernels = _rep_batch(snf._program[0], batch, paired=True)
+    return [*snf.vertex_tensors, *kernels], subscripts, gauge._contraction_path(subscripts, snf.graph.n_darts)
+
+
+def _searched_path(operands, subscripts, bax):
+    # numpy's own greedy search on the operands' shapes at one row, as the
+    # package searched per coloring before it searched once per graph (on a
+    # wide batch, numpy's size cap can force one slow many-operand step)
+    args = []
+    for x, sub in zip(operands, subscripts):
+        args += [np.empty([1 if ix == bax else n for ix, n in zip(sub, x.shape)]), list(sub)]
+    return np.einsum_path(*args, list(subscripts[-1]), optimize="greedy")[0][1:]
 
 
 @pytest.mark.parametrize("graph", [theta_graph(), dumbbell_graph()])
-def test_cached_contraction_path_keeps_bits(graph):
-    # the steps replayed on the cached path against np.einsum searching its
-    # own; bit for bit with numpy 2.4.6, whose einsum split the steps follow
+def test_one_path_per_graph_matches_searched_einsum(graph):
+    # the graph's path against the one numpy searches on each coloring's
+    # shapes: every coloring to cap 4, at three connections
     rng = np.random.default_rng(16)
     conns = [random_connection(graph, rng) for _ in range(3)]
     networks = [spin_network(graph, c) for c in admissible_colorings(graph, 4)]
-    cached = [spin_network_value(snf, conn) for snf in networks for conn in conns]
-    searched = [
-        complex(_einsum_values(snf, np.stack([conn.matrices[e] for e in graph.edge_ids()])[None], True)[0])
-        for snf in networks
-        for conn in conns
-    ]
-    assert len(cached) > 20
-    assert [(z.real.hex(), z.imag.hex()) for z in cached] == [
-        (z.real.hex(), z.imag.hex()) for z in searched
-    ]
+    assert len(networks) * len(conns) > 20
+    for snf in networks:
+        for conn in conns:
+            operands, subscripts, path = _network_operands(snf, conn.array[None])
+            got = spin_network_value(snf, conn)
+            _assert_within_bound(got, operands, subscripts, _searched_path(operands, subscripts, graph.n_darts), path)
 
 
 def test_contraction_path_cache_is_bounded():
-    # bounded, and wide enough for every coloring of one admissible_colorings
-    # call, at one row and at many
-    for cache, wide in ((gauge._contraction_path, 1), (gauge._contraction_steps, 2)):
-        maxsize = cache.cache_info().maxsize
-        assert maxsize is not None and maxsize >= wide * gauge.MAX_GAUGE_COLORINGS
-    assert gauge._pair_rule.cache_info().maxsize is not None
+    # bounded, and keyed by the graph alone: every coloring shares one entry
+    assert gauge._contraction_path.cache_info().maxsize is not None
+    graph = multi_theta(3)
+    gauge._contraction_path.cache_clear()
+    conn = random_connection(graph, np.random.default_rng(19))
+    for coloring in admissible_colorings(graph, 2):
+        spin_network_value(spin_network(graph, coloring), conn)
+    assert gauge._contraction_path.cache_info().currsize == 1
 
 
 def test_network_is_planned_once(monkeypatch):
-    calls = []
-    plan = gauge._contraction_steps
+    compiles, searches = [], []
+    compile_, search = gauge._compile, np.einsum_path
 
-    def counted(*args):
-        calls.append(args[2])
-        return plan(*args)
+    def counted_compile(*args):
+        compiles.append(1)
+        return compile_(*args)
 
-    monkeypatch.setattr(gauge, "_contraction_steps", counted)
+    def counted_search(*args, **kwargs):
+        searches.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(gauge, "_compile", counted_compile)
+    monkeypatch.setattr(np, "einsum_path", counted_search)
+    gauge._contraction_path.cache_clear()
     graph = dumbbell_graph()
     snf = spin_network(graph, {0: 2, 2: 2, 4: 2})
     rng = np.random.default_rng(17)
     for _ in range(5):
         spin_network_value(snf, random_connection(graph, rng))
     n_edges = len(graph.edge_ids())
-    rows = 2 * gauge._BLOCK + 1
-    gauge._values_batch(snf, gauge._haar_batch(rng, rows * n_edges).reshape(rows, n_edges, 2, 2))
-    # one program for single rows, one shared by the three wide blocks
-    assert calls == [1, 3]
-    spin_network_value(spin_network(graph, {0: 2, 2: 2, 4: 2}), random_connection(graph, rng))
-    assert calls == [1, 3, 1]
+    for rows in (1, 7, 2 * gauge._BLOCK + 1):
+        gauge._values_batch(snf, gauge._haar_batch(rng, rows * n_edges).reshape(rows, n_edges, 2, 2))
+    # one program serves every row count
+    assert (len(compiles), len(searches)) == (1, 1)
+    spin_network_value(spin_network(graph, {0: 4, 2: 4, 4: 0}), random_connection(graph, rng))
+    assert (len(compiles), len(searches)) == (2, 1)
 
 
-def _plan_kinds(snf):
-    # does the one-row program fold a step of several constants, and does it
-    # replay a step that numpy does not split into pairs?
-    fold, steps = gauge._contraction_steps(*snf._plan[1:3], 1)
-    return any(len(ids) > 1 for ids, _ in fold), any(len(ids) != 2 for ids, _ in steps)
+def test_chain_sweep_searches_one_path(monkeypatch):
+    # every chain-4 coloring to cap 3, as `gauge check --graph chain-4 --cap 3`
+    # evaluates them: one path search for the graph, not one per coloring
+    searches = []
+    search = np.einsum_path
+
+    def counted(*args, **kwargs):
+        searches.append(1)
+        return search(*args, **kwargs)
+
+    graph = chain_graph(4)
+    colorings = admissible_colorings(graph, 3)
+    assert len(colorings) == 1714
+    gauge._contraction_path.cache_clear()
+    monkeypatch.setattr(np, "einsum_path", counted)
+    conn = random_connection(graph, np.random.default_rng(25))
+    for coloring in colorings:
+        spin_network_value(spin_network(graph, coloring), conn)
+    assert len(searches) == 1
 
 
 @pytest.mark.parametrize("graph,cap", [(chain_graph(4), 2), (multi_theta(4), 2), (multi_theta(5), 1)])
-def test_replay_matches_einsum_on_cached_path_bitwise(graph, cap):
-    # the networks whose plans fold a vertex-with-vertex step or keep a step
-    # of three operands (the all-zero colorings here), and a spread of others,
-    # whose vertex transposes fold; bit for bit with numpy 2.4.6, whose einsum
-    # split the replay follows.  Row counts below the largest index size get
-    # their own program, as einsum orders the batch axis among the others there.
+def test_program_matches_einsum_on_its_path(graph, cap):
+    # the all-zero colorings and a spread of others, on the graph's path;
+    # the row counts cross no block boundary here
     networks = [spin_network(graph, c) for c in admissible_colorings(graph, cap)]
-    kinds = [_plan_kinds(snf) for snf in networks]
-    picked = [snf for snf, kind in zip(networks, kinds) if any(kind)] + networks[1::25]
-    assert any(folded for folded, _ in kinds) and any(odd for _, odd in kinds)
+    picked = networks[:1] + networks[1::25]
     rng = np.random.default_rng(24)
     n_edges = len(graph.edge_ids())
     for rows in (1, 2, 3, 7, 100):
         batch = gauge._haar_batch(rng, rows * n_edges).reshape(rows, n_edges, 2, 2)
         for snf in picked:
-            want = _einsum_values(snf, batch, gauge._contraction_path(*snf._plan[1:3]))
-            assert gauge._values_batch(snf, batch).tobytes() == want.tobytes(), (rows, snf.coloring)
+            operands, subscripts, path = _network_operands(snf, batch)
+            _assert_within_bound(gauge._values_batch(snf, batch), operands, subscripts, path, path)
 
 
 @pytest.mark.parametrize("graph", [theta_graph(), dumbbell_graph(), multi_theta(3)])
 def test_warm_value_makes_no_multi_operand_einsum_call(graph, monkeypatch):
-    calls = []
-    einsum = np.einsum
-
-    def counted(*operands, **kwargs):
-        calls.append((len(operands) - 1, kwargs))
-        return einsum(*operands, **kwargs)
-
-    def no_path(*args, **kwargs):
-        raise AssertionError("einsum_path called")
+    # nor any einsum call at all: a warm value runs matmul steps only
+    def refuse(*args, **kwargs):
+        raise AssertionError("einsum called")
 
     snf = spin_network(graph, {e: 2 for e in graph.edge_ids()})
     conn = random_connection(graph, np.random.default_rng(18))
     value = spin_network_value(snf, conn)
-    monkeypatch.setattr(np, "einsum", counted)
-    monkeypatch.setattr(np, "einsum_path", no_path)
+    monkeypatch.setattr(np, "einsum", refuse)
+    monkeypatch.setattr(np, "einsum_path", refuse)
     assert spin_network_value(snf, conn) == value
-    # these plans are all pair steps: numpy splits each into single-operand
-    # einsums, reshapes and a matmul
-    assert calls and all(call == (1, {}) for call in calls)
+
+
+@pytest.mark.parametrize("graph,cap", [(theta_graph(), 3), (dumbbell_graph(), 3), (multi_theta(3), 2)])
+def test_spin_network_blocks_match_plain_einsum(graph, cap):
+    # the blocks come from the same programs, with the open block indices
+    # where the batch axis was: against one einsum loop over every term
+    chords = chord_edges(graph)
+    aux = {e: graph.n_darts + i for i, e in enumerate(chords)}
+    subscripts = tuple(tuple(graph.star(v)) for v in range(graph.n_vertices))
+    subscripts += tuple((d, aux[d]) if d in aux else (d, p) for d, p in graph.edges())
+    subscripts += (tuple(graph.involution[e] for e in chords) + tuple(aux[e] for e in chords),)
+    for coloring in admissible_colorings(graph, cap):
+        labels, block = spin_network_blocks(graph, coloring)
+        operands = [*spin_network(graph, coloring).vertex_tensors, *(omega(coloring[d]) for d, _ in graph.edges())]
+        got = block.reshape([n + 1 for n in labels] * 2)
+        _assert_within_bound(got, operands, subscripts, None, gauge._contraction_path(subscripts))
 
 
 def test_spin_network_refuses_more_darts_than_einsum_letters():
@@ -410,56 +499,63 @@ def _per_entry_rep(n, mats):
     return out
 
 
-def _oracle_values_batch(snf, batch):
-    # whole-batch evaluation with per-entry reps and the kernel einsum against
-    # omega, on the same cached contraction path
+def _oracle_operands(snf, batch):
+    # the whole batch's operands, from per-entry reps and the kernel einsum
+    # against omega
     graph = snf.graph
-    bax = graph.n_darts
-    operands = []
-    for v in range(graph.n_vertices):
-        operands += [snf.vertex_tensors[v], list(graph.star(v))]
-    for k, (d, p) in enumerate(graph.edges()):
+    kernels = []
+    for k, (d, _) in enumerate(graph.edges()):
         n = snf.coloring[d]
-        kernel = np.einsum("ij,bjk->bik", omega(n).astype(complex), _per_entry_rep(n, batch[:, k]))
-        operands += [kernel, [bax, d, p]]
-    subscripts = tuple(tuple(sub) for sub in operands[1::2]) + ((bax,),)
-    shapes = [t.shape for t in operands[::2]]
-    shapes[graph.n_vertices :] = [(1,) + s[1:] for s in shapes[graph.n_vertices :]]
-    path = gauge._contraction_path(subscripts, tuple(shapes))
-    return np.einsum(*operands, [bax], optimize=path)
+        kernels.append(np.einsum("ij,bjk->bik", omega(n).astype(complex), _per_entry_rep(n, batch[:, k])))
+    return [*snf.vertex_tensors, *kernels]
+
+
+def _assert_matches_oracle(snf, batch, got):
+    # numpy's own path on the whole batch against the package's blocks
+    subscripts = gauge._subscripts(snf.graph)
+    operands = _oracle_operands(snf, batch)
+    program_path = gauge._contraction_path(subscripts, snf.graph.n_darts)
+    _assert_within_bound(got, operands, subscripts, _searched_path(operands, subscripts, snf.graph.n_darts), program_path)
 
 
 NETWORK_CASES = [(theta_graph(), 4), (dumbbell_graph(), 3), (multi_theta(3), 2)]
 
 
 @pytest.mark.parametrize("graph,cap", NETWORK_CASES)
-def test_values_batch_matches_whole_batch_oracle_bitwise(graph, cap):
+def test_values_batch_matches_whole_batch_oracle(graph, cap):
     rng = np.random.default_rng(23)
     colorings = admissible_colorings(graph, cap)
     n_edges = len(graph.edge_ids())
-    for rows in (1, 7, gauge._BLOCK, gauge._BLOCK + 1, 16384):
+    for rows in (1, 2, 7, gauge._BLOCK + 1, 16384):
         batch = gauge._haar_batch(rng, rows * n_edges).reshape(rows, n_edges, 2, 2)
         # every coloring on short batches; the largest labels and a spread on
         # long ones, which cross block boundaries
         picked = colorings if rows < 100 else colorings[-1:] + colorings[1 :: len(colorings) // 3]
         for coloring in picked:
             snf = spin_network(graph, coloring)
-            got = gauge._values_batch(snf, batch)
-            assert got.tobytes() == _oracle_values_batch(snf, batch).tobytes(), (rows, coloring)
+            _assert_matches_oracle(snf, batch, gauge._values_batch(snf, batch))
 
 
 def test_probe_reports_match_whole_batch_oracle(monkeypatch):
+    # every chunk the probes evaluate, against the whole-batch oracle
     graph = theta_graph()
     colorings = admissible_colorings(graph, 4)[:4]
     a, b = (spin_network(graph, c) for c in admissible_colorings(graph, 4)[1:3])
+    values_batch, checked = gauge._values_batch, []
 
-    def reports():
-        pw = peter_weyl_probe(graph, colorings, 20000, seed=5)
-        return pw.gram.tobytes(), pw.stderr.tobytes(), distinguishability_probe(a, b, 20000, seed=6)
+    def checking(snf, batch):
+        got = values_batch(snf, batch)
+        _assert_matches_oracle(snf, batch, got)
+        checked.append(len(batch))
+        return got
 
-    blocked = reports()
-    monkeypatch.setattr(gauge, "_values_batch", _oracle_values_batch)
-    assert blocked == reports()
+    monkeypatch.setattr(gauge, "_values_batch", checking)
+    pw = peter_weyl_probe(graph, colorings, 20000, seed=5)
+    report = distinguishability_probe(a, b, 20000, seed=6)
+    assert checked == [16384] * 4 + [3616] * 4 + [16384, 16384, 3616, 3616]
+    monkeypatch.setattr(gauge, "_values_batch", values_batch)
+    assert peter_weyl_probe(graph, colorings, 20000, seed=5).gram.tobytes() == pw.gram.tobytes()
+    assert distinguishability_probe(a, b, 20000, seed=6) == report
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -487,7 +583,7 @@ def test_kernel_pass_matches_signed_row_reversal_bitwise(labels, rows):
 
 def test_peter_weyl_memory_stays_within_one_block():
     # a 16384-sample chunk is evaluated in blocks of _BLOCK // E rows, so the
-    # kernels and einsum intermediates of one block are live at a time
+    # kernels and step intermediates of one block are live at a time
     graph = theta_graph()
     colorings = admissible_colorings(graph, 4)[:4]
     tracemalloc.start()
