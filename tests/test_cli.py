@@ -489,7 +489,7 @@ def test_graph_file_source(capsys, tmp_path):
 
 
 def test_graph_info_refuses_large_eulerian_search(capsys):
-    # multitheta-12 has 22 vertices: 2^22 rotation choices, refused unsearched
+    # multitheta-12 has 22 vertices: 2^21 rotation systems, refused unsearched
     code, out, err = capture(capsys, ["graph", "info", "--graph", "multitheta-12"])
     assert (code, out) == (1, "")
     assert "stop at 16 vertices, got 22" in err

@@ -769,12 +769,98 @@ def test_eulerian_dumbbell():
     assert eulerian_invariant(dumbbell_graph()) == 3
 
 
-@pytest.mark.parametrize("gg", [2, 3, 4])
+@pytest.mark.parametrize("gg", [2, 3, 4, 5])
 def test_eulerian_bounds_and_parity(gg):
     for graph in enumerate_trivalent(gg):
         e = eulerian_invariant(graph)
         assert 1 <= e <= gg + 1
         assert (e - (gg - 1)) % 2 == 0
+
+
+# Frozen reference for eulerian_invariant: the search as it was before the
+# Gray-code walk, rebuilding a successor dict for each of all 2^V systems and
+# walking its cycles on the spot.
+
+
+def _frozen_eulerian_invariant(graph):
+    options = []
+    for v in range(graph.n_vertices):
+        a, b, c = graph.star(v)
+        options.append(({a: b, b: c, c: a}, {a: c, c: b, b: a}))
+    best = None
+    for choice in itertools.product(*options):
+        succ = {}
+        for d in range(graph.n_darts):
+            f = graph.involution[d]
+            succ[d] = choice[graph.vertex_of[f]][f]
+        seen, n_cycles = set(), 0
+        for start in succ:
+            if start in seen:
+                continue
+            n_cycles += 1
+            d = start
+            while d not in seen:
+                seen.add(d)
+                d = succ[d]
+        if best is None or n_cycles < best:
+            best = n_cycles
+    return best
+
+
+def _eulerian_cases():
+    cases = {}
+    for gg in (2, 3, 4, 5):
+        for i, graph in enumerate(enumerate_trivalent(gg)):
+            cases[f"class-{gg}-{i}"] = graph
+    for gg in range(2, 9):
+        cases[f"chain-{gg}"] = chain_graph(gg)
+        cases[f"multitheta-{gg}"] = multi_theta(gg)
+    return cases
+
+
+_EULERIAN_CASES = _eulerian_cases()
+
+
+@pytest.mark.parametrize("name", sorted(_EULERIAN_CASES))
+def test_eulerian_matches_frozen_search(name):
+    # the walk holds vertex 0 and flips in label order; the minimum must not
+    # follow the labels
+    graph = _EULERIAN_CASES[name]
+    rng = random.Random(name)
+    vperm = list(range(graph.n_vertices))
+    rng.shuffle(vperm)
+    moved = _shuffle_darts(_relabel(graph, vperm, rng), rng)
+    want = _frozen_eulerian_invariant(graph)
+    assert eulerian_invariant(graph) == want
+    assert eulerian_invariant(moved) == want
+
+
+@pytest.mark.parametrize(
+    "graph, message",
+    [
+        (
+            TrivalentGraph.from_edges(2, [(0, 1), (0, 1)], parabolic=(1, 0)),
+            "Eulerian systems are defined for closed graphs",
+        ),
+        # 18 vertices as well: connectivity is checked before size
+        (
+            graphs_module.graph_from_form(
+                canonical_form(multi_theta(5)) + canonical_form(multi_theta(6))
+            ),
+            "connected graphs only",
+        ),
+        (contract_edge(multi_theta(3), 0)[0], "Eulerian systems need a trivalent graph"),
+        (multi_theta(10), "Eulerian systems stop at 16 vertices, got 18"),
+    ],
+    ids=["parabolic", "disconnected", "4-valent", "multitheta-10"],
+)
+def test_eulerian_refusals(graph, message, monkeypatch):
+    def walked(perm):
+        raise AssertionError("a rotation system was walked before the refusal")
+
+    monkeypatch.setattr(graphs_module, "_orbits", walked)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        eulerian_invariant(graph)
 
 
 # ---------------------------------------------------------------------------
