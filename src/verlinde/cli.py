@@ -86,14 +86,21 @@ def _complex_array(data):
     raise ValueError("omega JSON must be a square matrix of [re, im] pairs")
 
 
+def _inline_or_file(source, opener):
+    """source itself if it opens with opener (inline JSON), else the text of
+    the file it names, else None."""
+    s = source.strip()
+    if s.startswith(opener):
+        return s
+    if os.path.isfile(s):
+        with open(s) as fh:
+            return fh.read()
+    return None
+
+
 def _parse_omega(text):
     """Period matrix from an inline literal, inline JSON, or a JSON file."""
-    blob = None
-    if os.path.isfile(text):
-        with open(text) as fh:
-            blob = fh.read()
-    elif text.lstrip().startswith("["):
-        blob = text
+    blob = _inline_or_file(text, "[")
     if blob is not None:
         return thetacst.PeriodMatrix(_complex_array(json.loads(blob)))
     return thetacst.PeriodMatrix([[_parse_complex(text)]])
@@ -107,12 +114,10 @@ def _load_graph(source):
 
     Generator names: theta, dumbbell, chain-G, multitheta-G.
     """
+    blob = _inline_or_file(source, "{")
+    if blob is not None:
+        return graphs.graph_from_json(blob)
     s = source.strip()
-    if s.startswith("{"):
-        return graphs.graph_from_json(s)
-    if os.path.isfile(s):
-        with open(s) as fh:
-            return graphs.graph_from_json(fh.read())
     if s in _GENERATORS:
         return _GENERATORS[s]()
     name, _, arg = s.partition("-")
@@ -175,13 +180,10 @@ def _cmd_graph_faces(args):
         g = _GENERATORS[args.graph]()
         ribbon = _PLANAR_RIBBONS[args.graph]()
     else:
-        s = args.graph.strip()
-        if os.path.isfile(s):
-            with open(s) as fh:
-                s = fh.read()
-        if not s.lstrip().startswith("{"):
+        blob = _inline_or_file(args.graph, "{")
+        if blob is None or not blob.lstrip().startswith("{"):
             raise ValueError("face tracing needs a ribbon: pass graph JSON or theta/dumbbell")
-        g, ribbon = graphs.graph_from_json(s, with_ribbon=True)
+        g, ribbon = graphs.graph_from_json(blob, with_ribbon=True)
     faces, h = graphs.trace_faces(g, ribbon)
     _jprint({"faces": len(faces), "surface_genus": h})
     return 0
@@ -240,12 +242,11 @@ def _cmd_fusion_table(args):
     ring = fusion.FusionRing(args.level)
     rows = ring.multiplication_rows()
     if args.fmt == "json":
-        body = [[a, b, [int(c) for c in cs.split()]] for a, b, cs in rows]
-        _jprint({"level": args.level, "rows": body})
+        _jprint({"level": args.level, "rows": [[a, b, list(cs)] for a, b, cs in rows]})
     else:
         print("a,b,channels")
         for a, b, cs in rows:
-            print(f"{a},{b},{cs}")
+            print(f"{a},{b},{' '.join(map(str, cs))}")
     return 0
 
 

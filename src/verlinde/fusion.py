@@ -64,11 +64,11 @@ class FusionRing:
         return _fusion_matrices(self.level)[0][a][b][c]
 
     def multiplication_rows(self):
-        """Rows (a, b, c1 c2 ...) of the multiplication table."""
-        rows = []
-        for a, b in itertools.combinations_with_replacement(self.labels, 2):
-            rows.append((a, b, " ".join(str(c) for c in _fuse(self.level, a, b))))
-        return rows
+        """Rows (a, b, (c1, c2, ...)) of the multiplication table."""
+        return [
+            (a, b, tuple(_fuse(self.level, a, b)))
+            for a, b in itertools.combinations_with_replacement(self.labels, 2)
+        ]
 
 
 # -- rank functionals ---------------------------------------------------------

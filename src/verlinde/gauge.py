@@ -158,8 +158,6 @@ class SpinNetworkFunction:
     def _program(self):
         """(edge labels, steps) of the network; see _compile."""
         graph = self.graph
-        if graph.n_darts >= _EINSUM_INDICES:
-            raise ValueError(f"spin networks stop at {_EINSUM_INDICES - 1} darts, got {graph.n_darts}")
         steps, _ = _compile(_subscripts(graph), self.vertex_tensors, graph.n_darts)
         return tuple(self.coloring[d] for d, _ in graph.edges()), steps
 
@@ -256,8 +254,12 @@ def _contraction_path(subscripts, bax=None):
     The search sees every index at size 3 and the batch axis bax at size 1,
     so one search serves every coloring of a graph.  Intermediates are not
     capped in size, as numpy's default caps would end some paths in one
-    step over many operands; so every step is a pair.
+    step over many operands; so every step is a pair.  Indices run from 0,
+    and numpy's einsum takes at most _EINSUM_INDICES of them.
     """
+    top = max(ix for sub in subscripts for ix in sub)
+    if top >= _EINSUM_INDICES:
+        raise ValueError(f"einsum contractions stop at {_EINSUM_INDICES} indices, got {top + 1}")
     args = []
     for sub in subscripts[:-1]:
         args += [np.empty(tuple(1 if ix == bax else 3 for ix in sub)), list(sub)]

@@ -626,9 +626,14 @@ def elementary_transformations(graph, e):
 
 
 def move_graph_components(g):
-    """Connected components of the elementary-move graph on genus-g classes."""
-    reps = enumerate_trivalent(g)
-    keys = {canonical_form(x): i for i, x in enumerate(reps)}
+    """Connected components of the elementary-move graph on genus-g classes.
+
+    The enumeration keeps each class's canonical form, so only the moved
+    graphs are canonicalized here.
+    """
+    classes = _checked_classes(g)
+    reps = [graph for _, graph in classes]
+    keys = {form: i for i, (form, _) in enumerate(classes)}
     adj = {i: set() for i in range(len(reps))}
     for i, graph in enumerate(reps):
         for e in graph.edge_ids():

@@ -1,18 +1,18 @@
 """Finite-dimensional SU(2)/SL(2,C) representations and 3j intertwiners.
 
 Irreps are modeled on degree-n homogeneous polynomials in two variables
-(monomial basis x^(n-m) y^m), so matrix entries are exact polynomials in
-the group element and continue to SL(2,C) without branch choices.  The
+(monomial basis x^(n-m) y^m), so matrix entries are polynomials in the
+group element and continue to SL(2,C) without branch choices.  The
 orthonormalized basis u_m = sqrt(C(n,m)) x^(n-m) y^m makes the action
-unitary on SU(2); rep_matrix returns that version, for one group element
-or an (N, 2, 2) batch of them, and rep_matrix_exact the plain monomial
-one.  One element and rep_matrix_exact expand the symmetric power term by
-term; a batch runs the same terms in the same order as a few array calls
-from a plan cached per tuple of labels.  One such pass builds the matrices
-of several labels at once, or the kernels omega . rho of a spin network's
-edges, with the pairing folded into the plan.  Invariant 3j tensors are
-written down, not solved for: each is the bracket product [12]^a [23]^b
-[31]^c of classical invariant theory, [ij] = x_i y_j - x_j y_i.
+unitary on SU(2).  rep_matrix returns that matrix for one group element
+or an (N, 2, 2) batch of them, and character traces it.  Both run the
+symmetric power's terms as a few array calls from a plan cached per tuple
+of labels, so one element gives its one-row batch bit for bit.  One such
+pass builds the matrices of several labels at once, or the kernels
+omega . rho of a spin network's edges, with the pairing folded into the
+plan.  Invariant 3j tensors are written down, not solved for: each is the
+bracket product [12]^a [23]^b [31]^c of classical invariant theory,
+[ij] = x_i y_j - x_j y_i.
 """
 
 from __future__ import annotations
@@ -53,57 +53,13 @@ def check_labels(k, labels):
             raise ValueError(f"labels must lie in 0..{k}")
 
 
-def _entries(g):
-    if isinstance(g, np.ndarray):
-        if g.shape != (2, 2):
-            raise ValueError("group elements are 2x2 matrices")
-        return g[0, 0], g[0, 1], g[1, 0], g[1, 1]
-    (a, b), (c, d) = g
-    return a, b, c, d
-
-
-def _check_det(a, b, c, d):
-    det = a * d - b * c
-    if isinstance(det, (int, Fraction)):
-        if det != 1:
-            raise ValueError(f"matrix must be unimodular, det = {det}")
-    elif not abs(det - 1) <= 1e-12:  # a NaN determinant fails too
-        raise ValueError(f"matrix must be unimodular, det = {det}")
-
-
-def _sym_power(n, a, b, c, d):
-    # rep_matrix_exact's matrix; a, b, c, d may be ints, Fractions or complex
-    # scalars, and numpy's scalar rounding here is pinned by the tests
-    cols = []
-    for j in range(n + 1):
-        # (a x + c y)^(n-j) and (b x + d y)^j, coefficients in y-degree order
-        left = [comb(n - j, s) * a ** (n - j - s) * c**s for s in range(n - j + 1)]
-        right = [comb(j, t) * b ** (j - t) * d**t for t in range(j + 1)]
-        out = [0] * (n + 1)
-        for s, ls in enumerate(left):
-            for t, rt in enumerate(right):
-                out[s + t] += ls * rt
-        cols.append(out)
-    return [[cols[j][i] for j in range(n + 1)] for i in range(n + 1)]
-
-
-def rep_matrix_exact(n, g):
-    """Symmetric-power matrix in the monomial basis; exact in g's entries.
-
-    Column j holds the expansion of (a x + c y)^(n-j) (b x + d y)^j, the
-    image of x^(n-j) y^j under substitution by rows of g.
-    """
-    _check_label(n)
-    a, b, c, d = _entries(g)
-    _check_det(a, b, c, d)
-    return _sym_power(n, a, b, c, d)
-
-
 @lru_cache(maxsize=None)
 def _label_terms(n, paired):
-    """_sym_power's terms for label n as arrays, entries in row-major order.
+    """The symmetric power's terms for label n as arrays, entries in row-major order.
 
-    Term r of entry e = (n+1) i + j is comb(n-j, s) a^(n-j-s) c^s times
+    Column j of the monomial matrix expands (a x + c y)^(n-j) (b x + d y)^j,
+    the image of x^(n-j) y^j under substitution by rows of g.  Term r of
+    entry e = (n+1) i + j is comb(n-j, s) a^(n-j-s) c^s times
     comb(j, i-s) b^(j-i+s) d^(i-s), with s = max(0, i-j) + r ascending.
     Each entry has its orthonormal scale and its place in the matrix; with
     paired, entry (i, j) goes to row n-i times omega[n-i, i], the one
@@ -127,13 +83,13 @@ def _label_terms(n, paired):
 
 @lru_cache(maxsize=256)
 def _batch_plan(labels, paired):
-    """Index tables that run _sym_power's array arithmetic for a tuple of labels.
+    """Index tables that run the symmetric powers of a tuple of labels as arrays.
 
     Matrix k has label n = labels[k] and reads (a, b, c, d) from columns
     4k..4k+3 of its row; power p of column q is row 4Ep + q of a stacked
     table, E = len(labels).  Entries of all matrices run by falling term
     count, so each rank's terms, rows ends[r-1]:ends[r], fall on a prefix
-    of them, and every entry sums its terms in _sym_power's order.  For N
+    of them, and every entry sums its terms in _label_terms' order.  For N
     rows, matrix k fills N*lo:N*hi of a flat buffer, blocks[k] = (lo, hi,
     n+1), one row after another, so an entry of row r sits at N*start +
     r*size + spots.
@@ -164,10 +120,10 @@ def _rep_batch(labels, g, paired=False):
     ((N, 2, 2) for one label).
 
     One array pass builds every matrix, as E C-contiguous (N, n+1, n+1)
-    views of one buffer, with the bits _sym_power gives on arrays: numpy's
-    array arithmetic rounds alike at any length or stride, unlike its
-    scalars.  With paired, matrix k is the kernel omega . rho; adding zero
-    turns -0 into +0, as an einsum against omega did.
+    views of one buffer.  numpy's array arithmetic rounds alike at any
+    length or stride, so a matrix has the same bits in any batch.  With
+    paired, matrix k is the kernel omega . rho; adding zero turns -0 into
+    +0, as an einsum against omega did.
     """
     cl, pa, pc, cr, pb, pd, ends, scale, spots, start, size, blocks = _batch_plan(labels, paired)
     n_rows = len(g)
@@ -188,28 +144,26 @@ def _rep_batch(labels, g, paired=False):
 def rep_matrix(n, g):
     """Irrep matrix in the orthonormal basis; unitary on SU(2).
 
-    g is one 2x2 matrix, or an (N, 2, 2) batch whose determinants the
-    caller has already checked; a batch gives a C-contiguous (N, n+1, n+1)
-    array from the one-label case of _rep_batch.
+    g is one unimodular 2x2 matrix, or an (N, 2, 2) batch whose
+    determinants the caller has already checked.  Both come from the
+    one-label case of _rep_batch: one element is the row of its one-row
+    batch, and a batch a C-contiguous (N, n+1, n+1) array.
     """
     _check_label(n)
     g = np.asarray(g, dtype=complex)
     if g.ndim == 3 and g.shape[1:] == (2, 2):
         return _rep_batch((n,), g)[0]
-    a, b, c, d = _entries(g)
-    _check_det(a, b, c, d)
-    raw = _sym_power(n, a, b, c, d)
-    out = np.empty((n + 1, n + 1), dtype=complex)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            out[..., i, j] = raw[i][j] * sqrt(comb(n, j) / comb(n, i))
-    return out
+    if g.shape != (2, 2):
+        raise ValueError("group elements are 2x2 matrices")
+    det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+    if not abs(det - 1) <= 1e-12:  # a NaN determinant fails too
+        raise ValueError(f"matrix must be unimodular, det = {det}")
+    return _rep_batch((n,), g[None])[0][0]
 
 
 def character(n, g):
     """Trace of the irrep matrix (basis independent)."""
-    raw = rep_matrix_exact(n, np.asarray(g, dtype=complex))
-    return complex(sum(raw[i][i] for i in range(n + 1)))
+    return complex(np.trace(rep_matrix(n, g)))
 
 
 def casimir(n):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import _EINSUM_INDICES, _compile, spin_network
+from .gauge import _compile, spin_network
 from .graphs import chord_edges, genus
 from .su2reps import AdmissibilityError, _check_label, casimir, check_level, omega, rep_matrix
 
@@ -412,11 +412,6 @@ def spin_network_blocks(graph, coloring):
     chords = chord_edges(graph)
     labels = tuple(int(coloring[e]) for e in chords)
     aux = {e: graph.n_darts + i for i, e in enumerate(chords)}
-    if graph.n_darts + len(chords) > _EINSUM_INDICES:
-        raise ValueError(
-            f"spin network blocks stop at {_EINSUM_INDICES} einsum indices, "
-            f"got {graph.n_darts} darts and {len(chords)} chords"
-        )
     # tree edges carry the identity holonomy; on a chord the irrep of the
     # free variable is peeled off, leaving its row index open
     edges = graph.edges()

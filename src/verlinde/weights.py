@@ -78,7 +78,9 @@ def enumerate_weights(graph, k, boundary=None):
     """All admissible level-k weights, sorted by numerator tuple.
 
     Parabolic legs must be pinned through `boundary`, a mapping from leg
-    dart (or its edge id) to the prescribed value.
+    dart (or its edge id) to the prescribed value.  The search assigns the
+    edges in ascending order and each its values ascending, so it emits the
+    tuples sorted.
     """
     check_level(k)
     if not graph.is_trivalent():
@@ -123,7 +125,7 @@ def enumerate_weights(graph, k, boundary=None):
         del nums[e]
 
     dfs(0)
-    return [WeightFunction(graph, k, tup) for tup in sorted(out)]
+    return [WeightFunction(graph, k, tup) for tup in out]
 
 
 def verlinde_count_check(g, k):

@@ -488,6 +488,22 @@ def test_graph_file_source(capsys, tmp_path):
     assert json.loads(out)["genus"] == 2
 
 
+def test_graph_faces_file_source_matches_inline(capsys, tmp_path):
+    # a non-planar ribbon on the theta graph: one face, genus 1
+    blob = '{"vertices": 2, "edges": [[0, 1], [0, 1], [0, 1]], "ribbon": {"0": [0, 1, 2], "1": [0, 1, 2]}}'
+    path = tmp_path / "ribbon.json"
+    path.write_text(blob)
+    inline = capture(capsys, ["graph", "faces", "--graph", blob])
+    from_file = capture(capsys, ["graph", "faces", "--graph", str(path)])
+    assert inline == from_file
+    assert inline[:2] == (0, '{"faces":1,"surface_genus":1}\n')
+    # a file that holds no graph object names no ribbon
+    path.write_text("[0, 1]")
+    code, out, err = capture(capsys, ["graph", "faces", "--graph", str(path)])
+    assert (code, out) == (1, "")
+    assert "face tracing needs a ribbon" in err
+
+
 def test_graph_info_refuses_large_eulerian_search(capsys):
     # multitheta-12 has 22 vertices: 2^21 rotation systems, refused unsearched
     code, out, err = capture(capsys, ["graph", "info", "--graph", "multitheta-12"])

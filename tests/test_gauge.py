@@ -475,7 +475,7 @@ def test_spin_network_blocks_match_plain_einsum(graph, cap):
 def test_spin_network_refuses_more_darts_than_einsum_letters():
     graph = multi_theta(10)  # 54 darts and the batch axis
     snf = spin_network(graph, {e: 0 for e in graph.edge_ids()})
-    with pytest.raises(ValueError, match="spin networks stop at 51 darts, got 54"):
+    with pytest.raises(ValueError, match="einsum contractions stop at 52 indices, got 55"):
         spin_network_value(snf, Connection(graph, {e: I2 for e in graph.edge_ids()}))
 
 

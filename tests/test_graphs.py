@@ -755,6 +755,28 @@ def test_moves_connect_move_graph(gg):
     assert len(comps[0]) == EXPECTED_CLASS_COUNTS[gg]
 
 
+def test_graph_moves_claim_canonicalizes_only_moved_graphs(monkeypatch):
+    # the class forms come from the enumeration; each non-loop edge of each
+    # class gives two moved graphs, and only those are canonicalized
+    from verlinde import claims
+
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return canonical_form(graph)
+
+    top = 3  # the full claim's largest genus
+    moved = sum(
+        2 * sum(not rep.is_loop(e) for e in rep.edge_ids())
+        for gg in range(2, top + 1)
+        for rep in enumerate_trivalent(gg)
+    )
+    monkeypatch.setattr(graphs_module, "canonical_form", counted)
+    assert claims.graph_moves(False).endswith(f"through genus {top}")
+    assert len(calls) == moved
+
+
 # ---------------------------------------------------------------------------
 # Eulerian invariant
 # ---------------------------------------------------------------------------

@@ -53,7 +53,6 @@ BENCH_KEEP = {
             "su2_laplacian_block",
         )
     },
-    ("su2reps", "rep_matrix"): _ITEM4,
     **{
         ("modular", n): _ITEM5
         for n in ("SixJTable", "SixJTable.coefficient", "_TableEntries", "q6j", "six_j_table")

@@ -23,7 +23,6 @@ from verlinde.su2reps import (
     character,
     omega,
     rep_matrix,
-    rep_matrix_exact,
     wigner_3j,
 )
 
@@ -58,8 +57,8 @@ def test_defining_rep_is_identity_map():
     rng = random.Random(0)
     g = random_su2(rng)
     assert np.allclose(rep_matrix(1, g), g)
-    exact = rep_matrix_exact(1, [[2, 3], [1, 2]])
-    assert exact == [[2, 3], [1, 2]]
+    # integer entries, so every product and scale is exact in floats
+    assert rep_matrix(1, [[2, 3], [1, 2]]).tolist() == [[2, 3], [1, 2]]
 
 
 def test_rep_diagonal_example():
@@ -70,34 +69,43 @@ def test_rep_diagonal_example():
 
 
 def test_rep_exact_integer_matrix():
-    # det [[2,3],[1,2]] = 1; symmetric square in the monomial basis
+    # det [[2,3],[1,2]] = 1; the symmetric square in the monomial basis has
+    # integer entries, exact in floats, so only the orthonormal scale rounds
     a, b, c, d = 2, 3, 1, 2
-    expected = [
+    monomial = [
         [a * a, a * b, b * b],
         [2 * a * c, a * d + b * c, 2 * b * d],
         [c * c, c * d, d * d],
     ]
-    assert rep_matrix_exact(2, [[a, b], [c, d]]) == expected
+    expected = [
+        [x * math.sqrt(math.comb(2, j) / math.comb(2, i)) for j, x in enumerate(row)]
+        for i, row in enumerate(monomial)
+    ]
+    assert rep_matrix(2, [[a, b], [c, d]]).tolist() == expected
 
 
-def test_rep_exact_fraction_entries():
-    g = [[Fraction(3, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(5, 6)]]
-    assert g[0][0] * g[1][1] - g[0][1] * g[1][0] == 1
-    mat = rep_matrix_exact(2, g)
-    assert all(isinstance(x, Fraction) for row in mat for x in row)
-    assert mat[0][0] == Fraction(9, 4)
+def _monomial_matrix(n, g):
+    # column j: y-coefficients of (a + c y)^(n-j) (b + d y)^j, by convolution
+    (a, b), (c, d) = g
+    cols = []
+    for j in range(n + 1):
+        col = np.ones(1, dtype=complex)
+        for factor in [(a, c)] * (n - j) + [(b, d)] * j:
+            col = np.convolve(col, factor)
+        cols.append(col)
+    return np.array(cols).T
 
 
 def test_orthonormal_scaling_of_exact_matrix():
     rng = random.Random(1)
     g = random_sl2c(rng)
-    n = 3
-    exact = rep_matrix_exact(n, [[g[0, 0], g[0, 1]], [g[1, 0], g[1, 1]]])
-    unitary = rep_matrix(n, g)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            scale = math.sqrt(math.comb(n, j) / math.comb(n, i))
-            assert abs(unitary[i, j] - exact[i][j] * scale) < 1e-10
+    for n in range(6):
+        monomial = _monomial_matrix(n, g)
+        unitary = rep_matrix(n, g)
+        for i in range(n + 1):
+            for j in range(n + 1):
+                scale = math.sqrt(math.comb(n, j) / math.comb(n, i))
+                assert abs(unitary[i, j] - monomial[i, j] * scale) < 1e-10
 
 
 def test_rep_homomorphism():
@@ -124,23 +132,24 @@ def test_rep_identity():
 
 
 def test_rep_rejects_non_unimodular():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unimodular"):
         rep_matrix(2, np.diag([2.0, 1.0]))
-    with pytest.raises(ValueError):
-        rep_matrix_exact(2, [[2, 0], [0, 1]])
+    with pytest.raises(ValueError, match="unimodular"):
+        rep_matrix(2, [[2, 0], [0, 1]])
     # a NaN determinant compares false against any tolerance
     nan = np.array([[math.nan, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        rep_matrix_exact(2, nan)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unimodular"):
         rep_matrix(2, nan)
+    with pytest.raises(ValueError, match="unimodular"):
+        character(2, nan)
 
 
 # Frozen copies of the two irrep routes that rep_matrix replaced: the
 # batched evaluator of the spin-network code and the scalar version that
-# expanded the symmetric power entry by entry.  rep_matrix must reproduce
-# both bit for bit, so spin-network values and theta traces keep their
-# last digits.
+# expanded the symmetric power entry by entry.  rep_matrix reproduces the
+# batched one bit for bit, so spin-network values keep their last digits,
+# and the scalar one within rounding: numpy's scalar complex products round
+# differently from its array ones.
 
 
 def _oracle_rep_batch(n, mats):
@@ -191,21 +200,45 @@ def test_rep_matrix_batch_matches_batched_oracle_bitwise(n):
     assert got.tobytes() == _oracle_rep_batch(n, mats).tobytes()
 
 
+def _gamma(k):
+    # gamma_k = k u / (1 - k u) with u = sqrt(5) 2^-53, the bound on the
+    # relative error in modulus of one complex product (and of one sum)
+    u = math.sqrt(5) * 2.0**-53
+    return k * u / (1 - k * u)
+
+
 @pytest.mark.parametrize("n", range(9))
 def test_rep_matrix_single_matches_scalar_oracle_bitwise(n):
+    # Both routes build the same terms.  A term is a product of two binomials
+    # and four powers of total degree n, at most n products for the powers
+    # (each by repeated multiplication or squaring) and five to combine
+    # them; an entry sums at most n+1 terms and is scaled once.  So each
+    # route lies within gamma_(2n+6) of the exact matrix, relative to the
+    # same expansion on |a|, |b|, |c|, |d| (no cancellation, so computed
+    # within gamma_(2n+6) itself), and the two within twice that.
+    k = 2 * n + 6
     for g in _oracle_samples():
         got = rep_matrix(n, g)
         assert got.shape == (n + 1, n + 1)
-        assert got.tobytes() == _oracle_rep_scalar(n, g).tobytes()
+        size = _oracle_rep_scalar(n, np.abs(g)).real
+        bound = 2 * _gamma(k) / (1 - _gamma(k)) * size
+        assert (np.abs(got - _oracle_rep_scalar(n, g)) <= bound).all()
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_rep_matrix_single_is_its_one_row_batch_bitwise(n):
+    for g in _oracle_samples():
+        assert rep_matrix(n, g).tobytes() == rep_matrix(n, g[None])[0].tobytes()
 
 
 def test_rep_matrix_batch_rows_match_single_matrices():
-    # numpy's vectorised complex products round differently from its scalar
-    # ones, so the two routes agree to rounding, not bitwise
-    mats = _oracle_samples()[:8]
-    batch = rep_matrix(4, mats)
-    for g, rho in zip(mats, batch):
-        assert np.abs(rho - rep_matrix(4, g)).max() < 1e-12
+    # numpy's array arithmetic rounds alike at any length, so a row of a
+    # 64-row batch has the bits of the matrix of its element alone
+    mats = _oracle_samples()
+    for n in (1, 4, 8):
+        batch = rep_matrix(n, mats)
+        for g, rho in zip(mats, batch):
+            assert rho.tobytes() == rep_matrix(n, g).tobytes()
 
 
 def test_rep_matrix_rejects_bad_shapes():

@@ -587,12 +587,12 @@ def test_spin_network_blocks_reproduce_network_function():
 
 def test_spin_network_blocks_refuse_more_einsum_indices_than_letters():
     # one einsum index per dart and one per chord: multi-theta-8 needs 42 + 8
-    # of numpy's 52 letters, multi-theta-9 needs 48 + 9
+    # of numpy's 52 letters, multi-theta-9 needs 48 + 9 = 57
     graph = multi_theta(8)
     jvec, block = spin_network_blocks(graph, {e: 0 for e in graph.edge_ids()})
     assert jvec == (0,) * 8 and block.shape == (1, 1)
     graph = multi_theta(9)
-    with pytest.raises(ValueError, match="52 einsum indices"):
+    with pytest.raises(ValueError, match="einsum contractions stop at 52 indices, got 57"):
         spin_network_blocks(graph, {e: 0 for e in graph.edge_ids()})
 
 

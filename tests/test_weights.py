@@ -318,10 +318,12 @@ def test_verlinde_count_check_refuses_non_int_or_out_of_range(g, k):
 
 
 def test_enumeration_is_sorted_and_unique():
-    ws = enumerate_weights(theta_graph(), 3)
-    keys = [tuple(wf.values[e] for e in theta_graph().edge_ids()) for wf in ws]
-    assert keys == sorted(keys)
-    assert len(set(keys)) == len(keys)
+    # the search emits its tuples in order; nothing sorts them afterwards
+    for graph, k in [(theta_graph(), 3)] + [(g, 2) for g in enumerate_trivalent(3)]:
+        ws = enumerate_weights(graph, k)
+        keys = [tuple(wf.values[e] for e in graph.edge_ids()) for wf in ws]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == len(keys)
 
 
 def test_boundary_labels():
