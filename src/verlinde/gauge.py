@@ -7,12 +7,12 @@ vertex_of[d].  Spin networks contract one invariant tensor per vertex
 against a kernel omega . rho(a) per edge; the pairing makes gauge
 invariance an identity, not a tolerance.  Since omega is antidiagonal,
 the kernel is rho with its rows reversed and signed.  Each graph gets one
-greedy pairwise contraction order, searched once whatever its labels.  A
-network compiles that order into its program on first use: every step
-lays its pair out as matrices and calls np.matmul, and the steps on
-vertex tensors alone run then, once.  A batch of connections goes through
-in row blocks, each block one array pass for all edge kernels and a run of
-the remaining steps.  The result differs from np.einsum's by rounding
+program, built once whatever its labels: a greedy pairwise contraction
+order whose every step lays its pair out as matrices and calls np.matmul,
+with the sizes read from the operands.  A network binds its graph's
+program to its labels and its vertex tensors.  A batch of connections goes
+through in row blocks, each block one array pass for all edge kernels and
+a run of the program.  The result differs from np.einsum's by rounding
 alone, within 2 gamma_n times the network on absolute values.
 
 Monte Carlo probes draw Haar samples from seeded per-chunk streams and
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -156,10 +156,12 @@ class SpinNetworkFunction:
 
     @cached_property
     def _program(self):
-        """(edge labels, steps) of the network; see _compile."""
+        """(edge labels, steps, vertex tensors) of the network: its graph's
+        steps, and its tensors cast to complex once, as the kernels are."""
         graph = self.graph
-        steps, _ = _compile(_subscripts(graph), self.vertex_tensors, graph.n_darts)
-        return tuple(self.coloring[d] for d, _ in graph.edges()), steps
+        steps, _ = _program(_subscripts(graph), graph.n_vertices, graph.n_darts)
+        tensors = tuple(t.astype(complex) for t in self.vertex_tensors)
+        return tuple(self.coloring[d] for d, _ in graph.edges()), steps, tensors
 
 
 def _subscripts(graph):
@@ -229,24 +231,17 @@ def _values_batch(snf, batch):
 
     Rows go through in near-equal blocks of at most _BLOCK // E, so only
     one block's kernels and intermediates are live.  Each block makes one
-    array pass for every edge's kernel omega . rho, then runs the network's
-    steps.
+    array pass for every edge's kernel omega . rho, then runs the graph's
+    program on the vertex tensors and the kernels.
     """
-    labels, steps = snf._program
+    labels, steps, tensors = snf._program
     n_blocks = -(-len(batch) // max(1, _BLOCK // len(labels)))
     values = []
     for block in np.array_split(batch, n_blocks) if n_blocks > 1 else [batch]:
-        ops = _rep_batch(labels, block, paired=True)
-        for ids, step in steps:
-            args = [ops[i] for i in ids]
-            for i in ids:  # each operand is read once; free it
-                ops[i] = None
-            ops.append(step(*args))
-        values.append(ops[-1])
+        values.append(_run(steps, [*tensors, *_rep_batch(labels, block, paired=True)]))
     return np.concatenate(values) if len(values) > 1 else values[0]
 
 
-@lru_cache(maxsize=512)
 def _contraction_path(subscripts, bax=None):
     """Greedy pairwise contraction order for interleaved einsum operands.
 
@@ -266,66 +261,54 @@ def _contraction_path(subscripts, bax=None):
     return np.einsum_path(*args, list(subscripts[-1]), optimize=("greedy", 2**62))[0][1:]
 
 
-def _compile(subscripts, consts, bax=None):
-    """(steps, (term, result)): a network's program on its path.
+@lru_cache(maxsize=512)
+def _program(subscripts, n_consts, bax=None):
+    """(steps, term): a contraction's program on its path, free of sizes,
+    so one serves every coloring of a graph.
 
     subscripts holds each operand's index tuple and, last, the output's;
-    every other index lies on exactly two operands.  The first len(consts)
-    operands are the arrays consts; the rest vary per call and carry the
-    batch axis bax.  Each step transposes a pair to (batch, kept, summed)
-    and (batch, summed, kept), reshapes them and calls np.matmul, the
-    varying side on the left.  Steps on constants alone run here, as does
-    the layout of a constant side.  steps holds (operand ids, callable)
-    pairs, ids counting the varying operands, then each step's result.
-    The last result, an id or an array if nothing varies, comes back with
-    its index order term.
+    every other index lies on exactly two operands.  The first n_consts
+    operands are the same on every call; the rest carry the batch axis bax.
+    Each step transposes a pair to (batch, kept, summed) and (batch,
+    summed, kept) and multiplies them as stacked matrices, a varying side
+    on the left.  A step is (id a, id b, perm a or None, perm b or None,
+    and the numbers of batch, kept-a and summed indices), ids counting the
+    operands, then each step's result.  term is the index order of the
+    last result.
     """
     *terms, out = subscripts
-    size = {ix: n for term, x in zip(terms, consts) for ix, n in zip(term, x.shape)}
-    size[bax] = -1  # as reshapes take it
-    slots = list(zip(terms, consts)) + [(term, i) for i, term in enumerate(terms[len(consts) :])]
-    n_ops = len(terms) - len(consts)
+    slots = [(term, i, i >= n_consts) for i, term in enumerate(terms)]
     steps = []
     for pair in _contraction_path(subscripts, bax):
         picked = [slots.pop(p) for p in sorted(pair, reverse=True)]
-        (ta, a), (tb, b) = sorted(picked, key=lambda slot: isinstance(slot[1], np.ndarray))
-        keep = set(out).union(*(term for term, _ in slots))
+        (ta, a, varies), (tb, b, _) = sorted(picked, key=lambda slot: not slot[2])
+        keep = set(out).union(*(term for term, _, _ in slots))
         batch = [ix for ix in ta if ix in tb and ix in keep]
         summed = [ix for ix in ta if ix in tb and ix not in keep]
         kept_a = [ix for ix in ta if ix not in tb]
         kept_b = [ix for ix in tb if ix not in ta]
-        head = [batch] if batch else []
-        form_a = _matrix_form(ta, head + [kept_a, summed], size)
-        form_b = _matrix_form(tb, head + [summed, kept_b], size)
-        result = tuple(batch + kept_a + kept_b)
-        shape = tuple(size[ix] for ix in result)
-        if isinstance(a, np.ndarray):  # two constants
-            slots.append((result, _pair(form_a, form_b, shape, a, b)))
-            continue
-        if isinstance(b, np.ndarray):
-            b = np.asarray(_matrix(b, *form_b), dtype=complex)
-            steps.append(((a,), partial(_pair, form_a, (None, b.shape), shape, b=b)))
-        else:
-            steps.append(((a, b), partial(_pair, form_a, form_b, shape)))
-        slots.append((result, n_ops))
-        n_ops += 1
-    return steps, slots[0]
+        orders = (ta, batch + kept_a + summed), (tb, batch + summed + kept_b)
+        perms = [tuple(map(t.index, o)) if o != list(t) else None for t, o in orders]
+        steps.append((a, b, *perms, len(batch), len(kept_a), len(summed)))
+        slots.append((tuple(batch + kept_a + kept_b), len(terms) + len(steps) - 1, varies))
+    return tuple(steps), slots[0][0]
 
 
-def _matrix_form(term, groups, size):
-    # (axis order or None, shape): term as groups fused to one axis each
-    order = [ix for group in groups for ix in group]
-    perm = tuple(map(term.index, order)) if order != list(term) else None
-    sizes = [[size[ix] for ix in group] for group in groups]
-    return perm, tuple(-1 if -1 in s else math.prod(s) for s in sizes)
+def _run(steps, ops):
+    """The last result of steps run on ops, a list of the operands in order.
 
-
-def _matrix(x, perm, shape):
-    return (x if perm is None else x.transpose(perm)).reshape(shape)
-
-
-def _pair(form_a, form_b, shape, a, b):
-    return np.matmul(_matrix(a, *form_a), _matrix(b, *form_b)).reshape(shape)
+    Every size comes from the operands' shapes; each operand is read once
+    and freed.
+    """
+    for i, j, perm_a, perm_b, n_batch, n_kept, n_summed in steps:
+        a = ops[i] if perm_a is None else ops[i].transpose(perm_a)
+        b = ops[j] if perm_b is None else ops[j].transpose(perm_b)
+        ops[i] = ops[j] = None
+        head, kept_a, kept_b = a.shape[:n_batch], a.shape[n_batch : n_batch + n_kept], b.shape[n_batch + n_summed :]
+        batch, summed = math.prod(head), math.prod(b.shape[n_batch : n_batch + n_summed])
+        a, b = a.reshape(batch, math.prod(kept_a), summed), b.reshape(batch, summed, math.prod(kept_b))
+        ops.append(np.matmul(a, b).reshape(head + kept_a + kept_b))
+    return ops[-1]
 
 
 def spin_network_value(snf, conn):

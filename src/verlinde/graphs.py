@@ -419,6 +419,11 @@ def _matching_layout(n_darts):
     return tuple(d // 3 for d in range(n_darts)), stars, _entry_orders(stars, n_darts)
 
 
+# the search recurses once per vertex of a component, and Python stops at
+# 1,000 frames: this leaves room for the callers' frames, pytest's included
+MAX_CANONICAL_VERTICES = 800
+
+
 def canonical_form(graph):
     """Relabeling-invariant encoding; equal iff graphs are isomorphic.
 
@@ -442,11 +447,15 @@ def canonical_form(graph):
     order as soon as one of its relabelings encodes exactly the best found
     under an earlier seed order (the root cut).  When every star has one
     size w (any trivalent graph, legs or not), vert_t is t // w for every
-    relabeling and is not computed.  A star of more than 4 darts is a
-    ValueError.
+    relabeling and is not computed.  A star of more than 4 darts, or a
+    component of more than MAX_CANONICAL_VERTICES vertices, is a ValueError.
     """
+    comps = _components(graph)
+    most = max(map(len, comps), default=0)
+    if most > MAX_CANONICAL_VERTICES:
+        raise ValueError(f"canonical forms stop at {MAX_CANONICAL_VERTICES} vertices a component, got {most}")
     out = []
-    for comp in _components(graph):
+    for comp in comps:
         profiles = {v: _vertex_profile(graph, v) for v in comp}
         seed_class = min(profiles.values())
         out.append(_least_encoding(graph, [v for v in comp if profiles[v] == seed_class]))

@@ -54,16 +54,15 @@ def check_labels(k, labels):
 
 
 @lru_cache(maxsize=None)
-def _label_terms(n, paired):
+def _label_terms(n):
     """The symmetric power's terms for label n as arrays, entries in row-major order.
 
     Column j of the monomial matrix expands (a x + c y)^(n-j) (b x + d y)^j,
     the image of x^(n-j) y^j under substitution by rows of g.  Term r of
     entry e = (n+1) i + j is comb(n-j, s) a^(n-j-s) c^s times
     comb(j, i-s) b^(j-i+s) d^(i-s), with s = max(0, i-j) + r ascending.
-    Each entry has its orthonormal scale and its place in the matrix; with
-    paired, entry (i, j) goes to row n-i times omega[n-i, i], the one
-    nonzero of that row: the kernel omega . rho as a signed row reversal.
+    Each entry has its orthonormal scale, its place e in the matrix and
+    omega[n-i, i], the one nonzero of row n-i of the pairing.
     """
     terms = [
         (i * (n + 1) + j, r, comb(n - j, s), n - j - s, s, comb(j, i - s), j - i + s, i - s)
@@ -71,14 +70,9 @@ def _label_terms(n, paired):
         for j in range(n + 1)
         for r, s in enumerate(range(max(0, i - j), min(i, n - j) + 1))
     ]
-    pairing = omega(n)
-    scale, spots = [], []
-    for i in range(n + 1):
-        row, sign = (n - i, pairing[n - i, i]) if paired else (i, 1.0)
-        for j in range(n + 1):
-            scale.append(sign * sqrt(comb(n, j) / comb(n, i)))
-            spots.append(row * (n + 1) + j)
-    return tuple(np.array(col) for col in zip(*terms)) + (np.array(scale), np.array(spots))
+    scale = [sqrt(comb(n, j) / comb(n, i)) for i in range(n + 1) for j in range(n + 1)]
+    sign = np.repeat(omega(n)[::-1].diagonal(), n + 1)
+    return tuple(np.array(col) for col in zip(*terms)) + (np.array(scale), np.arange((n + 1) ** 2), sign)
 
 
 @lru_cache(maxsize=256)
@@ -94,10 +88,16 @@ def _batch_plan(labels, paired):
     n+1), one row after another, so an entry of row r sits at N*start +
     r*size + spots.
     """
-    tables = [_label_terms(n, paired) for n in labels]
+    tables = [_label_terms(n) for n in labels]
     sizes = np.array([(n + 1) ** 2 for n in labels])
     lows = np.cumsum(sizes) - sizes
-    entry, rank, cl, pa, pc, cr, pb, pd, scale, spots = (np.concatenate(col) for col in zip(*tables))
+    entry, rank, cl, pa, pc, cr, pb, pd, scale, spots, sign = (np.concatenate(col) for col in zip(*tables))
+    if paired:
+        # omega . rho as a signed row reversal: entry (i, j) goes to row n-i
+        # times omega[n-i, i]; both exact
+        side = np.repeat(np.array(labels) + 1, sizes)  # n+1 of each entry
+        spots = spots + (side - 1 - 2 * (spots // side)) * side
+        scale = sign * scale
     matrix = np.repeat(np.arange(len(labels)), [len(t[0]) for t in tables])  # of each term
     entry = entry + lows[matrix]
     order = np.argsort(-np.bincount(entry), kind="stable")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import _compile, spin_network
+from .gauge import _program, _run, spin_network
 from .graphs import chord_edges, genus
 from .su2reps import AdmissibilityError, _check_label, casimir, check_level, omega, rep_matrix
 
@@ -419,9 +419,8 @@ def spin_network_blocks(graph, coloring):
     subscripts += tuple((d, aux[d]) if d in aux else (d, p) for d, p in edges)
     out = tuple(graph.involution[e] for e in chords) + tuple(aux[e] for e in chords)
     kernels = [omega(coloring[d]).astype(complex) for d, _ in edges]
-    # every operand is a constant, so the whole program runs at compile time
-    _, (term, tensor) = _compile(subscripts + (out,), [*snf.vertex_tensors, *kernels])
-    tensor = tensor.transpose([term.index(ix) for ix in out])
+    steps, term = _program(subscripts + (out,), len(subscripts))  # no operand varies
+    tensor = _run(steps, [*snf.vertex_tensors, *kernels]).transpose([term.index(ix) for ix in out])
     dim = int(np.prod([n + 1 for n in labels]))
     return labels, tensor.reshape(dim, dim)
 

@@ -74,13 +74,18 @@ def _weight_edge_ids(graph):
     return sorted(graph.edge_ids() + graph.parabolic_darts())
 
 
+# the longest weight list enumerate_weights returns: the count grows like
+# k^(3g-3), and `weights list` near this length takes about 150 MB and 2.5 s
+MAX_WEIGHTS = 10**5
+
+
 def enumerate_weights(graph, k, boundary=None):
     """All admissible level-k weights, sorted by numerator tuple.
 
     Parabolic legs must be pinned through `boundary`, a mapping from leg
     dart (or its edge id) to the prescribed value.  The search assigns the
     edges in ascending order and each its values ascending, so it emits the
-    tuples sorted.
+    tuples sorted.  A search that passes MAX_WEIGHTS weights is refused.
     """
     check_level(k)
     if not graph.is_trivalent():
@@ -114,6 +119,8 @@ def enumerate_weights(graph, k, boundary=None):
 
     def dfs(i):
         if i == len(edges):
+            if len(out) == MAX_WEIGHTS:
+                raise ValueError(f"weight lists stop at {MAX_WEIGHTS} weights, level {k} gives more")
             out.append(tuple(nums[e] for e in edges))
             return
         e = edges[i]

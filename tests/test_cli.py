@@ -563,8 +563,10 @@ def test_graph_faces_malformed_ribbon_is_usage_error(capsys, ribbon):
             '{"vertices": 2, "edges": [[0, 1], [0, 1], [0, 1]], "ribbon": {"0": [0, 1, 2]}}',
         ],
         ["graph", "show", "--canonical", "--graph", '{"vertices": 1, "edges": [[0, 0]' + ', [0, 0]' * 5 + "]}"],
+        # 998 vertices: refused before the search recurses once per vertex
+        ["graph", "show", "--canonical", "--graph", "chain-500"],
     ],
-    ids=["gauge-bivalent", "gauge-legs", "weights-bivalent", "faces-missing-vertex", "show-bouquet"],
+    ids=["gauge-bivalent", "gauge-legs", "weights-bivalent", "faces-missing-vertex", "show-bouquet", "show-chain-500"],
 )
 def test_graph_outside_the_command_domain_is_usage_error(capsys, argv):
     code, out, err = capture(capsys, argv)

@@ -1,5 +1,6 @@
 """Holonomy, gauge action, and spin network evaluation on trivalent graphs."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -22,7 +23,15 @@ from verlinde.gauge import (
     spin_network,
     spin_network_value,
 )
-from verlinde.graphs import TrivalentGraph, chain_graph, chord_edges, dumbbell_graph, multi_theta, theta_graph
+from verlinde.graphs import (
+    TrivalentGraph,
+    chain_graph,
+    chord_edges,
+    dumbbell_graph,
+    enumerate_trivalent,
+    multi_theta,
+    theta_graph,
+)
 from verlinde.su2reps import AdmissibilityError, _rep_batch, admissible_triple, omega, rep_matrix
 from verlinde.thetacst import spin_network_blocks
 
@@ -367,31 +376,26 @@ def test_one_path_per_graph_matches_searched_einsum(graph):
 
 
 def test_contraction_path_cache_is_bounded():
-    # bounded, and keyed by the graph alone: every coloring shares one entry
-    assert gauge._contraction_path.cache_info().maxsize is not None
+    # bounded, and keyed by the graph alone: every coloring shares one program
+    assert gauge._program.cache_info().maxsize is not None
     graph = multi_theta(3)
-    gauge._contraction_path.cache_clear()
+    gauge._program.cache_clear()
     conn = random_connection(graph, np.random.default_rng(19))
     for coloring in admissible_colorings(graph, 2):
         spin_network_value(spin_network(graph, coloring), conn)
-    assert gauge._contraction_path.cache_info().currsize == 1
+    assert gauge._program.cache_info().currsize == 1
 
 
 def test_network_is_planned_once(monkeypatch):
-    compiles, searches = [], []
-    compile_, search = gauge._compile, np.einsum_path
-
-    def counted_compile(*args):
-        compiles.append(1)
-        return compile_(*args)
+    searches = []
+    search = np.einsum_path
 
     def counted_search(*args, **kwargs):
         searches.append(1)
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(gauge, "_compile", counted_compile)
     monkeypatch.setattr(np, "einsum_path", counted_search)
-    gauge._contraction_path.cache_clear()
+    gauge._program.cache_clear()
     graph = dumbbell_graph()
     snf = spin_network(graph, {0: 2, 2: 2, 4: 2})
     rng = np.random.default_rng(17)
@@ -401,9 +405,10 @@ def test_network_is_planned_once(monkeypatch):
     for rows in (1, 7, 2 * gauge._BLOCK + 1):
         gauge._values_batch(snf, gauge._haar_batch(rng, rows * n_edges).reshape(rows, n_edges, 2, 2))
     # one program serves every row count
-    assert (len(compiles), len(searches)) == (1, 1)
+    assert (gauge._program.cache_info().misses, len(searches)) == (1, 1)
+    # and every coloring: a second one builds nothing
     spin_network_value(spin_network(graph, {0: 4, 2: 4, 4: 0}), random_connection(graph, rng))
-    assert (len(compiles), len(searches)) == (2, 1)
+    assert (gauge._program.cache_info().misses, len(searches)) == (1, 1)
 
 
 def test_chain_sweep_searches_one_path(monkeypatch):
@@ -419,7 +424,7 @@ def test_chain_sweep_searches_one_path(monkeypatch):
     graph = chain_graph(4)
     colorings = admissible_colorings(graph, 3)
     assert len(colorings) == 1714
-    gauge._contraction_path.cache_clear()
+    gauge._program.cache_clear()
     monkeypatch.setattr(np, "einsum_path", counted)
     conn = random_connection(graph, np.random.default_rng(25))
     for coloring in colorings:
@@ -470,6 +475,120 @@ def test_spin_network_blocks_match_plain_einsum(graph, cap):
         operands = [*spin_network(graph, coloring).vertex_tensors, *(omega(coloring[d]) for d, _ in graph.edges())]
         got = block.reshape([n + 1 for n in labels] * 2)
         _assert_within_bound(got, operands, subscripts, None, gauge._contraction_path(subscripts))
+
+
+# -- the program per coloring, as the package first compiled it ---------------
+#
+# A frozen copy of the per-coloring compile that the one program per graph
+# replaced: it folded the steps on constants alone and laid out each constant
+# side once per network.  The graph's program runs the same path, transposes
+# and np.matmul calls, so its values and blocks must keep these bits.
+
+
+_oracle_path = functools.lru_cache(maxsize=None)(gauge._contraction_path)
+
+
+def _oracle_compile(subscripts, consts, bax=None):
+    *terms, out = subscripts
+    size = {ix: n for term, x in zip(terms, consts) for ix, n in zip(term, x.shape)}
+    size[bax] = -1
+    slots = list(zip(terms, consts)) + [(term, i) for i, term in enumerate(terms[len(consts) :])]
+    n_ops = len(terms) - len(consts)
+    steps = []
+    for pair in _oracle_path(subscripts, bax):
+        picked = [slots.pop(p) for p in sorted(pair, reverse=True)]
+        (ta, a), (tb, b) = sorted(picked, key=lambda slot: isinstance(slot[1], np.ndarray))
+        keep = set(out).union(*(term for term, _ in slots))
+        batch = [ix for ix in ta if ix in tb and ix in keep]
+        summed = [ix for ix in ta if ix in tb and ix not in keep]
+        kept_a = [ix for ix in ta if ix not in tb]
+        kept_b = [ix for ix in tb if ix not in ta]
+        head = [batch] if batch else []
+        form_a = _oracle_form(ta, head + [kept_a, summed], size)
+        form_b = _oracle_form(tb, head + [summed, kept_b], size)
+        result = tuple(batch + kept_a + kept_b)
+        shape = tuple(size[ix] for ix in result)
+        if isinstance(a, np.ndarray):
+            slots.append((result, _oracle_pair(form_a, form_b, shape, a, b)))
+            continue
+        if isinstance(b, np.ndarray):
+            b = np.asarray(_oracle_matrix(b, *form_b), dtype=complex)
+            steps.append(((a,), functools.partial(_oracle_pair, form_a, (None, b.shape), shape, b=b)))
+        else:
+            steps.append(((a, b), functools.partial(_oracle_pair, form_a, form_b, shape)))
+        slots.append((result, n_ops))
+        n_ops += 1
+    return steps, slots[0]
+
+
+def _oracle_form(term, groups, size):
+    order = [ix for group in groups for ix in group]
+    perm = tuple(map(term.index, order)) if order != list(term) else None
+    sizes = [[size[ix] for ix in group] for group in groups]
+    return perm, tuple(-1 if -1 in s else math.prod(s) for s in sizes)
+
+
+def _oracle_matrix(x, perm, shape):
+    return (x if perm is None else x.transpose(perm)).reshape(shape)
+
+
+def _oracle_pair(form_a, form_b, shape, a, b):
+    return np.matmul(_oracle_matrix(a, *form_a), _oracle_matrix(b, *form_b)).reshape(shape)
+
+
+def _oracle_values_batch(snf, batch):
+    graph = snf.graph
+    steps, _ = _oracle_compile(gauge._subscripts(graph), snf.vertex_tensors, graph.n_darts)
+    labels = tuple(snf.coloring[d] for d, _ in graph.edges())
+    n_blocks = -(-len(batch) // max(1, gauge._BLOCK // len(labels)))
+    values = []
+    for block in np.array_split(batch, n_blocks) if n_blocks > 1 else [batch]:
+        ops = _rep_batch(labels, block, paired=True)
+        for ids, step in steps:
+            args = [ops[i] for i in ids]
+            for i in ids:
+                ops[i] = None
+            ops.append(step(*args))
+        values.append(ops[-1])
+    return np.concatenate(values) if len(values) > 1 else values[0]
+
+
+def _oracle_blocks(graph, coloring):
+    snf = spin_network(graph, coloring)
+    chords = chord_edges(graph)
+    labels = tuple(int(coloring[e]) for e in chords)
+    aux = {e: graph.n_darts + i for i, e in enumerate(chords)}
+    edges = graph.edges()
+    subscripts = tuple(tuple(graph.star(v)) for v in range(graph.n_vertices))
+    subscripts += tuple((d, aux[d]) if d in aux else (d, p) for d, p in edges)
+    out = tuple(graph.involution[e] for e in chords) + tuple(aux[e] for e in chords)
+    kernels = [omega(coloring[d]).astype(complex) for d, _ in edges]
+    _, (term, tensor) = _oracle_compile(subscripts + (out,), [*snf.vertex_tensors, *kernels])
+    tensor = tensor.transpose([term.index(ix) for ix in out])
+    dim = int(np.prod([n + 1 for n in labels]))
+    return labels, tensor.reshape(dim, dim)
+
+
+ORACLE_CASES = (
+    [(theta_graph(), 4), (dumbbell_graph(), 3), (multi_theta(3), 2)]
+    + [(graph, 2) for graph in enumerate_trivalent(3)]
+    + [(graph, 1) for graph in enumerate_trivalent(4)]
+)
+
+
+@pytest.mark.parametrize("graph,cap", ORACLE_CASES)
+def test_graph_program_keeps_the_per_coloring_bits(graph, cap):
+    rng = np.random.default_rng(33)
+    n_edges = len(graph.edge_ids())
+    batches = [gauge._haar_batch(rng, rows * n_edges).reshape(rows, n_edges, 2, 2) for rows in (1, 7, 2 * gauge._BLOCK + 1)]
+    for coloring in admissible_colorings(graph, cap):
+        snf = spin_network(graph, coloring)
+        for batch in batches:
+            assert gauge._values_batch(snf, batch).tobytes() == _oracle_values_batch(snf, batch).tobytes()
+        labels, block = spin_network_blocks(graph, coloring)
+        want_labels, want = _oracle_blocks(graph, coloring)
+        assert labels == want_labels
+        assert block.tobytes() == want.tobytes()
 
 
 def test_spin_network_refuses_more_darts_than_einsum_letters():

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from verlinde import graphs as graphs_module
 from verlinde.graphs import (
+    MAX_CANONICAL_VERTICES,
     RibbonStructure,
     TrivalentGraph,
     _components,
@@ -618,6 +619,17 @@ def test_canonical_form_of_symmetric_genus_18_graphs(make):
         rng.shuffle(vperm)
         forms.add(canonical_form(_relabel(graph, vperm, rng)))
     assert forms == {canonical_form(graph)}
+
+
+def test_canonical_form_cap_leaves_room_for_the_callers_frames():
+    # the largest component accepted recurses once per vertex and still fits
+    # Python's 1,000-frame limit under pytest; a larger one is refused before
+    # the search, not stopped by a RecursionError inside it
+    graph = chain_graph(MAX_CANONICAL_VERTICES // 2 + 1)
+    assert graph.n_vertices == MAX_CANONICAL_VERTICES
+    assert graphs_module.graph_from_form(canonical_form(graph)).n_vertices == MAX_CANONICAL_VERTICES
+    with pytest.raises(ValueError, match="stop at 800 vertices a component, got 998"):
+        canonical_form(chain_graph(500))
 
 
 def test_canonical_form_refuses_stars_of_more_than_four_darts(monkeypatch):

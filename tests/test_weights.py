@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from verlinde import newstead
+from verlinde import weights as weights_module
 from verlinde.graphs import (
     TrivalentGraph,
     chain_graph,
@@ -176,6 +177,16 @@ def test_theta_small_counts():
 
 def test_dumbbell_matches_theta():
     assert len(enumerate_weights(dumbbell_graph(), 2)) == 10
+
+
+def test_enumeration_refuses_past_max_weights(monkeypatch):
+    # refused as soon as the search passes the cap: at level 10^4 the whole
+    # theta list has about 1.7e11 weights, and ten come in a fraction of that
+    monkeypatch.setattr(weights_module, "MAX_WEIGHTS", 10)
+    assert len(enumerate_weights(theta_graph(), 2)) == 10
+    for k in (3, 10**4):
+        with pytest.raises(ValueError, match="weight lists stop at 10 weights"):
+            enumerate_weights(theta_graph(), k)
 
 
 @pytest.mark.parametrize("k", range(1, 13))
