@@ -10,7 +10,8 @@ the kernel is rho with its rows reversed and signed.  Each graph gets one
 program, built once whatever its labels: a greedy pairwise contraction
 order whose every step lays its pair out as matrices and calls np.matmul,
 with the sizes read from the operands.  A network binds its graph's
-program to its labels and its vertex tensors.  A batch of connections goes
+program to its labels, its vertex tensors and its edge kernels' plan.
+Colorings come from the weights search.  A batch of connections goes
 through in row blocks, each block one array pass for all edge kernels and
 a run of the program.  The result differs from np.einsum's by rounding
 alone, within 2 gamma_n times the network on absolute values.
@@ -27,7 +28,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .su2reps import AdmissibilityError, _check_int, _rep_batch, admissible_triple, wigner_3j
+from .su2reps import AdmissibilityError, _batch_plan, _check_int, _rep_batch, wigner_3j
+from .weights import _labelings
 
 _CHUNK = 16384
 _BLOCK = 2048
@@ -156,12 +158,14 @@ class SpinNetworkFunction:
 
     @cached_property
     def _program(self):
-        """(edge labels, steps, vertex tensors) of the network: its graph's
-        steps, and its tensors cast to complex once, as the kernels are."""
+        """(edge labels, steps, vertex tensors, kernel plan) of the network:
+        its graph's steps, its tensors cast to complex once, as the kernels
+        are, and its own plan, so no sweep over networks rebuilds one."""
         graph = self.graph
         steps, _ = _program(_subscripts(graph), graph.n_vertices, graph.n_darts)
         tensors = tuple(t.astype(complex) for t in self.vertex_tensors)
-        return tuple(self.coloring[d] for d, _ in graph.edges()), steps, tensors
+        labels = tuple(self.coloring[d] for d, _ in graph.edges())
+        return labels, steps, tensors, _batch_plan(labels, True)
 
 
 def _subscripts(graph):
@@ -195,35 +199,18 @@ def spin_network(graph, coloring):
 def admissible_colorings(graph, cap):
     """Every edge coloring by twice-spins 0..cap admissible at each vertex.
 
-    Colorings come in itertools.product order over the edge ids.  Each
-    vertex is tested as soon as its last edge is colored, and a search
-    that passes MAX_GAUGE_COLORINGS colorings is refused.
+    Colorings come in itertools.product order over the edge ids, listed by
+    the weights search with a vertex sum bound, 3 cap, that never binds.
+    A search that passes MAX_GAUGE_COLORINGS colorings is refused.
     """
+    _check_int(cap, "cap")
     if graph.parabolic_darts() or not graph.is_trivalent():
         raise ValueError("colorings are defined on closed trivalent graphs")
+    found = _labelings(graph, cap, 3 * cap, {}, MAX_GAUGE_COLORINGS)
+    if len(found) > MAX_GAUGE_COLORINGS:
+        raise ValueError(f"admissible colorings stop at {MAX_GAUGE_COLORINGS}, cap {cap} gives more")
     eids = graph.edge_ids()
-    place = {e: i for i, e in enumerate(eids)}
-    ready = [[] for _ in eids]  # the stars whose last edge is eids[i]
-    for v in range(graph.n_vertices):
-        star = tuple(place[graph.edge_of(d)] for d in graph.star(v))
-        ready[max(star)].append(star)
-    out, combo, n = [], [], 0  # n: the next color to try at len(combo)
-    while True:
-        if len(combo) == len(eids):
-            if len(out) == MAX_GAUGE_COLORINGS:
-                raise ValueError(f"admissible colorings stop at {MAX_GAUGE_COLORINGS}, cap {cap} gives more")
-            out.append(dict(zip(eids, combo)))
-            n = cap + 1
-        if n > cap:
-            if not combo:
-                return out
-            n = combo.pop() + 1
-            continue
-        combo.append(n)
-        if all(admissible_triple(*(combo[i] for i in star)) for star in ready[len(combo) - 1]):
-            n = 0
-        else:
-            n = combo.pop() + 1
+    return [dict(zip(eids, combo)) for combo in found]
 
 
 def _values_batch(snf, batch):
@@ -234,11 +221,11 @@ def _values_batch(snf, batch):
     array pass for every edge's kernel omega . rho, then runs the graph's
     program on the vertex tensors and the kernels.
     """
-    labels, steps, tensors = snf._program
+    labels, steps, tensors, plan = snf._program
     n_blocks = -(-len(batch) // max(1, _BLOCK // len(labels)))
     values = []
     for block in np.array_split(batch, n_blocks) if n_blocks > 1 else [batch]:
-        values.append(_run(steps, [*tensors, *_rep_batch(labels, block, paired=True)]))
+        values.append(_run(steps, [*tensors, *_rep_batch(plan, block)]))
     return np.concatenate(values) if len(values) > 1 else values[0]
 
 

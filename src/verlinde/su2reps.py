@@ -86,7 +86,8 @@ def _batch_plan(labels, paired):
     of them, and every entry sums its terms in _label_terms' order.  For N
     rows, matrix k fills N*lo:N*hi of a flat buffer, blocks[k] = (lo, hi,
     n+1), one row after another, so an entry of row r sits at N*start +
-    r*size + spots.
+    r*size + spots.  A spin network keeps its plan as well, so a sweep over
+    more networks than the cache holds rebuilds none on its second pass.
     """
     tables = [_label_terms(n) for n in labels]
     sizes = np.array([(n + 1) ** 2 for n in labels])
@@ -115,9 +116,9 @@ def _batch_plan(labels, paired):
     )
 
 
-def _rep_batch(labels, g, paired=False):
+def _rep_batch(plan, g):
     """Irrep matrices of labels[k] at g[:, k], for an (N, E, 2, 2) batch g
-    ((N, 2, 2) for one label).
+    ((N, 2, 2) for one label), plan = _batch_plan(labels, paired).
 
     One array pass builds every matrix, as E C-contiguous (N, n+1, n+1)
     views of one buffer.  numpy's array arithmetic rounds alike at any
@@ -125,10 +126,10 @@ def _rep_batch(labels, g, paired=False):
     paired, matrix k is the kernel omega . rho; adding zero turns -0 into
     +0, as an einsum against omega did.
     """
-    cl, pa, pc, cr, pb, pd, ends, scale, spots, start, size, blocks = _batch_plan(labels, paired)
+    cl, pa, pc, cr, pb, pd, ends, scale, spots, start, size, blocks = plan
     n_rows = len(g)
     x = g.reshape(n_rows, -1).T
-    powers = np.concatenate([x**p for p in range(max(labels) + 1)])
+    powers = np.concatenate([x**p for p in range(max(m for _, _, m in blocks))])
     prods = cl * powers[pa] * powers[pc] * (cr * powers[pb] * powers[pd])
     acc = 0 + prods[: ends[0]]
     for lo, hi in zip(ends, ends[1:]):
@@ -152,13 +153,13 @@ def rep_matrix(n, g):
     _check_label(n)
     g = np.asarray(g, dtype=complex)
     if g.ndim == 3 and g.shape[1:] == (2, 2):
-        return _rep_batch((n,), g)[0]
+        return _rep_batch(_batch_plan((n,), False), g)[0]
     if g.shape != (2, 2):
         raise ValueError("group elements are 2x2 matrices")
     det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
     if not abs(det - 1) <= 1e-12:  # a NaN determinant fails too
         raise ValueError(f"matrix must be unimodular, det = {det}")
-    return _rep_batch((n,), g[None])[0][0]
+    return _rep_batch(_batch_plan((n,), False), g[None])[0][0]
 
 
 def character(n, g):

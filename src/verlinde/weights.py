@@ -3,11 +3,12 @@
 A level-k weight assigns each edge a value in (1/2k)*{0..k}, stored as its
 integer numerator over 2k; Fractions appear only in the `values` view.  At
 every vertex the three incident values (a loop counts twice) must satisfy
-the parity, sum and quantum triangle conditions.  This module enumerates the
-admissible set, counts it by vertex elimination without listing it,
-computes exactly the volume of the weight polytope whose dilations it
-counts, solves the mod-k U(1) flows, whose mod-2 supports are the level-1
-even subgraphs, and fits the leading growth of the count in k.
+the parity, sum and quantum triangle conditions.  This module lists the
+admissible set by the search that lists gauge colorings too, counts it by
+vertex elimination without listing it, computes exactly the volume of the
+weight polytope whose dilations it counts, solves the mod-k U(1) flows,
+whose mod-2 supports are the level-1 even subgraphs, and fits the leading
+growth of the count in k.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def _weight_edge_ids(graph):
 
 
 # the longest weight list enumerate_weights returns: the count grows like
-# k^(3g-3), and `weights list` near this length takes about 150 MB and 2.5 s
+# k^(3g-3), and `weights list` near this length takes about 155 MB and 1.8 s
 MAX_WEIGHTS = 10**5
 
 
@@ -83,56 +84,65 @@ def enumerate_weights(graph, k, boundary=None):
     """All admissible level-k weights, sorted by numerator tuple.
 
     Parabolic legs must be pinned through `boundary`, a mapping from leg
-    dart (or its edge id) to the prescribed value.  The search assigns the
-    edges in ascending order and each its values ascending, so it emits the
-    tuples sorted.  A search that passes MAX_WEIGHTS weights is refused.
+    dart (its edge id) to the prescribed value; other keys are refused.  A
+    search that passes MAX_WEIGHTS weights is refused.
     """
     check_level(k)
     if not graph.is_trivalent():
         raise ValueError("weights are defined on trivalent graphs")
-    edges = _weight_edge_ids(graph)
-    legs = {graph.edge_of(d) for d in graph.parabolic_darts()}
+    legs = set(graph.parabolic_darts())
     preset = {}
-    for key, val in (boundary or {}).items():
-        e = graph.edge_of(key)
+    for leg, val in (boundary or {}).items():
+        if leg not in legs:
+            raise ValueError(f"boundary key {leg!r} is not a parabolic leg")
         num = Fraction(val) * 2 * k
         if num.denominator != 1 or not 0 <= num <= k:
             raise ValueError(f"boundary value {val} out of range at level {k}")
-        preset[e] = int(num)
+        preset[leg] = int(num)
     if legs - set(preset):
         raise ValueError("parabolic legs need prescribed boundary values")
+    found = _labelings(graph, k, 2 * k, preset, MAX_WEIGHTS)
+    if len(found) > MAX_WEIGHTS:
+        raise ValueError(f"weight lists stop at {MAX_WEIGHTS} weights, level {k} gives more")
+    return [WeightFunction(graph, k, tup) for tup in found]
 
-    flag_lists = [_vertex_flag_edges(graph, v) for v in range(graph.n_vertices)]
-    position = {e: i for i, e in enumerate(edges)}
-    # vertex becomes checkable once its latest edge is assigned
-    full_at = [[] for _ in edges]
-    for v, flags in enumerate(flag_lists):
-        full_at[max(position[e] for e in flags)].append(v)
 
-    nums = {}
-    out = []
+def _labelings(graph, top, vertex_max, pinned, limit):
+    """Admissible value tuples on _weight_edge_ids(graph), ascending.
 
-    def vertex_ok(v):
-        a, b, c = (nums[e] for e in flag_lists[v])
-        total = a + b + c
-        return total % 2 == 0 and total <= 2 * k and 2 * max(a, b, c) <= total
-
-    def dfs(i):
+    Each edge takes the values 0..top, or pinned[edge] alone, in ascending
+    edge order.  A vertex is tested once its last edge has a value: an even
+    sum of at most vertex_max, no value above the other two's sum.  The
+    search stops at limit + 1 tuples, which tells the caller it passed.
+    """
+    edges = _weight_edge_ids(graph)
+    ready = [[] for _ in edges]  # the stars whose last edge is edges[i]
+    for v in range(graph.n_vertices):
+        star = tuple(map(edges.index, _vertex_flag_edges(graph, v)))
+        ready[max(star)].append(star)
+    # each edge's first and last value; past the last edge, none
+    lows = [pinned.get(e, 0) for e in edges] + [0]
+    highs = [pinned.get(e, top) for e in edges] + [-1]
+    out, combo, n = [], [], lows[0]  # n: the next value to try at len(combo)
+    while True:
+        i = len(combo)
         if i == len(edges):
-            if len(out) == MAX_WEIGHTS:
-                raise ValueError(f"weight lists stop at {MAX_WEIGHTS} weights, level {k} gives more")
-            out.append(tuple(nums[e] for e in edges))
-            return
-        e = edges[i]
-        choices = (preset[e],) if e in preset else range(k + 1)
-        for n in choices:
-            nums[e] = n
-            if all(vertex_ok(v) for v in full_at[i]):
-                dfs(i + 1)
-        del nums[e]
-
-    dfs(0)
-    return [WeightFunction(graph, k, tup) for tup in out]
+            out.append(tuple(combo))
+            if len(out) > limit:
+                return out
+        if n > highs[i]:
+            if not combo:
+                return out
+            n = combo.pop() + 1
+            continue
+        combo.append(n)
+        for a, b, c in ready[i]:
+            x, y, z = combo[a], combo[b], combo[c]
+            if (x + y + z) % 2 or x + y + z > vertex_max or 2 * max(x, y, z) > x + y + z:
+                n = combo.pop() + 1
+                break
+        else:
+            n = lows[i + 1]
 
 
 def verlinde_count_check(g, k):

@@ -32,7 +32,7 @@ from verlinde.graphs import (
     multi_theta,
     theta_graph,
 )
-from verlinde.su2reps import AdmissibilityError, _rep_batch, admissible_triple, omega, rep_matrix
+from verlinde.su2reps import AdmissibilityError, _batch_plan, _rep_batch, admissible_triple, omega, rep_matrix
 from verlinde.thetacst import spin_network_blocks
 
 I2 = np.eye(2)
@@ -263,13 +263,21 @@ def _product_colorings(graph, cap):
     return out
 
 
+# the genus-3 classes come last, so the graphs before them keep their test ids
 GENERATED = [theta_graph(), dumbbell_graph(), chain_graph(2), chain_graph(3), multi_theta(2), multi_theta(3)]
+GENERATED += enumerate_trivalent(3)
 
 
 @pytest.mark.parametrize("graph", GENERATED)
 @pytest.mark.parametrize("cap", range(5))
 def test_pruned_colorings_match_product_filter(graph, cap):
     assert admissible_colorings(graph, cap) == _product_colorings(graph, cap)
+
+
+@pytest.mark.parametrize("cap", [2.0, 2.5, True, -1])
+def test_colorings_refuse_a_cap_that_is_no_count(cap):
+    with pytest.raises(ValueError, match="cap must be a nonnegative integer"):
+        admissible_colorings(theta_graph(), cap)
 
 
 def test_colorings_refused_past_their_cap(monkeypatch):
@@ -346,7 +354,7 @@ def _network_operands(snf, batch):
     # the vertex tensors and the edge kernels the package builds, with the
     # network's index lists and its own contraction path
     subscripts = gauge._subscripts(snf.graph)
-    kernels = _rep_batch(snf._program[0], batch, paired=True)
+    kernels = _rep_batch(snf._program[3], batch)
     return [*snf.vertex_tensors, *kernels], subscripts, gauge._contraction_path(subscripts, snf.graph.n_darts)
 
 
@@ -409,6 +417,19 @@ def test_network_is_planned_once(monkeypatch):
     # and every coloring: a second one builds nothing
     spin_network_value(spin_network(graph, {0: 4, 2: 4, 4: 0}), random_connection(graph, rng))
     assert (gauge._program.cache_info().misses, len(searches)) == (1, 1)
+
+
+def test_second_sweep_builds_no_kernel_plan():
+    # chain-4's 365 cap-2 networks outnumber the 256 plans the cache keeps;
+    # each network holds its own, so a second pass over them builds none
+    graph = chain_graph(4)
+    networks = [spin_network(graph, c) for c in admissible_colorings(graph, 2)]
+    assert len(networks) == 365
+    conn = random_connection(graph, np.random.default_rng(26))
+    first = [spin_network_value(snf, conn) for snf in networks]
+    built = _batch_plan.cache_info().misses
+    assert [spin_network_value(snf, conn) for snf in networks] == first
+    assert _batch_plan.cache_info().misses == built
 
 
 def test_chain_sweep_searches_one_path(monkeypatch):
@@ -543,7 +564,7 @@ def _oracle_values_batch(snf, batch):
     n_blocks = -(-len(batch) // max(1, gauge._BLOCK // len(labels)))
     values = []
     for block in np.array_split(batch, n_blocks) if n_blocks > 1 else [batch]:
-        ops = _rep_batch(labels, block, paired=True)
+        ops = _rep_batch(_batch_plan(labels, True), block)
         for ids, step in steps:
             args = [ops[i] for i in ids]
             for i in ids:
@@ -691,7 +712,7 @@ def test_rep_matrix_batch_is_c_contiguous(n):
 def test_kernel_pass_matches_signed_row_reversal_bitwise(labels, rows):
     mats = gauge._haar_batch(np.random.default_rng(rows), rows * len(labels))
     batch = mats.reshape(rows, len(labels), 2, 2)
-    kernels = _rep_batch(labels, batch, paired=True)
+    kernels = _rep_batch(_batch_plan(labels, True), batch)
     assert len(kernels) == len(labels)
     for k, (n, kernel) in enumerate(zip(labels, kernels)):
         sign = np.diag(omega(n)[:, ::-1])[:, None]

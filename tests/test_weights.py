@@ -347,6 +347,61 @@ def test_boundary_labels():
         enumerate_weights(g, 2)  # legs need prescribed values
 
 
+@pytest.mark.parametrize(
+    "graph, boundary",
+    [
+        (TrivalentGraph.from_edges(1, [(0, 0)], parabolic=[0]), {5: 0}),  # no dart 5
+        (theta_graph(), {0: Fraction(1, 2)}),  # an internal edge, not a leg
+    ],
+    ids=["missing-dart", "internal-edge"],
+)
+def test_boundary_keys_must_name_legs(graph, boundary):
+    with pytest.raises(ValueError, match="is not a parabolic leg"):
+        enumerate_weights(graph, 2, boundary)
+
+
+def _product_weights(graph, k, pinned=None):
+    # every numerator tuple in itertools.product order, filtered afterwards
+    # by the quantum triangle condition; a pinned leg takes its value alone
+    ids = _weight_edge_ids(graph)
+    stars = [[ids.index(graph.edge_of(d)) for d in graph.star(v)] for v in range(graph.n_vertices)]
+    ranges = [[pinned[e]] if e in (pinned or {}) else range(k + 1) for e in ids]
+
+    def admissible(a, b, c):
+        return (a + b + c) % 2 == 0 and abs(a - b) <= c <= min(a + b, 2 * k - a - b)
+
+    return [
+        combo
+        for combo in itertools.product(*ranges)
+        if all(admissible(*(combo[i] for i in star)) for star in stars)
+    ]
+
+
+@pytest.mark.parametrize("graph", enumerate_trivalent(2) + enumerate_trivalent(3))
+@pytest.mark.parametrize("k", range(1, 5))
+def test_enumeration_matches_product_filter(graph, k):
+    assert [wf.numerators for wf in enumerate_weights(graph, k)] == _product_weights(graph, k)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        TrivalentGraph.from_edges(1, [(0, 0)], parabolic=[0]),
+        TrivalentGraph.from_edges(2, [(0, 1), (0, 1)], parabolic=[0, 1]),
+    ],
+    ids=["tadpole", "bigon"],
+)
+@pytest.mark.parametrize("k", range(1, 5))
+def test_legged_enumeration_matches_product_filter(graph, k):
+    # every boundary value on every leg
+    legs = graph.parabolic_darts()
+    for values in itertools.product(range(k + 1), repeat=len(legs)):
+        pinned = dict(zip(legs, values))
+        boundary = {leg: Fraction(n, 2 * k) for leg, n in pinned.items()}
+        got = [wf.numerators for wf in enumerate_weights(graph, k, boundary)]
+        assert got == _product_weights(graph, k, pinned), pinned
+
+
 def test_level_monotonicity():
     # a level-k coloring stays admissible at any higher level
     for wf in enumerate_weights(theta_graph(), 2):
