@@ -24,6 +24,13 @@ entry by entry.  Admissibility at one level is a cached boolean cube over
 (a, b, c), which the table, the relations and the switching blocks' loop
 labels all read.
 
+Per level, a process keeps the table, the cube, the switching blocks and
+their slide data, S and the twist diagonal T (read-only arrays behind
+s_torus, heegaard_invariant, genus_chain_operator and the report), and the
+ten values of residual_report, so only the first report of a level pays
+for the pentagon and the block relations.  The dense lookup that the
+relations index (91 MB at k = 14) is built for each report and dropped.
+
 All labels are twice-spin integers in 0..k.
 """
 
@@ -345,15 +352,14 @@ class _Lookup:
         return np.unravel_index(quads, (self.size,) * 4)
 
 
-# the highest level whose level-wide reports run here: residual_report(14)
-# takes about 5 s and 185 MB, and at k = 16 the dense table of _lookup
-# alone holds 17^6 floats (193 MB)
+# the highest level whose level-wide reports run here: a first
+# residual_report(14) takes about 3 s and a peak RSS of 166 MB in a fresh
+# process on 2 vCPUs (a repeat call in the same process copies a dict), and
+# at k = 16 the dense table of _lookup alone holds 17^6 floats (193 MB)
 MAX_REPORT_LEVEL = 14
 
 
 def _lookup(k):
-    if k > MAX_REPORT_LEVEL:
-        raise ValueError(f"level-wide reports stop at level {MAX_REPORT_LEVEL}, got level {k}")
     keys, values = _level_table(k)
     size = k + 1
     dense = np.zeros(size**6)
@@ -455,16 +461,26 @@ def t_phase(k, n):
     return cmath.exp(2j * math.pi * float(exponent))
 
 
-def s_torus(k):
-    """Real symmetric S matrix of the level-k torus block, S^2 = id."""
-    check_level(k)
+@lru_cache(maxsize=None)
+def _torus_data(k):
+    """Read-only S matrix and twist diagonal T = (t_phase(k, n))_n of a checked level."""
     scale = math.sqrt(2.0 / (k + 2))
-    return np.array(
+    s = np.array(
         [
             [scale * math.sin((a + 1) * (b + 1) * math.pi / (k + 2)) for b in range(k + 1)]
             for a in range(k + 1)
         ]
     )
+    t = np.array([t_phase(k, n) for n in range(k + 1)])
+    s.setflags(write=False)
+    t.setflags(write=False)
+    return s, t
+
+
+def s_torus(k):
+    """Real symmetric S matrix of the level-k torus block, S^2 = id."""
+    check_level(k)
+    return _torus_data(k)[0].copy()
 
 
 def phase_unit(k):
@@ -558,9 +574,9 @@ def heegaard_invariant(word, k):
     same_phase_class.
     """
     check_level(k)
-    s = s_torus(k).astype(complex)
-    t = np.diag([t_phase(k, n) for n in range(k + 1)])
-    matrices = {"S": s, "T": t, "T-1": t.conj()}
+    s, t = _torus_data(k)
+    t = np.diag(t)
+    matrices = {"S": s.astype(complex), "T": t, "T-1": t.conj()}
     rho = np.eye(k + 1, dtype=complex)
     for letter in word.split():
         if letter not in matrices:
@@ -690,7 +706,7 @@ def switching_residuals(k):
         report[("unitarity", j)] = np.abs(s @ s.conj().T - np.eye(d)).max()
         square = (-1.0) ** (j // 2) * cmath.exp(-1j * math.pi * j * (j + 2) / (4 * (k + 2)))
         report[("square", j)] = np.abs(s @ s - square * np.eye(d)).max()
-        twist = np.diag([t_phase(k, m) for m in _loop_labels(k, j)])
+        twist = np.diag(_torus_data(k)[1][list(_loop_labels(k, j))])
         report[("modular", j)] = np.abs(
             np.linalg.matrix_power(s @ twist, 3) - s @ s
         ).max()
@@ -739,7 +755,7 @@ def genus_chain_operator(space, ops):
     if len(loops) != 2:
         raise ValueError("chain assembly needs exactly the two end circles")
     ends = {"first": loops[0], "last": loops[1]}
-    twists = np.array([t_phase(space.level, n) for n in range(space.level + 1)])
+    twists = _torus_data(space.level)[1]
     rho = np.eye(space.dim, dtype=complex)
     for kind, arg in ops:
         # a twist is diagonal, so it scales the rows of rho
@@ -842,10 +858,22 @@ def residual_report(k):
 
     Checks outside their solved range (the entrywise braid relation and the
     holed switching blocks above k = 3) report None instead of a number.
+    Each call returns a new dict; a level's values are computed once per
+    process.
     """
     check_level(k)
-    s = s_torus(k)
-    t = np.diag([t_phase(k, n) for n in range(k + 1)])
+    if k > MAX_REPORT_LEVEL:
+        raise ValueError(f"level-wide reports stop at level {MAX_REPORT_LEVEL}, got level {k}")
+    return dict(_report(k))
+
+
+# every input of the report is a per-level cache of read-only arrays, so a
+# recomputation would give the same bits; the refusals above are never cached
+@lru_cache(maxsize=MAX_REPORT_LEVEL)
+def _report(k):
+    s, t = _torus_data(k)
+    t = np.diag(t)
+    # the dense table of the lookup (91 MB at k = 14) is dropped on return
     look = _lookup(k)
     orth, inverse, relation, yang_baxter = _block_residuals(look)
     report = {
@@ -862,4 +890,4 @@ def residual_report(k):
         "t_unimodularity": float(np.abs(np.abs(np.diag(t)) - 1.0).max()),
         "switching": max(switching_residuals(k).values()) if k <= 3 else None,
     }
-    return report
+    return tuple(report.items())

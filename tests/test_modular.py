@@ -1035,9 +1035,11 @@ PINNED_REPORTS = {
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_residual_report_bits(k):
-    report = residual_report(k)
-    assert tuple(report) == REPORT_KEYS
-    assert tuple(None if v is None else float(v).hex() for v in report.values()) == PINNED_REPORTS[k]
+    # a cold computation, then the cached values of a repeat call
+    modular._report.cache_clear()
+    for report in (residual_report(k), residual_report(k)):
+        assert tuple(report) == REPORT_KEYS
+        assert tuple(None if v is None else float(v).hex() for v in report.values()) == PINNED_REPORTS[k]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -1056,3 +1058,60 @@ def test_residual_report_skips_out_of_range_checks():
     assert report["braid_phase_relation"] is None
     assert report["switching"] is None
     assert report["pentagon"] < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# per-level caches: the report, S and T
+# ---------------------------------------------------------------------------
+
+
+def test_repeat_report_builds_nothing(monkeypatch):
+    modular._report.cache_clear()
+    first = residual_report(2)
+
+    def refuse(k):
+        raise AssertionError(f"level {k} lookup built again")
+
+    monkeypatch.setattr(modular, "_lookup", refuse)
+    assert residual_report(2) == first
+
+
+def test_repeat_report_is_a_fresh_dict():
+    first = residual_report(3)
+    second = residual_report(3)
+    assert first == second
+    assert first is not second
+    first["pentagon"] = 1.0
+    del first["switching"]
+    assert residual_report(3) == second
+
+
+@pytest.mark.parametrize("k", [0, 15, 3.0, True])
+def test_report_refusals_are_not_cached(k):
+    residual_report(3)
+    before = modular._report.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            residual_report(k)
+    assert modular._report.cache_info().currsize == before
+
+
+@pytest.mark.parametrize("k", [1, 2, 6])
+def test_s_torus_hands_out_a_writable_copy(k):
+    word = heegaard_invariant("S T S", k)
+    s = s_torus(k)
+    expected = s.copy()
+    s[:] = 0.0
+    assert heegaard_invariant("S T S", k) == word
+    assert s_torus(k).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 6])
+def test_torus_data_is_read_only(k):
+    s, t = modular._torus_data(k)
+    assert not s.flags.writeable and not t.flags.writeable
+    with pytest.raises(ValueError):
+        s[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        t[0] = 0.0
+    assert t.tolist() == [t_phase(k, n) for n in range(k + 1)]
