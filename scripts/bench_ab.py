@@ -48,7 +48,8 @@ def git(repo, *args, **kwargs):
 def export_parent(repo, rev, dest):
     archive = git(repo, "archive", "--format=tar", rev)
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
+        # extraction filters exist from Python 3.10.12 and 3.11.4 on
+        tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
 
 
 def export_work_tree(repo, dest):
@@ -84,8 +85,8 @@ def run_once(tree, workload, seconds, seed):
 
 
 def directions(benchmark):
-    spec = json.loads(benchmark.read_text()) if benchmark.is_file() else {}
-    return {m["name"]: m["better"] for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+    spec = json.loads(benchmark.read_text())
+    return {m["name"]: m["better"] for m in spec["end_to_end"] + spec.get("per_layer", [])}
 
 
 def summarize(runs, better):
