@@ -11,17 +11,23 @@ against a product irrep, and the Omega-weighted invariant Laplacian acts on
 that block by an explicit matrix.  The graph's theta value is the block
 flowed for time 1/k and traced at a Schottky point.
 
-The lattice sums run one sup-norm shell at a time.  Each shell's quadratic
-and linear forms are computed as arrays whose stacked (N, 1, g) rows make
-the BLAS call that the one-row product makes, so every term has the bits it
-has when computed alone; the terms are then exponentiated with cmath and
-summed in lattice order, as a one-term-at-a-time loop sums them.
+The lattice sums run one sup-norm shell at a time.  `_shell` walks only
+the shell's surface, and a shell that fits in one run of rows is built once
+per process and kept read-only.  Each shell's quadratic and linear forms
+are computed as arrays whose stacked (N, 1, g) rows make the BLAS call that
+the one-row product makes, so every term has the bits it has when computed
+alone.  The terms are then formed by mapping Python's own complex operators
+and cmath.exp over the rows, never by a NumPy complex ufunc, whose loops may
+fuse multiply-adds, and summed one after another in lattice order with
+functools.reduce, as a one-term-at-a-time loop sums them (sum() compensates
+float sums from Python 3.12 on).
 
 Residues are integers (numpy ints pass), and irrep labels are Python
 ints; a float or a bool is refused, never truncated.
 """
 
 import cmath
+import functools
 import itertools
 import math
 import operator
@@ -39,6 +45,10 @@ _MAX_RADIUS = 60
 # beside the cmath loop over its rows
 _BLOCK_ROWS = 1 << 10
 _OUT_OF_RANGE = "theta value lies outside the float range at this point"
+# the factors of 1j * math.pi * x and 2j * math.pi * x, which Python groups
+# as (1j * math.pi) * x
+_I_PI = 1j * math.pi
+_TWO_I_PI = 2j * math.pi
 
 
 # -- period matrices and characteristics ---------------------------------------
@@ -130,22 +140,72 @@ def _point(z, g):
 
 def _shell(g, s):
     """Lattice points of sup norm exactly s as float rows, in the order of
-    itertools.product over [-s, s]^g.
+    itertools.product over [-s, s]^g, in runs of at most _BLOCK_ROWS rows.
 
-    The walk runs over the flat C-order indices of the cube [-s, s]^g, which
-    is product order, in runs of at most _BLOCK_ROWS indices; each run keeps
-    its rows of sup norm s, and a run that keeps none yields nothing.  So no
-    array has more than _BLOCK_ROWS rows, whatever s and g.  The NumPy work
-    grows with the cube, not the shell; at the radii a well-conditioned Omega
-    needs it is small beside the callers' per-row cmath loop.
+    Only the surface is walked, slab by slab over the first coordinate: the
+    full (g-1)-cube where |c_0| = s and the (g-1)-shell elsewhere, so no
+    interior point is visited.  A shell of at most _BLOCK_ROWS points comes
+    as one read-only array, built once per (g, s, run size) and kept in a
+    bounded cache; that covers every shell a well-conditioned Omega reaches
+    at g <= 3.  A larger shell is made run by run, so no array outgrows one
+    run whatever s and g.
     """
+    cap = _BLOCK_ROWS
+    if _shell_size(g, s) <= cap:
+        yield _small_shell(g, s, cap)
+    else:
+        yield from _walk(g, s, cap)
+
+
+def _shell_size(g, s):
+    return (2 * s + 1) ** g - (2 * s - 1) ** g if s else 1
+
+
+# at the default run size the shells that fit one run are every s at g <= 2,
+# s <= 6 at g = 3, s <= 2 at g = 4, s <= 1 at g = 5 and 6 and s = 0 beyond:
+# 136 up to g = 6, about 0.35 MB in all
+@functools.lru_cache(maxsize=256)
+def _small_shell(g, s, cap):
+    rows = np.concatenate(list(_walk(g, s, cap)))
+    rows.flags.writeable = False
+    return rows
+
+
+def _walk(g, s, cap):
+    """The shell's runs of at most cap rows, slab by slab over c_0."""
+    if s == 0:
+        yield np.zeros((1, g))
+        return
+    for run in _cube(g - 1, s, cap):
+        yield _stack([-s], run)
+    if g > 1:
+        if _shell_size(g - 1, s) <= cap:
+            # one cached (g-1)-shell serves every inner slab, several to a run
+            rows = _small_shell(g - 1, s, cap)
+            per = cap // len(rows)
+            for c in range(1 - s, s, per):
+                yield _stack(range(c, min(c + per, s)), rows)
+        else:
+            for c in range(1 - s, s):
+                for run in _walk(g - 1, s, cap):
+                    yield _stack([c], run)
+    for run in _cube(g - 1, s, cap):
+        yield _stack([s], run)
+
+
+def _cube(j, s, cap):
+    """The cube [-s, s]^j as float rows in product order, cap rows a run."""
     width = 2 * s + 1
-    for start in range(0, width**g, _BLOCK_ROWS):
-        flat = np.arange(start, min(start + _BLOCK_ROWS, width**g))
-        pts = np.column_stack(np.unravel_index(flat, (width,) * g)) - s
-        pts = pts[np.abs(pts).max(axis=1) == s]
-        if len(pts):
-            yield pts.astype(float)
+    powers = width ** np.arange(j - 1, -1, -1)
+    for start in range(0, width**j, cap):
+        flat = np.arange(start, min(start + cap, width**j))
+        yield (flat[:, None] // powers % width - s).astype(float)
+
+
+def _stack(firsts, rows):
+    """rows after each first coordinate in turn, as float rows."""
+    firsts = np.asarray(firsts, dtype=float)
+    return np.column_stack((np.repeat(firsts, len(rows)), np.tile(rows, (len(firsts), 1))))
 
 
 def _quad(m, mat):
@@ -185,14 +245,15 @@ def theta_char(char, om, z, tol=1e-12):
         mag = 0.0
         for pts in _shell(pm.genus, s):
             m = l + k * pts
-            quads = (_quad(m, pm.matrix) / k).tolist()
-            for quad, mz in zip(quads, np.matmul(m[:, None, :], zv)[:, 0].tolist()):
-                try:
-                    term = cmath.exp(1j * math.pi * quad + 2j * math.pi * mz)
-                except OverflowError:
-                    raise ValueError(_OUT_OF_RANGE) from None
-                total += term
-                mag += abs(term)
+            quads = map(operator.mul, itertools.repeat(_I_PI), (_quad(m, pm.matrix) / k).tolist())
+            phases = map(operator.mul, itertools.repeat(_TWO_I_PI),
+                         np.matmul(m[:, None, :], zv)[:, 0].tolist())
+            try:
+                terms = list(map(cmath.exp, map(operator.add, quads, phases)))
+            except OverflowError:
+                raise ValueError(_OUT_OF_RANGE) from None
+            total = functools.reduce(operator.add, terms, total)
+            mag = functools.reduce(operator.add, map(abs, terms), mag)
         if s >= s_min:
             small = small + 1 if mag < tol / 20 else 0
             if small >= 2:
@@ -231,13 +292,21 @@ def evaluate_series(series, z):
     """
     if not isinstance(series, FourierSeries):
         raise ValueError("only finite series evaluate pointwise")
-    zv = _point(z, series.genus)
+    g = series.genus
+    coefficients = series.coefficients
+    if any(map(g.__ne__, map(len, coefficients))):
+        raise ValueError(f"series indices must have {g} entries")
+    zv = _point(z, g)
     total = 0j
-    items = iter(series.coefficients.items())
-    while block := list(itertools.islice(items, _BLOCK_ROWS)):
-        idx = np.array([n for n, _ in block], dtype=float)
-        for (_, a), nz in zip(block, np.matmul(idx[:, None, :], zv)[:, 0].tolist()):
-            total += a * cmath.exp(2j * math.pi * nz)
+    entries = itertools.chain.from_iterable(coefficients)
+    values = iter(coefficients.values())
+    for start in range(0, len(coefficients), _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, len(coefficients) - start)
+        idx = np.fromiter(entries, float, count=rows * g).reshape(rows, g)
+        phases = map(operator.mul, itertools.repeat(_TWO_I_PI),
+                     np.matmul(idx[:, None, :], zv)[:, 0].tolist())
+        terms = map(operator.mul, itertools.islice(values, rows), map(cmath.exp, phases))
+        total = functools.reduce(operator.add, terms, total)
     return total
 
 
@@ -262,23 +331,24 @@ def abelian_cst(char, om, t):
     k = char.level
     lv = np.asarray(char.vector, dtype=float)
     im = pm.matrix.imag
+    scale = _I_PI * t  # 1j * math.pi * t * quad groups as ((1j * math.pi) * t) * quad
     coeffs = {}
     small = 0
     for s in range(_MAX_RADIUS + 1):
         largest = 0.0
         for pts in _shell(char.genus, s):
             m = lv + k * pts
-            # the entries of m are integers, so each row's |m| sum is exact
-            rows = zip(m.tolist(), _quad(m, pm.matrix).tolist(), _quad(m, im).tolist(),
-                       np.abs(m).sum(axis=1).tolist())
-            for row, quad, decay, size in rows:
-                coeffs[tuple(map(int, row))] = cmath.exp(1j * math.pi * t * quad)
-                # decay against a unit strip of imaginary displacement, so the
-                # result still evaluates accurately at moderately complex points;
-                # a positive exponent never falls below the cutoff, so capping it
-                # at 0 keeps exp from overflowing on nearly real period matrices
-                weight = math.exp(min(0.0, -math.pi * t * decay + 2 * math.pi * size))
-                largest = max(largest, weight)
+            phases = map(operator.mul, itertools.repeat(scale), _quad(m, pm.matrix).tolist())
+            coeffs.update(zip(map(tuple, m.astype(int).tolist()), map(cmath.exp, phases)))
+            # decay against a unit strip of imaginary displacement, so the
+            # result still evaluates accurately at moderately complex points;
+            # a positive exponent never falls below the cutoff, so capping it
+            # at 0 keeps exp from overflowing on nearly real period matrices.
+            # exp is monotone, so the block's largest exponent gives its
+            # largest weight; the entries of m are integers, so each row's
+            # |m| sum is exact
+            exponent = (-math.pi * t) * _quad(m, im) + (2 * math.pi) * np.abs(m).sum(axis=1)
+            largest = max(largest, math.exp(min(0.0, exponent.max())))
         small = small + 1 if largest < 1e-15 else 0
         if small >= 2:
             return FourierSeries(char.genus, coeffs)

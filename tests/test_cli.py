@@ -183,9 +183,9 @@ def test_infinite_tolerance_is_usage_error(capsys):
 
 
 def test_unconverged_genus_three_series_stays_small():
-    # a nearly flat Omega runs the series out to the radius cap; the shells
-    # are walked one capped run of the cube at a time, so memory does not
-    # grow with the radius.
+    # a nearly flat Omega runs the series out to the radius cap; a shell too
+    # large for the bounded cache is walked over its surface one capped run
+    # at a time, so memory does not grow with the radius.
     # A child's ru_maxrss starts at the RSS of the process it was forked
     # from, so the command runs under a small launcher, not under pytest.
     omega = json.dumps([[[0, 0.001 if i == j else 0] for j in range(3)] for i in range(3)])

@@ -20,6 +20,7 @@ from verlinde.graphs import (
     RibbonStructure,
     TrivalentGraph,
     _components,
+    _cycle_count,
     _least_encoding,
     _matching_connected,
     _trivalent_classes,
@@ -869,6 +870,14 @@ def test_eulerian_matches_frozen_search(name):
     assert eulerian_invariant(moved) == want
 
 
+def test_cycle_count_matches_orbits():
+    rng = random.Random(37)
+    for n in (0, 1, 2, 3, 6, 24, 50) * 20:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert _cycle_count(perm) == len(graphs_module._orbits(perm))
+
+
 @pytest.mark.parametrize(
     "graph, message",
     [
@@ -892,7 +901,7 @@ def test_eulerian_refusals(graph, message, monkeypatch):
     def walked(perm):
         raise AssertionError("a rotation system was walked before the refusal")
 
-    monkeypatch.setattr(graphs_module, "_orbits", walked)
+    monkeypatch.setattr(graphs_module, "_cycle_count", walked)
     with pytest.raises(ValueError, match=f"^{message}$"):
         eulerian_invariant(graph)
 

@@ -21,6 +21,9 @@ from verlinde.thetacst import (
     ThetaCharacteristic,
     _point,
     _shell,
+    _shell_size,
+    _small_shell,
+    _walk,
     abelian_cst,
     chord_edges,
     delta_distribution,
@@ -267,6 +270,14 @@ def test_delta_distribution_all_ones_at_level_one():
     assert {(-3,), (0,), (5,)} <= set(out.coefficients)
 
 
+@pytest.mark.parametrize("keys", [[(1,), (1, 2, 3)], [(1, 2, 3), (4, 5, 6)]], ids=["ragged", "genus-3"])
+def test_series_refuses_indices_of_another_length(keys):
+    # the index rows are read as one flat run of entries, so an index of the
+    # wrong length would shift every later row if it were let through
+    with pytest.raises(ValueError, match="series indices must have 2 entries"):
+        evaluate_series(FourierSeries(2, dict.fromkeys(keys, 1.0)), [0.1, 0.2])
+
+
 def test_evaluate_rejects_distribution():
     with pytest.raises(ValueError):
         evaluate_series(delta_distribution((0,), 1), [0.0])
@@ -431,8 +442,9 @@ def test_shell_blocks_follow_product_order(cap, monkeypatch):
 
 
 def test_shell_memory_stays_flat_at_genus_four():
-    # the walk visits all 41^4 points of the cube, 2.8 million, but in runs
-    # of at most _BLOCK_ROWS indices, so no array it makes outgrows one run
+    # the shell has 512,000 points, too many for one cached run, so it is
+    # walked slab by slab in runs of at most _BLOCK_ROWS rows, and no array
+    # the walk makes outgrows one run
     radius = 20
     tracemalloc.start()
     try:
@@ -444,6 +456,25 @@ def test_shell_memory_stays_flat_at_genus_four():
     assert sum(sizes) == width**4 - (width - 2) ** 4
     assert max(sizes) <= _BLOCK_ROWS
     assert peak < 2**20
+
+
+def test_cached_shells_are_read_only():
+    (rows,) = _shell(3, 2)
+    assert next(_shell(3, 2)) is rows  # built once, served to every caller
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 1.0
+
+
+# (3, 6) and (4, 2) fit in one run and come from the cache; the next radii,
+# (3, 7) and (4, 3), do not and are walked on every call
+@pytest.mark.parametrize("g,s", [(3, 6), (3, 7), (4, 2), (4, 3), (2, 60), (1, 60)])
+def test_cached_and_walked_shells_agree(g, s):
+    assert (_shell_size(g, s) <= _BLOCK_ROWS) == ((g, s) not in ((3, 7), (4, 3)))
+    _small_shell.cache_clear()
+    served = [np.concatenate(list(_shell(g, s))).tolist() for _ in range(2)]
+    walked = np.concatenate(list(_walk(g, s, _BLOCK_ROWS))).tolist()
+    want = [list(map(float, pt)) for pt in _per_term_shell(g, s)]
+    assert served[0] == served[1] == walked == want
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
